@@ -1,9 +1,11 @@
 """Benchmark the compiled search kernel against the pure-Python reference.
 
 Runs the same minimum-hitting-set searches through both implementations
-and prints wall times plus the speedup.  Usage:
+and prints wall times plus the speedup.  When no built `tensordim._bb` is
+importable, the kernel is compiled into a temporary directory with the test
+suite's recipe (setup.py).  Usage:
 
-    python benchmarks/bench_kernels.py [--repeats N]
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from tensordim import _bb_py
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
@@ -60,15 +64,7 @@ def best_time(kernel, args, repeats):
     return best, result
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=3)
-    opts = parser.parse_args()
-
-    if _bb is None:
-        print("compiled kernel not built; nothing to compare", file=sys.stderr)
-        return 1
-
+def compare(compiled, repeats: int) -> int:
     instances = [
         product_instance((4, 4)),
         product_instance((5, 5)),
@@ -83,13 +79,31 @@ def main() -> int:
     print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
     for name, masks, nbits, gm, go in instances:
         args = (masks, nbits, gm, go)
-        t_py, r_py = best_time(_bb_py, args, opts.repeats)
-        t_c, r_c = best_time(_bb, args, opts.repeats)
+        t_py, r_py = best_time(_bb_py, args, repeats)
+        t_c, r_c = best_time(compiled, args, repeats)
         if r_py != r_c:
             print(f"{name}: KERNEL MISMATCH {r_py} vs {r_c}", file=sys.stderr)
             return 1
         print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeats", type=int, default=3)
+    opts = parser.parse_args()
+
+    if _bb is not None:
+        return compare(_bb, opts.repeats)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+    from conftest import build_kernel
+
+    with tempfile.TemporaryDirectory() as tmp:
+        compiled = build_kernel(Path(tmp))
+        if compiled is None:
+            print("no built kernel and no C compiler; nothing to compare", file=sys.stderr)
+            return 1
+        return compare(compiled, opts.repeats)
 
 
 if __name__ == "__main__":

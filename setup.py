@@ -4,26 +4,6 @@ The package works without the extension (a pure-Python kernel is selected at
 import time), so a failed compile only costs speed.
 """
 
-import numpy as np
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-extensions = []
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "tensordim._bb",
-                sources=["src/tensordim/_bb.pyx"],
-                include_dirs=[np.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-            )
-        ],
-        language_level="3",
-    )
-
-setup(ext_modules=extensions)
+setup(ext_modules=[Extension("tensordim._bb", sources=["src/tensordim/_bb.c"])])

@@ -16,7 +16,6 @@ from .constructions import (
     formula_case,
     lower_bound_largest_factor,
     lower_bound_subproduct,
-    lower_bound_two_cliques,
     upper_bound_construction,
 )
 from .graphs import (
@@ -88,7 +87,6 @@ __all__ = [
     "kernel_name",
     "lower_bound_largest_factor",
     "lower_bound_subproduct",
-    "lower_bound_two_cliques",
     "parse_edge_list",
     "projection",
     "read_edge_list",

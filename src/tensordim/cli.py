@@ -23,8 +23,6 @@ from .constructions import (
 from .graphs import (
     CliqueFactors,
     DistanceMatrix,
-    EdgeListError,
-    Graph,
     all_pairs_distances,
     build_bipartite_minus_matching,
     build_clique,
@@ -326,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for the exact search")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; accepted for interface stability")
     common.add_argument("--out", default=None, help="write output to this file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -384,12 +380,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EdgeListError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

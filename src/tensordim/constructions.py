@@ -245,10 +245,3 @@ def upper_bound_construction(factors: CliqueFactors) -> list[int]:
     if len(out) > 3 * sum(block_sizes):
         raise AssertionError("construction exceeded its size bound")
     return _certified(out, factors)
-
-
-def lower_bound_two_cliques(m: int, n: int) -> int:
-    """ceil(2(m + n - 2) / 3), valid for 3 <= m <= n <= 2m - 2."""
-    if not (3 <= m <= n <= 2 * m - 2):
-        raise ValueError(f"needs 3 <= m <= n <= 2m - 2, got ({m}, {n})")
-    return -(-2 * (m + n - 2) // 3)

@@ -69,13 +69,7 @@ class PairResolutionTable:
     masks: np.ndarray
 
     def resolvers(self, k: int) -> list[int]:
-        mask = int(self.masks[k])
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return _bb_py._bits_ascending(int(self.masks[k]))
 
 
 def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
@@ -180,12 +174,8 @@ def _greedy_completion(pending: list[int], cand_mask: int) -> int:
     while pend:
         scores: dict[int, int] = {}
         for m in pend:
-            r = m & cand_mask
-            while r:
-                low = r & -r
-                w = low.bit_length() - 1
+            for w in _bb_py._bits_ascending(m & cand_mask):
                 scores[w] = scores.get(w, 0) + 1
-                r ^= low
         best_w = min(scores, key=lambda w: (-scores[w], w))
         wb = 1 << best_w
         cand_mask &= ~wb
@@ -210,15 +200,9 @@ def _min_size(masks: list[int], cand_mask: int, covered: int, lower: int, upper:
     root = min((m & cand_mask for m in masks), key=lambda r: (int(r).bit_count(), r))
     if root == 0:
         return upper
-    ws = []
-    r = root
-    while r:
-        low = r & -r
-        ws.append(low.bit_length() - 1)
-        r ^= low
     jobs = []
     excluded = 0
-    for w in ws:
+    for w in _bb_py._bits_ascending(root):
         wb = 1 << w
         sub_masks = [m for m in masks if m & wb == 0]
         jobs.append((sub_masks, cand_mask & ~excluded & ~wb, covered | wb,

@@ -3,14 +3,26 @@
 Everything here is written independently of the package internals, on
 purpose: plain adjacency dicts, list-based BFS, and exhaustive subset
 scans.  Tests compare package output against these slow references.
+
+`build_kernel` compiles the C search kernel through `setup.py`, the one
+build definition, so the kernel tests run without an installed build.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def oracle_bfs(n: int, edges) -> list[list[int]]:
@@ -93,3 +105,34 @@ def random_connected_edges(rng: random.Random, n: int, p: float):
 @pytest.fixture
 def rng():
     return random.Random(0xD1ACE)
+
+
+def build_kernel(dest: Path):
+    """Compile `tensordim._bb` into dest with setup.py and load it.
+
+    Returns None when no C compiler is found.  The module is not entered in
+    sys.modules, so the kernel the solver picked at import stays in use.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(cc.split()[0]) is None:
+        return None
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(dest), "--build-temp", str(dest / "tmp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"kernel build failed:\n{proc.stdout}{proc.stderr}")
+    path = dest / "tensordim" / ("_bb" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location("tensordim._bb", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    module = build_kernel(tmp_path_factory.mktemp("kernel"))
+    if module is None:
+        pytest.skip("no C compiler to build the compiled kernel")
+    return module

@@ -104,10 +104,10 @@ def test_dim_needs_exactly_one_input(tmp_path, capsys):
     assert run(capsys, "dim", str(path), "--tensor", "3,3", "--exact")[0] == 2
 
 
-def test_dim_threads_and_seed_accepted(capsys):
-    report = run_json(capsys, "dim", "--tensor", "3,4", "--exact",
-                      "--threads", "2", "--seed", "7")
+def test_dim_threads_accepted_and_seed_rejected(capsys):
+    report = run_json(capsys, "dim", "--tensor", "3,4", "--exact", "--threads", "2")
     assert report["dim"] == 4
+    assert run(capsys, "dim", "--tensor", "3,4", "--exact", "--seed", "7")[0] == 2
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):

@@ -17,7 +17,6 @@ from tensordim import (
     is_resolving,
     lower_bound_largest_factor,
     lower_bound_subproduct,
-    lower_bound_two_cliques,
     projection,
     tensor_clique_distances,
     upper_bound_construction,
@@ -158,14 +157,6 @@ def test_certifier_raises_on_non_resolving_set():
     assert err.value.factors.sizes == (3, 3)
     assert err.value.wset == [0, 4]
     assert err.value.pair == (1, 3)
-
-
-def test_balanced_value_is_a_two_factor_lower_bound():
-    for m in range(3, 20):
-        for n in range(m, 2 * m - 1):
-            assert lower_bound_two_cliques(m, n) == dim_formula(m, n).dim
-    with pytest.raises(ValueError):
-        lower_bound_two_cliques(3, 9)
 
 
 def test_largest_factor_lower_bound():
