@@ -11,6 +11,30 @@ lexicographic order and therefore returns the same certificate.
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
 smallest ids are forced into the solution before the search starts.
+
+Products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 and every m_i >= 3
+take a different route.  They have no twins: if u and v differ on axis a,
+a vertex z with z_a = u_a and, on every other axis, a value that is neither
+u's nor v's has d(u, z) = 2 and d(v, z) = 1.  Their automorphisms include
+S_{m_1} x ... x S_{m_t} acting on the coordinates, which is transitive on
+the vertices, so the size search breaks symmetry at the root:
+
+- Some minimum resolving set contains vertex 0 (map any member to 0).
+- Permuting the nonzero values of each axis fixes vertex 0.  The orbits of
+  this stabilizer S_{m_1-1} x ... x S_{m_t-1} on the other vertices are the
+  equality patterns with vertex 0: the set of axes on which a vertex has
+  coordinate 0.  The orbit's least id, with 0 on those axes and 1 on the
+  others, represents it.
+- A minimum set W containing 0 has a second member (one vertex sees at most
+  three distances).  Let O_i be the first orbit, in a fixed order, that W
+  meets.  A stabilizer element maps a member of W in O_i to rep_i and keeps
+  W away from O_1..O_{i-1}.  So branch i, which forces {0, rep_i} and drops
+  O_1..O_{i-1} from the candidates, finds a set of size |W|, and the least
+  branch optimum is the dimension.
+
+The symmetry applies only to the size search.  The lexicographic pass runs
+on the full instance, so the certificate is the least one in sorted order
+either way.
 """
 
 from __future__ import annotations
@@ -191,6 +215,7 @@ def _min_size_job(args):
 
 def _min_size(masks: list[int], cand_mask: int, covered: int, lower: int, upper: int,
               gm, go, threads: int) -> int:
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or not masks:
         return _default_kernel.min_hitting_size(masks, cand_mask, covered, lower, upper, gm, go)
     # Fan the root branching out to worker processes: the branch pair is the
@@ -208,9 +233,34 @@ def _min_size(masks: list[int], cand_mask: int, covered: int, lower: int, upper:
         jobs.append((sub_masks, cand_mask & ~excluded & ~wb, covered | wb,
                      max(0, lower - 1), upper - 1, gm, go))
         excluded |= wb
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool starts all its workers at once, so never ask for more than
+    # there are cores or jobs.
+    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
         results = list(pool.map(_min_size_job, jobs))
     return min(upper, min(1 + res for res in results))
+
+
+def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int,
+                        factors: CliqueFactors, gm, go, threads: int) -> int:
+    """`_min_size` for a product of cliques, forcing vertex 0 and branching
+    on the orbits of its stabilizer (see the module docstring)."""
+    zero = factors.coordinates() == 0
+    orbits: dict[tuple[bool, ...], int] = {}
+    for v in range(1, factors.vertex_count):
+        key = tuple(zero[v])
+        orbits[key] = orbits.get(key, 0) | 1 << v
+    best = upper
+    excluded = 0
+    # Largest orbit first, so the later branches drop the most candidates.
+    for orbit in sorted(orbits.values(), key=lambda o: -o.bit_count()):
+        if best <= lower:
+            break
+        pair = 1 | (orbit & -orbit)
+        best = min(best, 2 + _min_size([m for m in masks if m & pair == 0],
+                                       cand_mask & ~excluded & ~pair, pair,
+                                       max(0, lower - 2), best - 2, gm, go, threads))
+        excluded |= orbit
+    return best
 
 
 def _factor_groups(factors: CliqueFactors) -> tuple[list[int], list[int]]:
@@ -234,19 +284,21 @@ def exact_metric_dimension(
     lower_hint: int = 0,
     upper_hint: Sequence[int] | None = None,
     factors: CliqueFactors | None = None,
-    structural_pruning: bool = True,
     threads: int = 1,
     method: str = "auto",
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
 
     `lower_hint` must be a valid lower bound and `upper_hint` a resolving
-    set when given.  `factors` tags the input as a tensor product of
-    cliques (vertex ids in the mixed-radix codec); with all factors >= 3
-    this enables a structural pruning rule, switched by
-    `structural_pruning`.  `method` is "auto", "enumeration", or
+    set when given; a result equal to `lower_hint` trusts the hint, since
+    the search stops as soon as it meets it.  `factors` asserts that `dist`
+    is the product of those cliques with vertex ids in the mixed-radix
+    codec (only the vertex count is checked).  With two or more factors,
+    all of size >= 3, it enables the factor-group pruning rule and the
+    symmetric size search and skips the twin scan; `factors=None` is the
+    plain reference search.  `method` is "auto", "enumeration", or
     "branch-and-bound"; auto enumerates below the cutoff.  The result does
-    not depend on `threads`.
+    not depend on `factors` or `threads`.
     """
     if method not in ("auto", "enumeration", "branch-and-bound"):
         raise ValueError(f"unknown method {method!r}")
@@ -255,11 +307,15 @@ def exact_metric_dimension(
     n = dist.n
     if factors is not None and factors.vertex_count != n:
         raise ValueError("factor sizes do not match the vertex count")
+    if lower_hint < 0:
+        raise ValueError(f"lower_hint must be non-negative, got {lower_hint}")
     hint: list[int] | None = None
     if upper_hint is not None:
         hint = check_vertex_set(n, upper_hint)
         if not is_resolving(dist, hint):
             raise ValueError("upper_hint is not a resolving set")
+        if lower_hint > len(hint):
+            raise ValueError(f"lower_hint {lower_hint} exceeds the upper_hint size {len(hint)}")
     if method == "auto":
         method = "enumeration" if n < ENUMERATION_CUTOFF else "branch-and-bound"
     if method == "enumeration":
@@ -270,10 +326,16 @@ def exact_metric_dimension(
         return DimResult(0, ())
 
     table = build_pair_table(dist)
+    clique_product = factors is not None and factors.t >= 2 and min(factors.sizes) >= 3
     forced: list[int] = []
-    for cls in _twin_classes(dist):
-        forced.extend(cls[:-1])
-    forced.sort()
+    gm: Sequence[int] = ()
+    go: Sequence[int] = (0,)
+    if clique_product:
+        gm, go = _factor_groups(factors)
+    else:
+        for cls in _twin_classes(dist):
+            forced.extend(cls[:-1])
+        forced.sort()
     forced_mask = 0
     for v in forced:
         forced_mask |= 1 << v
@@ -281,11 +343,6 @@ def exact_metric_dimension(
     cand_mask = ((1 << n) - 1) & ~forced_mask
 
     hint_rest = len(hint) - len(forced) if hint is not None else None
-
-    gm: Sequence[int] = ()
-    go: Sequence[int] = (0,)
-    if factors is not None and structural_pruning and all(m >= 3 for m in factors.sizes):
-        gm, go = _factor_groups(factors)
 
     if not pending:
         cert = tuple(forced)
@@ -295,8 +352,12 @@ def exact_metric_dimension(
     if hint_rest is not None:
         rest_upper = min(rest_upper, hint_rest)
     rest_lower = max(0, lower_hint - len(forced))
-    k_rest = _min_size(pending, cand_mask, forced_mask, rest_lower, rest_upper,
-                       gm, go, threads)
+    if clique_product:
+        k_rest = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper,
+                                     factors, gm, go, threads)
+    else:
+        k_rest = _min_size(pending, cand_mask, forced_mask, rest_lower, rest_upper,
+                           gm, go, threads)
     rest = _default_kernel.lex_min_hitting_set(pending, cand_mask, forced_mask,
                                                k_rest, gm, go)
     if rest is None or len(rest) != k_rest:

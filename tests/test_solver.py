@@ -10,6 +10,7 @@ from tensordim import (
     all_pairs_distances,
     build_clique,
     build_pair_table,
+    dim_formula,
     exact_metric_dimension,
     exhaustive_metric_dimension,
     greedy_resolving_set,
@@ -18,8 +19,20 @@ from tensordim import (
     tensor_clique_distances,
     tensor_of_cliques,
 )
+from tensordim import _bb_py, solver
 
 from conftest import oracle_min_resolving, random_connected_edges
+
+
+@pytest.fixture(params=["_bb_py", "_bb"])
+def solver_kernel(request, monkeypatch):
+    """Run the solver on each kernel in turn."""
+    if request.param == "_bb_py":
+        kernel = _bb_py
+    else:
+        kernel = request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(solver, "_default_kernel", kernel)
+    return kernel
 
 
 def cycle_graph(n):
@@ -150,15 +163,82 @@ def test_threads_do_not_change_the_answer():
     assert one == two
 
 
+def test_threads_are_clamped_to_cores_and_root_branches(monkeypatch):
+    pool_sizes = []
+
+    class RecordingPool:
+        """Records max_workers and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    # The root branches on the mask with the fewest resolvers: three here.
+    masks = [0b0111, 0b11110, 0b101101]
+    want = _bb_py.min_hitting_size(masks, 0b111111, 0, 0, 7)
+    for cores in (5000, 2, 1, None):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cores)
+        assert solver._min_size(masks, 0b111111, 0, 0, 7, (), (0,), 5000) == want
+    assert pool_sizes == [3, 2]
+
+
 def test_structural_pruning_does_not_change_the_answer():
     for sizes in [(3, 3), (3, 4), (4, 4)]:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         on = exact_metric_dimension(dist, factors=f, method="branch-and-bound")
-        off = exact_metric_dimension(dist, factors=f, method="branch-and-bound",
-                                     structural_pruning=False)
         plain = exact_metric_dimension(dist, method="branch-and-bound")
-        assert on == off == plain
+        assert on == plain
+
+
+def test_products_of_cliques_with_factors_of_three_have_no_twins():
+    for sizes in [(3, 3), (3, 5), (4, 4), (3, 3, 3)]:
+        classes = solver._twin_classes(tensor_clique_distances(CliqueFactors(sizes)))
+        assert all(len(cls) == 1 for cls in classes)
+
+
+SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <= 30] + [(3, 3, 3)]
+
+
+def test_symmetric_search_matches_plain_search(solver_kernel):
+    for sizes in SYMMETRIC_SIZES:
+        f = CliqueFactors(sizes)
+        dist = tensor_clique_distances(f)
+        sym = exact_metric_dimension(dist, factors=f, method="branch-and-bound")
+        plain = exact_metric_dimension(dist, method="branch-and-bound")
+        assert sym == plain, sizes
+
+
+def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monkeypatch):
+    # The certificates are those of the search without symmetry breaking.
+    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
+    f = CliqueFactors((7, 7))
+    res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+    assert res.dim == dim_formula(7, 7).dim
+    assert res.certificate == (0, 1, 9, 10, 18, 25, 33, 40)
+    f = CliqueFactors((4, 4, 4))
+    res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+    assert (res.dim, res.certificate) == (8, (0, 1, 4, 16, 22, 41, 47, 59))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sizes", [(7, 8), (7, 9), (8, 8)], ids=["7x8", "7x9", "8x8"])
+def test_exact_matches_formula_up_to_sixty_four_vertices(sizes, compiled_kernel, monkeypatch):
+    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
+    f = CliqueFactors(sizes)
+    dist = tensor_clique_distances(f)
+    res = exact_metric_dimension(dist, factors=f)
+    assert res.dim == dim_formula(*sizes).dim
+    assert is_resolving(dist, list(res.certificate))
 
 
 def test_hints_do_not_change_the_answer():
@@ -176,6 +256,20 @@ def test_bad_upper_hint_rejected():
     dist = tensor_clique_distances(f)
     with pytest.raises(ValueError):
         exact_metric_dimension(dist, factors=f, upper_hint=[0, 4])
+
+
+def test_negative_lower_hint_rejected():
+    f = CliqueFactors((3, 4))
+    with pytest.raises(ValueError, match="lower_hint"):
+        exact_metric_dimension(tensor_clique_distances(f), factors=f, lower_hint=-1)
+
+
+def test_lower_hint_above_upper_hint_rejected():
+    f = CliqueFactors((3, 4))
+    upper = [f.flat_index((0, j)) for j in range(4)] + [f.flat_index((1, 0))]
+    with pytest.raises(ValueError, match="lower_hint"):
+        exact_metric_dimension(tensor_clique_distances(f), factors=f,
+                               lower_hint=6, upper_hint=upper)
 
 
 def test_unknown_method_rejected():
