@@ -32,7 +32,7 @@ from .graphs import (
     write_edge_list,
 )
 from .metric import is_resolving
-from .solver import exact_metric_dimension, greedy_resolving_set
+from .solver import MAX_EXACT_VERTICES, DimResult, exact_metric_dimension, greedy_resolving_set
 
 
 class UsageError(ValueError):
@@ -58,6 +58,33 @@ def _load_input(args) -> tuple[DistanceMatrix, CliqueFactors | None]:
         factors = _parse_factors(args.tensor)
         return tensor_clique_distances(factors), factors
     return all_pairs_distances(read_edge_list(args.path)), None
+
+
+def _check_exact_size(factors: CliqueFactors) -> None:
+    """Refuse a connected product too large for the exact search before its
+    n x n table is built.  A product of cliques is connected unless two or
+    more factors have size 2 (Weichsel: at most one factor may be
+    bipartite), and a disconnected one is still reported as such."""
+    n = factors.vertex_count
+    if n > MAX_EXACT_VERTICES and sum(s == 2 for s in factors.sizes) <= 1:
+        raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
+
+
+def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None) -> DimResult:
+    """Exact dimension of a product of cliques, searched between the hints
+    its bounds give: max(m_i) - 1 below when every factor is >= 3, and the
+    certified construction above for two factors other than 2 x 2."""
+    if dist is None:
+        _check_exact_size(factors)
+        dist = tensor_clique_distances(factors)
+    lower_hint = 0
+    if all(s >= 3 for s in factors.sizes):
+        lower_hint = lower_bound_largest_factor(factors)
+    upper_hint = None
+    if factors.t == 2 and factors.sizes != (2, 2):
+        upper_hint = _two_factor_set(*factors.sizes)
+    return exact_metric_dimension(dist, lower_hint=lower_hint, upper_hint=upper_hint,
+                                  factors=factors)
 
 
 def _set_report(ids, factors: CliqueFactors | None) -> dict:
@@ -117,6 +144,8 @@ def _cmd_dim(args) -> int:
         _emit(report, args.out)
         return 0
 
+    if mode == "exact" and args.tensor is not None:
+        _check_exact_size(_parse_factors(args.tensor))
     dist, factors = _load_input(args)
     report = {"n": dist.n, "method": mode}
     if factors is not None:
@@ -133,17 +162,10 @@ def _cmd_dim(args) -> int:
         _emit(report, args.out)
         return 0
 
-    lower_hint = 0
-    upper_hint = None
-    if factors is not None and all(s >= 3 for s in factors.sizes):
-        lower_hint = lower_bound_largest_factor(factors)
-    if factors is not None and factors.t == 2:
-        m, n = factors.sizes
-        upper_hint = _two_factor_set(m, n)
-    result = exact_metric_dimension(
-        dist, lower_hint=lower_hint, upper_hint=upper_hint,
-        factors=factors, threads=args.threads,
-    )
+    if factors is not None:
+        result = _exact_product(factors, dist)
+    else:
+        result = exact_metric_dimension(dist)
     cert = list(result.certificate)
     if not is_resolving(dist, cert):
         raise AssertionError("certificate failed its final check")
@@ -160,6 +182,12 @@ def _parse_set(text: str, factors: CliqueFactors | None, n: int) -> list[int]:
         raise UsageError(f"--set is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise UsageError("--set must be a JSON array")
+    # `type(...) is int` rather than isinstance: JSON true and false load as
+    # bool, a subclass of int, and a float coordinate would give a fractional id.
+    for x in data:
+        for c in x if isinstance(x, list) else [x]:
+            if type(c) is not int:
+                raise UsageError(f"--set entries must be integers, got {json.dumps(c)}")
     if all(isinstance(x, int) for x in data):
         ids = data
     elif all(isinstance(x, list) for x in data):
@@ -239,11 +267,7 @@ def _cmd_bounds(args) -> int:
         bounds["construction_upper"] = {"applicable": False, "reason": reason}
     report["bounds"] = bounds
     if factors.vertex_count <= args.exact_up_to:
-        result = exact_metric_dimension(
-            tensor_clique_distances(factors),
-            lower_hint=lower_bound_largest_factor(factors) if all_big else 0,
-            factors=factors, threads=args.threads,
-        )
+        result = _exact_product(factors)
         exact: dict = {"computed": True, "dim": result.dim}
         if result.disconnected:
             exact["disconnected"] = True
@@ -255,7 +279,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def build_table_rows(max_m: int, max_n: int, exact_up_to: int, threads: int = 1) -> list[dict]:
+def build_table_rows(max_m: int, max_n: int, exact_up_to: int) -> list[dict]:
     """Rows of the formula/construction/exact agreement table."""
     rows = []
     for m in range(2, max_m + 1):
@@ -270,14 +294,7 @@ def build_table_rows(max_m: int, max_n: int, exact_up_to: int, threads: int = 1)
                 row["verified"] = bool(is_resolving(tensor_clique_distances(factors), wset))
             exact_known = m * n <= exact_up_to
             if exact_known:
-                factors = CliqueFactors((m, n))
-                hint = lower_bound_largest_factor(factors) if m >= 3 else 0
-                upper = _two_factor_set(m, n) if formula is not None else None
-                result = exact_metric_dimension(
-                    tensor_clique_distances(factors), lower_hint=hint,
-                    upper_hint=upper, factors=factors, threads=threads,
-                )
-                row["exact"] = result.dim  # None means disconnected
+                row["exact"] = _exact_product(CliqueFactors((m, n))).dim  # None: disconnected
             if formula is None:
                 row["agree"] = (not exact_known) or row["exact"] is None
             else:
@@ -294,7 +311,7 @@ def build_table_rows(max_m: int, max_n: int, exact_up_to: int, threads: int = 1)
 def _cmd_table(args) -> int:
     if args.max_m < 2 or args.max_n < args.max_m:
         raise UsageError("needs 2 <= max-m <= max-n")
-    rows = build_table_rows(args.max_m, args.max_n, args.exact_up_to, args.threads)
+    rows = build_table_rows(args.max_m, args.max_n, args.exact_up_to)
     lines = ["m,n,formula,construction_size,verified,exact,agree"]
     for row in rows:
         formula = "disconnected" if row["formula"] is None else str(row["formula"])
@@ -322,8 +339,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Metric dimension of graphs and tensor products of cliques.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the exact search")
+    # Accepted and ignored: the search runs in one process.  Scripts and the
+    # benchmark harness pass --threads 1, and removing the flag would make
+    # every such call exit 2.
+    common.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     common.add_argument("--out", default=None, help="write output to this file")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .graphs import CliqueFactors, tensor_clique_distances
 from .metric import is_resolving
-from .solver import DimResult, exact_metric_dimension
+from .solver import DimResult
 
 
 class ConstructionFailed(Exception):
@@ -172,14 +172,13 @@ def _two_factor_set(a: int, b: int) -> list[int]:
     return out
 
 
-def lower_bound_subproduct(factors: CliqueFactors, *, exact: bool = False) -> int:
+def lower_bound_subproduct(factors: CliqueFactors) -> int:
     """Largest dimension among the drop-one-factor subproducts.
 
     A resolving set of the full product projects to a resolving structure
     of every subproduct, so each subproduct dimension bounds from below.
     Two-factor subproducts use the closed form; deeper ones recurse on this
-    same bound, or solve exactly when `exact` is set.  Needs t >= 3 and all
-    factors >= 3.
+    same bound.  Needs t >= 3 and all factors >= 3.
     """
     if factors.t < 3:
         raise ValueError("bound needs at least three factors")
@@ -191,10 +190,6 @@ def lower_bound_subproduct(factors: CliqueFactors, *, exact: bool = False) -> in
         if sub.t == 2:
             a, b = sorted(sub.sizes)
             value = dim_formula(a, b).dim
-        elif exact:
-            value = exact_metric_dimension(
-                tensor_clique_distances(sub), factors=sub
-            ).dim
         else:
             value = lower_bound_subproduct(sub)
         best = max(best, int(value))

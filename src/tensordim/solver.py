@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,8 @@ def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
     if not dist.connected:
         raise ValueError("graph is disconnected")
     n = dist.n
+    if n == 0:
+        return []
     d = dist.values.astype(np.int64)
     labels = np.zeros(n, dtype=np.int64)
     chosen: list[int] = []
@@ -208,42 +209,11 @@ def _greedy_completion(pending: list[int], cand_mask: int) -> int:
     return count
 
 
-def _min_size_job(args):
-    masks, cand_mask, covered, lower, upper, gm, go = args
-    return _default_kernel.min_hitting_size(masks, cand_mask, covered, lower, upper, gm, go)
-
-
-def _min_size(masks: list[int], cand_mask: int, covered: int, lower: int, upper: int,
-              gm, go, threads: int) -> int:
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or not masks:
-        return _default_kernel.min_hitting_size(masks, cand_mask, covered, lower, upper, gm, go)
-    # Fan the root branching out to worker processes: the branch pair is the
-    # one with the fewest resolvers; branch j forces resolver w_j and
-    # excludes w_1..w_{j-1}, so the subtrees partition the solutions and the
-    # merge (a plain min) cannot depend on scheduling.
-    root = min((m & cand_mask for m in masks), key=lambda r: (int(r).bit_count(), r))
-    if root == 0:
-        return upper
-    jobs = []
-    excluded = 0
-    for w in _bb_py._bits_ascending(root):
-        wb = 1 << w
-        sub_masks = [m for m in masks if m & wb == 0]
-        jobs.append((sub_masks, cand_mask & ~excluded & ~wb, covered | wb,
-                     max(0, lower - 1), upper - 1, gm, go))
-        excluded |= wb
-    # The pool starts all its workers at once, so never ask for more than
-    # there are cores or jobs.
-    with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-        results = list(pool.map(_min_size_job, jobs))
-    return min(upper, min(1 + res for res in results))
-
-
 def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int,
-                        factors: CliqueFactors, gm, go, threads: int) -> int:
-    """`_min_size` for a product of cliques, forcing vertex 0 and branching
-    on the orbits of its stabilizer (see the module docstring)."""
+                        factors: CliqueFactors, gm, go) -> int:
+    """Minimum hitting-set size for a product of cliques, forcing vertex 0
+    and branching on the orbits of its stabilizer (see the module
+    docstring)."""
     zero = factors.coordinates() == 0
     orbits: dict[tuple[bool, ...], int] = {}
     for v in range(1, factors.vertex_count):
@@ -256,9 +226,9 @@ def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int
         if best <= lower:
             break
         pair = 1 | (orbit & -orbit)
-        best = min(best, 2 + _min_size([m for m in masks if m & pair == 0],
-                                       cand_mask & ~excluded & ~pair, pair,
-                                       max(0, lower - 2), best - 2, gm, go, threads))
+        best = min(best, 2 + _default_kernel.min_hitting_size(
+            [m for m in masks if m & pair == 0], cand_mask & ~excluded & ~pair, pair,
+            max(0, lower - 2), best - 2, gm, go))
         excluded |= orbit
     return best
 
@@ -284,7 +254,6 @@ def exact_metric_dimension(
     lower_hint: int = 0,
     upper_hint: Sequence[int] | None = None,
     factors: CliqueFactors | None = None,
-    threads: int = 1,
     method: str = "auto",
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
@@ -298,7 +267,7 @@ def exact_metric_dimension(
     symmetric size search and skips the twin scan; `factors=None` is the
     plain reference search.  `method` is "auto", "enumeration", or
     "branch-and-bound"; auto enumerates below the cutoff.  The result does
-    not depend on `factors` or `threads`.
+    not depend on `factors`.
     """
     if method not in ("auto", "enumeration", "branch-and-bound"):
         raise ValueError(f"unknown method {method!r}")
@@ -354,10 +323,10 @@ def exact_metric_dimension(
     rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
         k_rest = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper,
-                                     factors, gm, go, threads)
+                                     factors, gm, go)
     else:
-        k_rest = _min_size(pending, cand_mask, forced_mask, rest_lower, rest_upper,
-                           gm, go, threads)
+        k_rest = _default_kernel.min_hitting_size(pending, cand_mask, forced_mask,
+                                                  rest_lower, rest_upper, gm, go)
     rest = _default_kernel.lex_min_hitting_set(pending, cand_mask, forced_mask,
                                                k_rest, gm, go)
     if rest is None or len(rest) != k_rest:

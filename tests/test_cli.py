@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
+from tensordim import cli
 from tensordim.cli import main
 
 
@@ -105,9 +106,36 @@ def test_dim_needs_exactly_one_input(tmp_path, capsys):
 
 
 def test_dim_threads_accepted_and_seed_rejected(capsys):
-    report = run_json(capsys, "dim", "--tensor", "3,4", "--exact", "--threads", "2")
-    assert report["dim"] == 4
+    plain = run(capsys, "dim", "--tensor", "3,4", "--exact")
+    assert plain[0] == 0
+    assert run(capsys, "dim", "--tensor", "3,4", "--exact", "--threads", "2") == plain
+    assert json.loads(plain[1])["dim"] == 4
     assert run(capsys, "dim", "--tensor", "3,4", "--exact", "--seed", "7")[0] == 2
+
+
+def test_dim_greedy_and_exact_on_empty_graph(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("0 0\n")
+    for mode in ("--greedy", "--exact"):
+        report = run_json(capsys, "dim", str(path), mode)
+        assert (report["dim"], report["resolving_set_ids"]) == (0, [])
+
+
+def test_dim_exact_refuses_large_products_before_building_a_table(monkeypatch, capsys):
+    def no_table(factors):
+        raise AssertionError(f"built a distance table for {factors.sizes}")
+
+    monkeypatch.setattr(cli, "tensor_clique_distances", no_table)
+    for sizes in ("40,40", "300,300", "5,13", "2,3,11"):
+        code, out, err = run(capsys, "dim", "--tensor", sizes, "--exact")
+        assert (code, out) == (2, "")
+        assert "at most 64 vertices" in err
+    code, _, err = run(capsys, "bounds", "--tensor", "5,13", "--exact-up-to", "100")
+    assert code == 2 and "at most 64 vertices" in err
+    monkeypatch.undo()
+    # Two factors of size 2 make the product disconnected, whatever its size.
+    report = run_json(capsys, "dim", "--tensor", "2,2,17", "--exact")
+    assert report["disconnected"] is True
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):
@@ -136,6 +164,9 @@ def test_verify_input_validation(tmp_path, capsys):
     assert run(capsys, "verify", "--tensor", "3,3", "--set", "[[0,0],[0,0]]")[0] == 2
     assert run(capsys, "verify", "--tensor", "3,3", "--set", "[99]")[0] == 2
     assert run(capsys, "verify", "--tensor", "3,3", "--set", "[0,[1,1]]")[0] == 2
+    # JSON booleans are ints to Python, and float coordinates give fractional ids
+    for text in ("[true, false, 4]", "[[true, 0], [1, 1]]", "[[0.5, 1]]", "[1.0]"):
+        assert run(capsys, "verify", "--tensor", "3,3", "--set", text)[0] == 2
     path = tmp_path / "g.txt"
     run(capsys, "gen", "--clique", "3", "--out", str(path))
     # coordinate tuples are meaningless without factor structure

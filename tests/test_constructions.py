@@ -171,7 +171,6 @@ def test_subproduct_lower_bound_values():
     assert lower_bound_subproduct(CliqueFactors((3, 3, 3))) == 3
     assert lower_bound_subproduct(CliqueFactors((3, 3, 4))) == 4
     assert lower_bound_subproduct(CliqueFactors((3, 4, 5))) == 5
-    assert lower_bound_subproduct(CliqueFactors((3, 3, 3)), exact=True) == 3
     with pytest.raises(ValueError):
         lower_bound_subproduct(CliqueFactors((3, 3)))
     with pytest.raises(ValueError):

@@ -155,42 +155,6 @@ def test_exact_certificate_is_first_in_sorted_order(rng):
         assert (res.dim, res.certificate) == (want_dim, want_set)
 
 
-def test_threads_do_not_change_the_answer():
-    f = CliqueFactors((4, 4))
-    dist = tensor_clique_distances(f)
-    one = exact_metric_dimension(dist, factors=f, method="branch-and-bound")
-    two = exact_metric_dimension(dist, factors=f, method="branch-and-bound", threads=2)
-    assert one == two
-
-
-def test_threads_are_clamped_to_cores_and_root_branches(monkeypatch):
-    pool_sizes = []
-
-    class RecordingPool:
-        """Records max_workers and runs the jobs in this process."""
-
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
-    # The root branches on the mask with the fewest resolvers: three here.
-    masks = [0b0111, 0b11110, 0b101101]
-    want = _bb_py.min_hitting_size(masks, 0b111111, 0, 0, 7)
-    for cores in (5000, 2, 1, None):
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: cores)
-        assert solver._min_size(masks, 0b111111, 0, 0, 7, (), (0,), 5000) == want
-    assert pool_sizes == [3, 2]
-
-
 def test_structural_pruning_does_not_change_the_answer():
     for sizes in [(3, 3), (3, 4), (4, 4)]:
         f = CliqueFactors(sizes)
@@ -316,6 +280,10 @@ def test_greedy_at_least_exact(rng):
 def test_greedy_rejects_disconnected():
     with pytest.raises(ValueError):
         greedy_resolving_set(all_pairs_distances(Graph(4, [(0, 1), (2, 3)])))
+
+
+def test_greedy_on_empty_graph():
+    assert greedy_resolving_set(all_pairs_distances(Graph(0))) == []
 
 
 def test_greedy_handles_large_products():
