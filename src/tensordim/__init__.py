@@ -28,6 +28,7 @@ from .graphs import (
     build_bipartite_minus_matching,
     build_clique,
     check_k2_kn_isomorphism,
+    clique_distance_columns,
     diameter,
     parse_edge_list,
     read_edge_list,
@@ -73,6 +74,7 @@ __all__ = [
     "build_pair_table",
     "check_k2_kn_isomorphism",
     "check_vertex_set",
+    "clique_distance_columns",
     "construct_balanced",
     "construct_large_n",
     "construct_m2",

@@ -8,6 +8,7 @@ answers false, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -50,23 +51,23 @@ def _parse_factors(text: str) -> CliqueFactors:
         raise UsageError(str(exc)) from None
 
 
-def _load_input(args) -> tuple[DistanceMatrix, CliqueFactors | None]:
-    """Distance table plus factor tag for a path-or-tensor input."""
+def _load_input(args) -> tuple[DistanceMatrix | CliqueFactors, CliqueFactors | None]:
+    """What a resolving check needs for a path-or-tensor input, plus the
+    factor tag: a product of cliques is its factors (no table is built),
+    any other graph its distance table."""
     if (args.path is None) == (args.tensor is None):
         raise UsageError("give exactly one input: a graph file or --tensor")
     if args.tensor is not None:
         factors = _parse_factors(args.tensor)
-        return tensor_clique_distances(factors), factors
+        return factors, factors
     return all_pairs_distances(read_edge_list(args.path)), None
 
 
 def _check_exact_size(factors: CliqueFactors) -> None:
     """Refuse a connected product too large for the exact search before its
-    n x n table is built.  A product of cliques is connected unless two or
-    more factors have size 2 (Weichsel: at most one factor may be
-    bipartite), and a disconnected one is still reported as such."""
+    n x n table is built; a disconnected one is still reported as such."""
     n = factors.vertex_count
-    if n > MAX_EXACT_VERTICES and sum(s == 2 for s in factors.sizes) <= 1:
+    if n > MAX_EXACT_VERTICES and factors.connected:
         raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
 
@@ -146,7 +147,8 @@ def _cmd_dim(args) -> int:
 
     if mode == "exact" and args.tensor is not None:
         _check_exact_size(_parse_factors(args.tensor))
-    dist, factors = _load_input(args)
+    space, factors = _load_input(args)
+    dist = space if factors is None else tensor_clique_distances(factors)
     report = {"n": dist.n, "method": mode}
     if factors is not None:
         report["factors"] = list(factors.sizes)
@@ -208,9 +210,9 @@ def _parse_set(text: str, factors: CliqueFactors | None, n: int) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    dist, factors = _load_input(args)
-    wset = _parse_set(args.set, factors, dist.n)
-    verdict = is_resolving(dist, wset)
+    space, factors = _load_input(args)
+    wset = _parse_set(args.set, factors, space.n)
+    verdict = is_resolving(space, wset)
     if verdict:
         print("resolving")
         return 0
@@ -234,7 +236,7 @@ def _cmd_construct(args) -> int:
         return 0
     wset = _two_factor_set(a, b)
     case = formula_case(min(a, b), max(a, b))
-    verified = bool(is_resolving(tensor_clique_distances(factors), wset))
+    verified = bool(is_resolving(factors, wset))
     report = {"factors": [a, b], "case": case.kind, "size": len(wset),
               "formula": dim_formula(a, b).dim, "verified": verified}
     report.update(_set_report(wset, factors))
@@ -257,7 +259,7 @@ def _cmd_bounds(args) -> int:
         bounds["subproduct_lower"] = {
             "applicable": True, "value": lower_bound_subproduct(factors)}
         wset = upper_bound_construction(factors)
-        verified = bool(is_resolving(tensor_clique_distances(factors), wset))
+        verified = bool(is_resolving(factors, wset))
         bounds["construction_upper"] = {
             "applicable": True, "value": len(wset), "verified": verified}
     else:
@@ -291,7 +293,7 @@ def build_table_rows(max_m: int, max_n: int, exact_up_to: int) -> list[dict]:
                 wset = _two_factor_set(m, n)
                 factors = CliqueFactors((m, n))
                 row["construction_size"] = len(wset)
-                row["verified"] = bool(is_resolving(tensor_clique_distances(factors), wset))
+                row["verified"] = bool(is_resolving(factors, wset))
             exact_known = m * n <= exact_up_to
             if exact_known:
                 row["exact"] = _exact_product(CliqueFactors((m, n))).dim  # None: disconnected
@@ -333,6 +335,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# Built once per process: main() may be called many times in one process.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensordim",

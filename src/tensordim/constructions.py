@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import CliqueFactors, tensor_clique_distances
+from .graphs import CliqueFactors
 from .metric import is_resolving
 from .solver import DimResult
 
@@ -78,7 +78,7 @@ def dim_formula(m: int, n: int) -> DimResult:
 
 
 def _certified(wset: list[int], factors: CliqueFactors) -> list[int]:
-    verdict = is_resolving(tensor_clique_distances(factors), wset)
+    verdict = is_resolving(factors, wset)
     if not verdict:
         raise ConstructionFailed(factors, wset, (verdict.x, verdict.y))
     return wset

@@ -97,6 +97,17 @@ class CliqueFactors:
     def vertex_count(self) -> int:
         return math.prod(self.sizes)
 
+    @property
+    def n(self) -> int:
+        """Vertex count, under the same name as DistanceMatrix.n."""
+        return self.vertex_count
+
+    @property
+    def connected(self) -> bool:
+        """Whether the product is connected: at most one factor may have
+        size 2, the only bipartite clique (Weichsel)."""
+        return self.sizes.count(2) <= 1
+
     def flat_index(self, coords: Sequence[int]) -> int:
         """Row-major flat id of a coordinate tuple."""
         if len(coords) != self.t:
@@ -205,26 +216,49 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(table)
 
 
-def tensor_clique_distances(factors: CliqueFactors) -> DistanceMatrix:
-    """Distance table of the tensor product of cliques.
+def clique_distance_columns(factors: CliqueFactors, cols: Sequence[int]) -> np.ndarray:
+    """(n, len(cols)) uint16 distances from every vertex to each vertex in cols.
 
-    When every factor has size >= 3 the product has diameter at most 2 and
-    the table follows directly from coordinates: distinct vertices are at
-    distance 2 when they share a coordinate and 1 otherwise.  The shortcut
-    is bit-identical to BFS on the materialized graph (the test suite
-    compares the two routes); smaller factors fall back to BFS.
+    A connected product of cliques needs no graph: distinct vertices are at
+    distance 1 when they differ in every coordinate, and otherwise at
+    distance 2, except that when one factor has size 2, vertices that differ
+    in that coordinate but share another are at distance 3 (a common
+    neighbour would need a third value there).  The test suite compares this
+    rule with BFS on the materialized graph.  Disconnected products (two or
+    more factors of size 2) are sliced from their BFS table.
     """
-    if all(m >= 3 for m in factors.sizes):
-        coords = factors.coordinates()
-        n = factors.vertex_count
-        share = np.zeros((n, n), dtype=bool)
-        for j in range(factors.t):
-            col = coords[:, j]
-            share |= col[:, None] == col[None, :]
-        table = np.where(share, 2, 1).astype(np.uint16)
-        np.fill_diagonal(table, 0)
-        return DistanceMatrix(table)
-    return all_pairs_distances(tensor_of_cliques(factors))
+    cols = np.asarray(cols, dtype=np.intp)
+    if not factors.connected:
+        return all_pairs_distances(tensor_of_cliques(factors)).values[:, cols]
+    sizes, n, k = factors.sizes, factors.vertex_count, len(cols)
+    col_coords = np.unravel_index(cols, sizes)
+
+    def along(axis: int, block: np.ndarray) -> np.ndarray:
+        # An (m_axis, k) block, shaped to broadcast over the vertex grid.
+        shape = [1] * len(sizes) + [k]
+        shape[axis] = sizes[axis]
+        return block.reshape(shape)
+
+    # share[v, j]: v and cols[j] agree in some coordinate.
+    share = np.zeros(sizes + (k,), dtype=bool)
+    for axis, c in enumerate(col_coords):
+        share |= along(axis, np.arange(sizes[axis])[:, None] == c)
+    table = share.reshape(n, k).astype(np.uint16)
+    table += 1
+    if 2 in sizes:
+        axis = sizes.index(2)
+        differ = along(axis, np.arange(2)[:, None] != col_coords[axis])
+        table += (share & differ).reshape(n, k)
+    table[cols, np.arange(k)] = 0
+    return table
+
+
+def tensor_clique_distances(factors: CliqueFactors) -> DistanceMatrix:
+    """Distance table of the tensor product of cliques: the all-columns case
+    of clique_distance_columns (BFS for disconnected products)."""
+    if not factors.connected:
+        return all_pairs_distances(tensor_of_cliques(factors))
+    return DistanceMatrix(clique_distance_columns(factors, range(factors.vertex_count)))
 
 
 def diameter(g: Graph) -> int | None:

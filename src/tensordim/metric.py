@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import CliqueFactors, DistanceMatrix
+from .graphs import CliqueFactors, DistanceMatrix, clique_distance_columns
 
 
 @dataclass(frozen=True)
@@ -52,25 +52,39 @@ def representation(dist: DistanceMatrix, v: int, wset: Sequence[int]) -> tuple[i
     return tuple(int(dist.values[v, j]) for j in w)
 
 
-def is_resolving(dist: DistanceMatrix, wset: Sequence[int]) -> bool | UnresolvedPair:
+def is_resolving(
+    dist: DistanceMatrix | CliqueFactors, wset: Sequence[int]
+) -> bool | UnresolvedPair:
     """True when all representations are distinct, else the least bad pair.
 
+    `dist` is a distance table, or the factors of a product of cliques, whose
+    n x |W| representation then comes from coordinates with no n x n table.
     The certificate is the lexicographically least unresolved pair (x, y):
     x is the smallest vertex involved in any collision and y the smallest
     vertex sharing x's representation.
     """
-    w = check_vertex_set(dist.n, wset)
-    if dist.n <= 1:
+    n = dist.n
+    w = check_vertex_set(n, wset)
+    if n <= 1:
         return True
-    reps = dist.values[:, w] if w else np.zeros((dist.n, 0), dtype=np.uint16)
-    _, inverse, counts = np.unique(reps, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.ravel()
-    colliding = counts[inverse] >= 2
-    if not colliding.any():
+    if not w:
+        return UnresolvedPair(0, 1)
+    if isinstance(dist, CliqueFactors):
+        reps = clique_distance_columns(dist, w)
+    else:
+        reps = dist.values[:, w]
+    # One fixed-width byte string per row.  A stable sort puts equal rows
+    # next to each other in ascending vertex order, so the least colliding
+    # vertex x heads its run and the next vertex in the run is y.
+    rows = np.ascontiguousarray(reps).view(np.dtype((np.void, reps.itemsize * len(w)))).ravel()
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    # Sorted positions whose row equals the next one.
+    repeats = np.flatnonzero(sorted_rows[1:] == sorted_rows[:-1])
+    if repeats.size == 0:
         return True
-    x = int(np.flatnonzero(colliding)[0])
-    group = np.flatnonzero(inverse == inverse[x])
-    return UnresolvedPair(x, int(group[1]))
+    i = repeats[np.argmin(order[repeats])]
+    return UnresolvedPair(int(order[i]), int(order[i + 1]))
 
 
 def projection(wset: Sequence[int], axis: int, factors: CliqueFactors) -> set[int]:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
-from tensordim import cli
+from tensordim import cli, constructions, graphs, metric
 from tensordim.cli import main
 
 
@@ -299,3 +299,43 @@ def test_dim_file_with_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, "dim", str(path), "--exact")
     assert code == 2
     assert "line 2" in err
+
+
+def test_certify_paths_build_no_distance_table(monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("built an n x n distance table")
+
+    for module in (graphs, metric, constructions, cli):
+        for name in ("tensor_clique_distances", "all_pairs_distances"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_table)
+    built = run_json(capsys, "construct", "--tensor", "40,40")
+    assert built["verified"] is True
+    assert run_json(capsys, "construct", "--tensor", "2,40")["verified"] is True
+    code, out, _ = run(capsys, "verify", "--tensor", "40,40",
+                       "--set", json.dumps(built["resolving_set"]))
+    assert (code, out) == (0, "resolving\n")
+    code, out, _ = run(capsys, "verify", "--tensor", "40,40",
+                       "--set", json.dumps(built["resolving_set_ids"][1:]))
+    assert code == 1 and out.startswith("unresolved pair: ids ")
+    report = run_json(capsys, "bounds", "--tensor", "3,3,4", "--exact-up-to", "0")
+    assert report["bounds"]["construction_upper"]["verified"] is True
+    code, out, _ = run(capsys, "table", "--max-m", "4", "--max-n", "6")
+    assert code == 0 and ",false" not in out
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    calls = [
+        ("verify", "--tensor", "3,3"),  # missing --set: argparse usage error
+        ("dim", "--tensor", "3,4", "--exact"),
+        ("verify", "--tensor", "3,3", "--set", "[0, 4]"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 1]

@@ -15,6 +15,7 @@ from tensordim import (
     build_bipartite_minus_matching,
     build_clique,
     check_k2_kn_isomorphism,
+    clique_distance_columns,
     diameter,
     parse_edge_list,
     read_edge_list,
@@ -186,9 +187,12 @@ def test_distance_table_is_a_metric(rng):
 
 
 def test_closed_form_distances_equal_bfs():
-    # the shortcut for products with every factor >= 3 must agree with BFS
+    # the closed form for connected products must agree with BFS, including
+    # the distance-3 pairs of products with one factor of size 2
     for sizes in [(3, 3), (3, 4), (4, 4), (3, 5), (5, 5),
-                  (3, 3, 3), (3, 3, 4), (3, 4, 5), (5, 5, 5)]:
+                  (3, 3, 3), (3, 3, 4), (3, 4, 5), (5, 5, 5),
+                  (2, 3), (2, 5), (3, 2), (2, 7), (2, 3, 3), (3, 2, 4), (4, 3, 2),
+                  (2,), (3,)]:
         f = CliqueFactors(sizes)
         fast = tensor_clique_distances(f)
         slow = all_pairs_distances(tensor_of_cliques(f))
@@ -196,6 +200,44 @@ def test_closed_form_distances_equal_bfs():
         a = np.array([[fast.d(u, v) for v in range(n)] for u in range(n)])
         b = np.array([[slow.d(u, v) for v in range(n)] for u in range(n)])
         assert np.array_equal(a, b)
+
+
+def test_distance_columns_are_table_columns(rng):
+    for sizes in [(2, 5), (3, 4), (2, 3, 4), (3, 3, 3), (2, 2, 3)]:
+        f = CliqueFactors(sizes)
+        bfs = all_pairs_distances(tensor_of_cliques(f)).values
+        for _ in range(10):
+            cols = rng.sample(range(f.vertex_count), rng.randrange(0, f.vertex_count + 1))
+            got = clique_distance_columns(f, cols)
+            assert got.dtype == np.uint16 and got.shape == (f.vertex_count, len(cols))
+            assert np.array_equal(got, bfs[:, cols]), (sizes, cols)
+
+
+def test_distance_rule_with_one_factor_of_size_two():
+    # differing in the size-2 coordinate but sharing another: distance 3
+    f = CliqueFactors((3, 2, 4))
+    dist = tensor_clique_distances(f)
+    for u in range(f.vertex_count):
+        for v in range(f.vertex_count):
+            cu, cv = f.coords_of(u), f.coords_of(v)
+            differ = [a != b for a, b in zip(cu, cv)]
+            if u == v:
+                want = 0
+            elif all(differ):
+                want = 1
+            elif differ[1]:
+                want = 3
+            else:
+                want = 2
+            assert dist.d(u, v) == want
+
+
+def test_factors_vertex_count_and_connectivity():
+    assert CliqueFactors((3, 4, 5)).n == 60
+    assert CliqueFactors((2, 7)).connected
+    assert CliqueFactors((2,)).connected
+    assert not CliqueFactors((2, 2)).connected
+    assert not CliqueFactors((2, 3, 2)).connected
 
 
 def test_distance_rule_for_all_big_factors():

@@ -21,6 +21,12 @@ from tensordim import (
 from conftest import oracle_is_resolving
 
 
+def oracle_least_pair(table, w):
+    reps = [tuple(row[j] for j in w) for row in table]
+    x = min(v for v in range(len(reps)) if reps.count(reps[v]) > 1)
+    return x, next(y for y in range(len(reps)) if y != x and reps[y] == reps[x])
+
+
 def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -107,10 +113,9 @@ def test_verdicts_match_oracle_on_random_sets(rng):
                 extra = rng.sample(range(n), rng.randrange(0, n + 1))
                 assert is_resolving(dist, sorted(set(w) | set(extra)))
             else:
-                # the reported pair is a genuine ordered collision
-                assert verdict.x < verdict.y
-                assert (representation(dist, verdict.x, w)
-                        == representation(dist, verdict.y, w))
+                # the reported pair is the least colliding vertex and the
+                # least other vertex sharing its representation
+                assert (verdict.x, verdict.y) == oracle_least_pair(table, w)
 
 
 def test_reported_pair_is_lex_least_genuine_collision():
@@ -119,6 +124,29 @@ def test_reported_pair_is_lex_least_genuine_collision():
     verdict = is_resolving(dist, [0, 4])
     assert (verdict.x, verdict.y) == (1, 3)
     assert representation(dist, 1, [0, 4]) == representation(dist, 3, [0, 4])
+
+
+def test_coordinate_check_matches_table_check(rng):
+    for sizes in [(2, 5), (3, 4), (5, 7), (3, 3, 3), (2, 3, 4)]:
+        f = CliqueFactors(sizes)
+        dist = tensor_clique_distances(f)
+        n = f.vertex_count
+        sets = [[]] + [rng.sample(range(n), rng.randrange(1, min(n, 14) + 1))
+                       for _ in range(60)]
+        for w in sets:
+            by_coords, by_table = is_resolving(f, w), is_resolving(dist, w)
+            assert bool(by_coords) == bool(by_table)
+            if not by_table:
+                assert (by_coords.x, by_coords.y) == (by_table.x, by_table.y)
+
+
+def test_coordinate_check_on_the_empty_set_and_bad_sets():
+    f = CliqueFactors((3, 3))
+    assert is_resolving(f, []) == UnresolvedPair(0, 1)
+    with pytest.raises(ValueError):
+        is_resolving(f, [9])
+    with pytest.raises(ValueError):
+        is_resolving(f, [1, 1])
 
 
 def test_superset_of_resolving_set_resolves(rng):
