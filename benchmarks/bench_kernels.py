@@ -1,9 +1,11 @@
 """Benchmark the compiled search kernel against the pure-Python reference.
 
 Runs the same minimum-hitting-set searches through both implementations
-and prints wall times plus the speedup.  When no built `tensordim._bb` is
-importable, the kernel is compiled into a temporary directory with the test
-suite's recipe (setup.py).  Usage:
+(the size search, then the certificate loop `_bb_py.lex_min_hitting_set`
+driven by that kernel's size search) and prints wall times plus the
+speedup.  When no built `tensordim._bb` is importable, the kernel is
+compiled into a temporary directory with the test suite's recipe
+(setup.py).  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -50,7 +52,8 @@ def random_instance(seed, nbits, nmasks):
 def run_search(kernel, masks, nbits, gm, go):
     cand = (1 << nbits) - 1
     size = kernel.min_hitting_size(masks, cand, 0, 0, nbits + 1, gm, go)
-    sol = kernel.lex_min_hitting_set(masks, cand, 0, size, gm, go)
+    sol = _bb_py.lex_min_hitting_set(masks, cand, 0, size, gm, go,
+                                     min_size=kernel.min_hitting_size)
     return size, sol
 
 

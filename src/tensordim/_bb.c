@@ -1,10 +1,11 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Mirrors `_bb_py` rule for rule: same contract, same branching order, same
- * results.  See that module for the algorithm description.  Masks are plain
- * 64-bit words, so every search stays within 64 candidate bits; recursion
- * depth is therefore at most 64 and each level owns one row of pending
- * masks in a preallocated workspace.
+ * Mirrors `_bb_py.min_hitting_size` rule for rule: same contract, same
+ * branching order, same results.  See that module for the algorithm
+ * description, and for the certificate loop built on this entry point.
+ * Masks are plain 64-bit words, so every search stays within 64 candidate
+ * bits; recursion depth is therefore at most 64 and each level owns one
+ * row of pending masks in a preallocated workspace.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -234,8 +235,6 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
 
 static char *size_kwlist[] = {"masks", "cand_mask", "covered_mask", "lower", "upper",
                               "group_masks", "group_offsets", NULL};
-static char *lex_kwlist[] = {"masks", "cand_mask", "covered_mask", "budget",
-                             "group_masks", "group_offsets", NULL};
 
 static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -260,99 +259,18 @@ static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwar
     return PyLong_FromLong(s.best);
 }
 
-typedef struct {
-    Workspace ws;
-    int budget;
-    int cand[MAX_BITS];
-    uint64_t suffix[MAX_BITS + 1]; /* bits of candidates with index >= i */
-    int picks[MAX_BITS];           /* chosen ids along the current path */
-} LexSearch;
-
-/* Solution length >= 0, or -1 when the subtree holds no solution. */
-static int lex_dfs(LexSearch *s, int i, int count, uint64_t chosen,
-                   uint64_t *pending, Py_ssize_t np)
-{
-    for (;;) {
-        if (np == 0)
-            return count;
-        if (count == s->budget)
-            return -1;
-        uint64_t avail = s->suffix[i];
-        for (Py_ssize_t j = 0; j < np; j++)
-            if ((pending[j] & avail) == 0)
-                return -1;
-        if (count + packing_bound(&s->ws, pending, np, avail) > s->budget)
-            return -1;
-        if (s->ws.n_factors && !groups_ok(&s->ws, s->ws.covered | chosen | avail))
-            return -1;
-        uint64_t vb = (uint64_t)1 << s->cand[i];
-        /* Include v first; a pick that hits nothing pending is skipped. */
-        uint64_t *child = s->ws.rows + (Py_ssize_t)(count + 1) * s->ws.cap;
-        Py_ssize_t keep = drop_hit(pending, np, vb, child);
-        if (keep < np) {
-            s->picks[count] = s->cand[i];
-            int sub = lex_dfs(s, i + 1, count + 1, chosen | vb, child, keep);
-            if (sub >= 0)
-                return sub;
-        }
-        i++; /* exclude v */
-    }
-}
-
-static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    PyObject *masks, *cand_obj, *covered_obj, *gm = NULL, *go = NULL;
-    int budget;
-    uint64_t cand, covered;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOi|OO:lex_min_hitting_set", lex_kwlist,
-                                     &masks, &cand_obj, &covered_obj, &budget, &gm, &go))
-        return NULL;
-    if (as_u64(cand_obj, &cand) < 0 || as_u64(covered_obj, &covered) < 0)
-        return NULL;
-    LexSearch s = {.budget = budget};
-    int n_cand = 0;
-    for (uint64_t r = cand; r; r &= r - 1)
-        s.cand[n_cand++] = __builtin_ctzll(r);
-    s.suffix[n_cand] = 0;
-    for (int i = n_cand - 1; i >= 0; i--)
-        s.suffix[i] = s.suffix[i + 1] | ((uint64_t)1 << s.cand[i]);
-    /* the root lives in row 0; an include at count d writes row d + 1 */
-    int depth_cap = budget < n_cand ? (budget > 0 ? budget : 0) : n_cand;
-    if (ws_init(&s.ws, masks, cand, covered, depth_cap, gm, go) < 0)
-        return NULL;
-    int found = lex_dfs(&s, 0, 0, 0, s.ws.rows, s.ws.cap);
-    ws_free(&s.ws);
-    if (found < 0)
-        Py_RETURN_NONE;
-    PyObject *result = PyList_New(found);
-    if (result == NULL)
-        return NULL;
-    for (int i = 0; i < found; i++) {
-        PyObject *v = PyLong_FromLong(s.picks[i]);
-        if (v == NULL) {
-            Py_DECREF(result);
-            return NULL;
-        }
-        PyList_SET_ITEM(result, i, v);
-    }
-    return result;
-}
-
 static PyMethodDef methods[] = {
     {"min_hitting_size", (PyCFunction)(void (*)(void))min_hitting_size,
      METH_VARARGS | METH_KEYWORDS,
      "Smallest number of candidate bits hitting every mask, capped at upper.\n\n"
      "Same contract as `_bb_py.min_hitting_size`."},
-    {"lex_min_hitting_set", (PyCFunction)(void (*)(void))lex_min_hitting_set,
-     METH_VARARGS | METH_KEYWORDS,
-     "First hitting set of size <= budget in lexicographic id order.\n\n"
-     "Same contract as `_bb_py.lex_min_hitting_set`."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_bb",
-    "Hitting-set search kernel, compiled edition; mirrors `_bb_py`.", -1, methods,
+    "Hitting-set search kernel, compiled edition; mirrors `_bb_py.min_hitting_size`.",
+    -1, methods,
 };
 
 PyMODINIT_FUNC PyInit__bb(void) { return PyModule_Create(&module); }

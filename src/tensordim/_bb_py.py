@@ -1,16 +1,21 @@
 """Hitting-set search kernel, pure-Python edition.
 
-Same contract as the compiled module `_bb`; selected at import time when the
-extension is unavailable.  Each pair of vertices that must be told apart
-contributes one mask of "resolver" bits; a solution is a set of vertex bits
-hitting every mask.  All masks fit one machine word (at most 64 vertices).
+Each pair of vertices that must be told apart contributes one mask of
+"resolver" bits; a solution is a set of vertex bits hitting every mask.
+All masks fit one machine word (at most 64 vertices).  `min_hitting_size`
+has the same contract as the compiled module `_bb` and stands in for it
+when the extension is unavailable.  It runs branch and bound: branch on the
+pending mask with the fewest resolvers (candidates in ascending id, with
+sibling exclusion so no subset is explored twice), propagate forced
+single-resolver picks, and bound with a greedy disjoint-mask packing.
 
-`min_hitting_size` runs branch and bound: branch on the pending mask with
-the fewest resolvers (candidates in ascending id, with sibling exclusion so
-no subset is explored twice), propagate forced single-resolver picks, and
-bound with a greedy disjoint-mask packing.  `lex_min_hitting_set` re-searches
-at the known optimum with include-before-exclude over ascending ids, so the
-first solution found is the lexicographically least.
+`lex_min_hitting_set`, written once for both kernels, builds a solution
+within a budget from size queries to a kernel's `min_hitting_size`: it
+appends the least candidate v above the members so far whose unhit masks
+the candidates above v can still hit within the budget.  It skips a v that
+hits no pending mask, which no minimum solution contains.  So at budget ==
+optimum no minimum solution extends the prefix with a smaller member, and
+the result is the lexicographically least minimum solution.
 
 Optional factor-value groups prune branches that can no longer touch enough
 values of some coordinate: a valid solution in a product of cliques (all
@@ -145,45 +150,36 @@ def lex_min_hitting_set(
     budget: int,
     group_masks=(),
     group_offsets=(0,),
+    min_size=min_hitting_size,
 ) -> list[int] | None:
-    """First hitting set of size <= budget in lexicographic id order.
+    """Lexicographically least hitting set of size <= budget, from size queries.
 
     Intended to run at budget == optimum (from min_hitting_size), where the
-    result is the lexicographically least minimum solution.  Returns None
-    when no solution fits the budget.
+    result is the lexicographically least minimum solution.  Returns [] when
+    no mask is pending and None when no solution fits the budget.
+    `min_size` answers the queries: `min_hitting_size` of either kernel.
     """
     cand_mask = int(cand_mask)
-    covered_mask = int(covered_mask)
-    cand = _bits_ascending(cand_mask)
-    pending0 = [int(m) & cand_mask for m in masks]
-    groups = _unpack_groups(group_masks, group_offsets)
-    # suffix[i] = bits of all candidates with index >= i
-    suffix = [0] * (len(cand) + 1)
-    for i in range(len(cand) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << cand[i])
-
-    def dfs(i: int, count: int, chosen: int, pending: list[int]) -> list[int] | None:
-        if not pending:
-            return []
-        if count == budget:
+    chosen = int(covered_mask)
+    pending = [int(m) & cand_mask for m in masks]
+    prefix: list[int] = []
+    while pending:
+        need = budget - len(prefix) - 1
+        if need < 0:
             return None
-        avail = suffix[i]
-        for m in pending:
-            if m & avail == 0:
-                return None
-        if count + _packing_bound(pending, avail) > budget:
+        for v in _bits_ascending(cand_mask):
+            vb = 1 << v
+            rest = [m for m in pending if m & vb == 0]
+            if len(rest) == len(pending):
+                continue  # hits nothing pending, so no minimum solution holds v
+            later = cand_mask >> (v + 1) << (v + 1)
+            if min_size(rest, later, chosen | vb, need, need + 1,
+                        group_masks, group_offsets) <= need:
+                break
+        else:
             return None
-        if groups and not _groups_ok(groups, covered_mask | chosen | avail):
-            return None
-        v = cand[i]
-        vb = 1 << v
-        # Include v first: solutions containing v sort before those without.
-        # A pick that hits nothing pending can never appear in a minimum
-        # solution, so it is skipped.
-        if any(m & vb for m in pending):
-            sub = dfs(i + 1, count + 1, chosen | vb, [m for m in pending if m & vb == 0])
-            if sub is not None:
-                return [v] + sub
-        return dfs(i + 1, count, chosen, pending)
-
-    return dfs(0, 0, 0, pending0)
+        prefix.append(v)
+        chosen |= vb
+        pending = rest
+        cand_mask = later
+    return prefix

@@ -4,7 +4,11 @@ The exact search reduces the problem to minimum hitting set: a probe set
 resolves the graph exactly when, for every pair of distinct vertices, it
 contains a vertex whose distances to the two differ.  A branch-and-bound
 kernel (compiled when available, pure Python otherwise) finds the optimum
-size; a second lexicographic pass extracts the least certificate.  Small
+size k.  The certificate is then built from size queries to the same kernel
+(`_bb_py.lex_min_hitting_set`): each step appends the least vertex v above
+the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
+leaves unhit.  No minimum set extends the prefix with a smaller member, so
+the result is the lexicographically least minimum certificate.  Small
 graphs use plain subset enumeration instead, which visits k-subsets in
 lexicographic order and therefore returns the same certificate.
 
@@ -32,9 +36,9 @@ the vertices, so the size search breaks symmetry at the root:
   O_1..O_{i-1} from the candidates, finds a set of size |W|, and the least
   branch optimum is the dimension.
 
-The symmetry applies only to the size search.  The lexicographic pass runs
-on the full instance, so the certificate is the least one in sorted order
-either way.
+The symmetry applies only to the optimum size.  The certificate queries run
+on the full instance, without forcing vertex 0, so the certificate is the
+least one in sorted order either way.
 """
 
 from __future__ import annotations
@@ -101,15 +105,14 @@ def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"pair table supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
     d = dist.values
-    pairs = []
-    masks = []
-    weights = (1 << np.arange(n, dtype=object))
-    for x in range(n):
-        for y in range(x + 1, n):
-            diff = d[x] != d[y]
-            pairs.append((x, y))
-            masks.append(int((weights[diff]).sum()) if diff.any() else 0)
-    return PairResolutionTable(n, tuple(pairs), np.array(masks, dtype=np.uint64))
+    xs, ys = np.triu_indices(n, k=1)
+    # Bit w of a pair's mask is column w of its row of differences: pack the
+    # bits least significant first and read each padded row as one word.
+    bits = np.packbits(d[xs] != d[ys], axis=1, bitorder="little")
+    words = np.zeros((len(xs), 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    masks = words.view("<u8").ravel().astype(np.uint64)
+    return PairResolutionTable(n, tuple(zip(xs.tolist(), ys.tolist())), masks)
 
 
 def _twin_classes(dist: DistanceMatrix) -> list[list[int]]:
@@ -327,8 +330,8 @@ def exact_metric_dimension(
     else:
         k_rest = _default_kernel.min_hitting_size(pending, cand_mask, forced_mask,
                                                   rest_lower, rest_upper, gm, go)
-    rest = _default_kernel.lex_min_hitting_set(pending, cand_mask, forced_mask,
-                                               k_rest, gm, go)
+    rest = _bb_py.lex_min_hitting_set(pending, cand_mask, forced_mask, k_rest, gm, go,
+                                      min_size=_default_kernel.min_hitting_size)
     if rest is None or len(rest) != k_rest:
         raise AssertionError("certificate search disagrees with the size search")
     cert = tuple(sorted(forced + rest))

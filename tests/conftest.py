@@ -6,6 +6,7 @@ scans.  Tests compare package output against these slow references.
 
 `build_kernel` compiles the C search kernel through `setup.py`, the one
 build definition, so the kernel tests run without an installed build.
+`solver_kernel` runs a solver-level test once on each kernel.
 """
 
 from __future__ import annotations
@@ -136,3 +137,16 @@ def compiled_kernel(tmp_path_factory):
     if module is None:
         pytest.skip("no C compiler to build the compiled kernel")
     return module
+
+
+@pytest.fixture(params=["_bb_py", "_bb"])
+def solver_kernel(request, monkeypatch):
+    """Run the solver on each kernel in turn."""
+    from tensordim import _bb_py, solver
+
+    if request.param == "_bb_py":
+        kernel = _bb_py
+    else:
+        kernel = request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(solver, "_default_kernel", kernel)
+    return kernel

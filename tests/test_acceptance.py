@@ -38,7 +38,7 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def test_1_exact_search_matches_closed_form_up_to_six():
+def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
     t0 = time.perf_counter()
     pinned = {(3, 3): 3, (3, 4): 4, (3, 5): 4, (4, 4): 4, (4, 5): 5,
               (4, 6): 6, (5, 6): 6, (6, 6): 7}

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from tensordim import (
@@ -19,20 +20,9 @@ from tensordim import (
     tensor_clique_distances,
     tensor_of_cliques,
 )
-from tensordim import _bb_py, solver
+from tensordim import solver
 
 from conftest import oracle_min_resolving, random_connected_edges
-
-
-@pytest.fixture(params=["_bb_py", "_bb"])
-def solver_kernel(request, monkeypatch):
-    """Run the solver on each kernel in turn."""
-    if request.param == "_bb_py":
-        kernel = _bb_py
-    else:
-        kernel = request.getfixturevalue("compiled_kernel")
-    monkeypatch.setattr(solver, "_default_kernel", kernel)
-    return kernel
 
 
 def cycle_graph(n):
@@ -47,18 +37,23 @@ def test_kernel_name_is_known():
     assert kernel_name() in {"python", "compiled"}
 
 
-def test_pair_table_masks_encode_resolvers():
-    dist = all_pairs_distances(path_graph(4))
-    table = build_pair_table(dist)
-    assert len(table.pairs) == 6
-    assert table.pairs == tuple(itertools.combinations(range(4), 2))
-    for idx, (x, y) in enumerate(table.pairs):
-        resolvers = table.resolvers(idx)
-        for v in range(4):
-            separates = dist.d(x, v) != dist.d(y, v)
-            assert (v in resolvers) == separates
-        # each endpoint always separates its own pair
-        assert x in resolvers and y in resolvers
+def test_pair_table_masks_encode_resolvers(rng):
+    n = rng.randrange(20, 40)
+    graphs = [
+        all_pairs_distances(path_graph(4)),
+        # 64 vertices, so the masks use bit 63
+        tensor_clique_distances(CliqueFactors((8, 8))),
+        all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.1))),
+    ]
+    for dist in graphs:
+        table = build_pair_table(dist)
+        assert table.masks.dtype == np.uint64
+        assert table.pairs == tuple(itertools.combinations(range(dist.n), 2))
+        for idx, (x, y) in enumerate(table.pairs):
+            resolvers = table.resolvers(idx)
+            assert resolvers == [v for v in range(dist.n) if dist.d(x, v) != dist.d(y, v)]
+            # each endpoint always separates its own pair
+            assert x in resolvers and y in resolvers
 
 
 def test_pair_table_rejects_large_graphs():
