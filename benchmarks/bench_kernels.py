@@ -21,7 +21,7 @@ from pathlib import Path
 
 from tensordim import _bb_py
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
-from tensordim.solver import _factor_groups, build_pair_table
+from tensordim.solver import build_pair_table
 
 try:
     from tensordim import _bb
@@ -32,9 +32,7 @@ except ImportError:
 def product_instance(sizes):
     f = CliqueFactors(sizes)
     table = build_pair_table(tensor_clique_distances(f))
-    gm, go = _factor_groups(f)
-    n = f.vertex_count
-    return f"product {'x'.join(map(str, sizes))}", [int(m) for m in table.masks], n, gm, go
+    return f"product {'x'.join(map(str, sizes))}", [int(m) for m in table.masks], f.vertex_count
 
 
 def random_instance(seed, nbits, nmasks):
@@ -46,14 +44,13 @@ def random_instance(seed, nbits, nmasks):
             if rng.random() < 0.25:
                 m |= 1 << b
         masks.append(m or 1 << rng.randrange(nbits))
-    return f"random {nbits}b/{nmasks}m seed {seed}", masks, nbits, (), (0,)
+    return f"random {nbits}b/{nmasks}m seed {seed}", masks, nbits
 
 
-def run_search(kernel, masks, nbits, gm, go):
+def run_search(kernel, masks, nbits):
     cand = (1 << nbits) - 1
-    size = kernel.min_hitting_size(masks, cand, 0, 0, nbits + 1, gm, go)
-    sol = _bb_py.lex_min_hitting_set(masks, cand, 0, size, gm, go,
-                                     min_size=kernel.min_hitting_size)
+    size = kernel.min_hitting_size(masks, cand, 0, nbits + 1)
+    sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size)
     return size, sol
 
 
@@ -80,8 +77,8 @@ def compare(compiled, repeats: int) -> int:
 
     width = max(len(name) for name, *_ in instances)
     print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
-    for name, masks, nbits, gm, go in instances:
-        args = (masks, nbits, gm, go)
+    for name, masks, nbits in instances:
+        args = (masks, nbits)
         t_py, r_py = best_time(_bb_py, args, repeats)
         t_c, r_c = best_time(compiled, args, repeats)
         if r_py != r_c:

@@ -1,6 +1,7 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Mirrors `_bb_py.min_hitting_size` rule for rule: same contract, same
+ * Exports one entry point, min_hitting_size(masks, cand_mask, lower, upper),
+ * and mirrors `_bb_py.min_hitting_size` rule for rule: same contract, same
  * branching order, same results.  See that module for the algorithm
  * description, and for the certificate loop built on this entry point.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
@@ -19,10 +20,6 @@ typedef struct {
     uint64_t *restricted; /* cap, packing-bound scratch */
     Py_ssize_t *order;    /* cap, counting-sort scratch */
     Py_ssize_t cap;
-    uint64_t *gmasks;     /* flattened factor-value masks */
-    Py_ssize_t *goff;     /* n_factors + 1 offsets into gmasks */
-    Py_ssize_t n_factors;
-    uint64_t covered;     /* bits counted as chosen by the group rule only */
 } Workspace;
 
 static inline int popcount(uint64_t x) { return __builtin_popcountll(x); }
@@ -66,60 +63,30 @@ static void ws_free(Workspace *ws)
     PyMem_Free(ws->rows);
     PyMem_Free(ws->restricted);
     PyMem_Free(ws->order);
-    PyMem_Free(ws->gmasks);
-    PyMem_Free(ws->goff);
 }
 
-/* Fill ws for one call: row 0 holds masks & cand.  group_masks and
- * group_offsets may be NULL (no factor groups).  -1 with an exception set on
- * failure, ws then freed. */
-static int ws_init(Workspace *ws, PyObject *masks, uint64_t cand, uint64_t covered,
-                   int depth_cap, PyObject *group_masks, PyObject *group_offsets)
+/* Fill ws for one call: row 0 holds masks & cand.  -1 with an exception set
+ * on failure, ws then freed. */
+static int ws_init(Workspace *ws, PyObject *masks, uint64_t cand, int depth_cap)
 {
-    Py_ssize_t gtotal = 0, noff = 0;
-    uint64_t *offsets = NULL;
     memset(ws, 0, sizeof(*ws));
-    ws->covered = covered;
     uint64_t *root = read_u64s(masks, &ws->cap);
     if (root == NULL)
-        goto fail;
+        return -1;
     Py_ssize_t cap = ws->cap > 0 ? ws->cap : 1;
     ws->rows = PyMem_Malloc(sizeof(uint64_t) * cap * (depth_cap + 1));
     ws->restricted = PyMem_Malloc(sizeof(uint64_t) * cap);
     ws->order = PyMem_Malloc(sizeof(Py_ssize_t) * cap);
     if (ws->rows == NULL || ws->restricted == NULL || ws->order == NULL) {
         PyMem_Free(root);
+        ws_free(ws);
         PyErr_NoMemory();
-        goto fail;
+        return -1;
     }
     for (Py_ssize_t i = 0; i < ws->cap; i++)
         ws->rows[i] = root[i] & cand;
     PyMem_Free(root);
-
-    if (group_masks != NULL && (ws->gmasks = read_u64s(group_masks, &gtotal)) == NULL)
-        goto fail;
-    if (group_offsets != NULL && (offsets = read_u64s(group_offsets, &noff)) == NULL)
-        goto fail;
-    ws->n_factors = noff > 0 ? noff - 1 : 0;
-    ws->goff = PyMem_Malloc(sizeof(Py_ssize_t) * (noff > 0 ? noff : 1));
-    if (ws->goff == NULL) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    for (Py_ssize_t i = 0; i < noff; i++) {
-        if (offsets[i] > (uint64_t)gtotal || (i > 0 && offsets[i] < offsets[i - 1])) {
-            PyErr_SetString(PyExc_ValueError,
-                            "group_offsets must ascend within group_masks");
-            goto fail;
-        }
-        ws->goff[i] = (Py_ssize_t)offsets[i];
-    }
-    PyMem_Free(offsets);
     return 0;
-fail:
-    PyMem_Free(offsets);
-    ws_free(ws);
-    return -1;
 }
 
 /* Greedy disjoint packing over masks restricted to avail, visited in
@@ -149,19 +116,6 @@ static int packing_bound(Workspace *ws, const uint64_t *pending, Py_ssize_t np,
     return count;
 }
 
-/* Factor-group rule: no factor may miss two of its values in `present`. */
-static int groups_ok(const Workspace *ws, uint64_t present)
-{
-    for (Py_ssize_t f = 0; f < ws->n_factors; f++) {
-        int missing = 0;
-        for (Py_ssize_t i = ws->goff[f]; i < ws->goff[f + 1]; i++) {
-            if ((ws->gmasks[i] & present) == 0 && ++missing >= 2)
-                return 0;
-        }
-    }
-    return 1;
-}
-
 /* Copy the masks of pending that miss bit into out; returns their count. */
 static Py_ssize_t drop_hit(const uint64_t *pending, Py_ssize_t np, uint64_t bit,
                            uint64_t *out)
@@ -179,8 +133,8 @@ typedef struct {
     int lower;
 } SizeSearch;
 
-static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
-                     uint64_t *pending, Py_ssize_t np, int depth)
+static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending,
+                     Py_ssize_t np, int depth)
 {
     uint64_t branch_mask;
     for (;;) {
@@ -213,48 +167,43 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
         count += popcount(forced);
         if (count >= s->best)
             return;
-        chosen |= forced;
         avail &= ~forced;
         np = drop_hit(pending, np, forced, pending);
     }
     if (count + packing_bound(&s->ws, pending, np, avail) >= s->best)
-        return;
-    if (s->ws.n_factors && !groups_ok(&s->ws, s->ws.covered | chosen | avail))
         return;
     uint64_t excluded = 0;
     uint64_t *child = s->ws.rows + (Py_ssize_t)(depth + 1) * s->ws.cap;
     for (uint64_t r = branch_mask; r; r &= r - 1) {
         uint64_t wb = r & -r;
         Py_ssize_t keep = drop_hit(pending, np, wb, child);
-        size_dfs(s, count + 1, chosen | wb, avail & ~excluded & ~wb, child, keep, depth + 1);
+        size_dfs(s, count + 1, avail & ~excluded & ~wb, child, keep, depth + 1);
         if (s->best <= s->lower)
             return;
         excluded |= wb;
     }
 }
 
-static char *size_kwlist[] = {"masks", "cand_mask", "covered_mask", "lower", "upper",
-                              "group_masks", "group_offsets", NULL};
+static char *size_kwlist[] = {"masks", "cand_mask", "lower", "upper", NULL};
 
 static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *masks, *cand_obj, *covered_obj, *gm = NULL, *go = NULL;
+    PyObject *masks, *cand_obj;
     int lower, upper;
-    uint64_t cand, covered;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOii|OO:min_hitting_size", size_kwlist,
-                                     &masks, &cand_obj, &covered_obj, &lower, &upper,
-                                     &gm, &go))
+    uint64_t cand;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOii:min_hitting_size", size_kwlist,
+                                     &masks, &cand_obj, &lower, &upper))
         return NULL;
-    if (as_u64(cand_obj, &cand) < 0 || as_u64(covered_obj, &covered) < 0)
+    if (as_u64(cand_obj, &cand) < 0)
         return NULL;
     if (lower >= upper)
         return PyLong_FromLong(upper);
     SizeSearch s = {.best = upper, .lower = lower};
     /* each level picks one candidate bit, so depth <= min(upper, 64) */
     int depth_cap = upper < MAX_BITS ? (upper > 0 ? upper : 0) : MAX_BITS;
-    if (ws_init(&s.ws, masks, cand, covered, depth_cap, gm, go) < 0)
+    if (ws_init(&s.ws, masks, cand, depth_cap) < 0)
         return NULL;
-    size_dfs(&s, 0, 0, cand, s.ws.rows, s.ws.cap, 0);
+    size_dfs(&s, 0, cand, s.ws.rows, s.ws.cap, 0);
     ws_free(&s.ws);
     return PyLong_FromLong(s.best);
 }

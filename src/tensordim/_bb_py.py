@@ -16,10 +16,6 @@ the candidates above v can still hit within the budget.  It skips a v that
 hits no pending mask, which no minimum solution contains.  So at budget ==
 optimum no minimum solution extends the prefix with a smaller member, and
 the result is the lexicographically least minimum solution.
-
-Optional factor-value groups prune branches that can no longer touch enough
-values of some coordinate: a valid solution in a product of cliques (all
-factors >= 3) misses at most one value per factor.
 """
 
 from __future__ import annotations
@@ -45,51 +41,20 @@ def _packing_bound(pending: list[int], avail: int) -> int:
     return count
 
 
-def _unpack_groups(group_masks, group_offsets) -> list[list[int]]:
-    groups: list[list[int]] = []
-    offsets = [int(o) for o in group_offsets]
-    masks = [int(m) for m in group_masks]
-    for f in range(len(offsets) - 1):
-        groups.append(masks[offsets[f] : offsets[f + 1]])
-    return groups
-
-
-def _groups_ok(groups: list[list[int]], present: int) -> bool:
-    for value_masks in groups:
-        missing = 0
-        for gm in value_masks:
-            if gm & present == 0:
-                missing += 1
-                if missing >= 2:
-                    return False
-    return True
-
-
-def min_hitting_size(
-    masks,
-    cand_mask: int,
-    covered_mask: int,
-    lower: int,
-    upper: int,
-    group_masks=(),
-    group_offsets=(0,),
-) -> int:
+def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
     """Smallest number of candidate bits hitting every mask, capped at upper.
 
     `lower` must be a valid lower bound; the search stops early once it is
     met.  Returns `upper` when nothing strictly better exists (including the
-    infeasible case).  `covered_mask` marks vertices treated as already
-    chosen by the factor-group rule only.
+    infeasible case).
     """
     cand_mask = int(cand_mask)
-    covered_mask = int(covered_mask)
     pending0 = [int(m) & cand_mask for m in masks]
-    groups = _unpack_groups(group_masks, group_offsets)
     if lower >= upper:
         return upper
     best = upper
 
-    def dfs(count: int, chosen: int, avail: int, pending: list[int]) -> None:
+    def dfs(count: int, avail: int, pending: list[int]) -> None:
         nonlocal best
         # Propagate masks with a single remaining resolver.
         while True:
@@ -119,39 +84,24 @@ def min_hitting_size(
             count += forced.bit_count()
             if count >= best:
                 return
-            chosen |= forced
             avail &= ~forced
             pending = [m for m in pending if m & forced == 0]
         if count + _packing_bound(pending, avail) >= best:
             return
-        if groups and not _groups_ok(groups, covered_mask | chosen | avail):
-            return
         excluded = 0
         for w in _bits_ascending(branch_mask):
             wb = 1 << w
-            dfs(
-                count + 1,
-                chosen | wb,
-                avail & ~excluded & ~wb,
-                [m for m in pending if m & wb == 0],
-            )
+            dfs(count + 1, avail & ~excluded & ~wb, [m for m in pending if m & wb == 0])
             if best <= lower:
                 return
             excluded |= wb
 
-    dfs(0, 0, cand_mask, pending0)
+    dfs(0, cand_mask, pending0)
     return best
 
 
-def lex_min_hitting_set(
-    masks,
-    cand_mask: int,
-    covered_mask: int,
-    budget: int,
-    group_masks=(),
-    group_offsets=(0,),
-    min_size=min_hitting_size,
-) -> list[int] | None:
+def lex_min_hitting_set(masks, cand_mask: int, budget: int,
+                        min_size=min_hitting_size) -> list[int] | None:
     """Lexicographically least hitting set of size <= budget, from size queries.
 
     Intended to run at budget == optimum (from min_hitting_size), where the
@@ -160,7 +110,6 @@ def lex_min_hitting_set(
     `min_size` answers the queries: `min_hitting_size` of either kernel.
     """
     cand_mask = int(cand_mask)
-    chosen = int(covered_mask)
     pending = [int(m) & cand_mask for m in masks]
     prefix: list[int] = []
     while pending:
@@ -173,13 +122,12 @@ def lex_min_hitting_set(
             if len(rest) == len(pending):
                 continue  # hits nothing pending, so no minimum solution holds v
             later = cand_mask >> (v + 1) << (v + 1)
-            if min_size(rest, later, chosen | vb, need, need + 1,
-                        group_masks, group_offsets) <= need:
+            # lower and upper go by keyword: tdbench/tracing.py reads them by name.
+            if min_size(rest, later, lower=need, upper=need + 1) <= need:
                 break
         else:
             return None
         prefix.append(v)
-        chosen |= vb
         pending = rest
         cand_mask = later
     return prefix

@@ -24,6 +24,7 @@ from .constructions import (
 from .graphs import (
     CliqueFactors,
     DistanceMatrix,
+    Graph,
     all_pairs_distances,
     build_bipartite_minus_matching,
     build_clique,
@@ -51,23 +52,22 @@ def _parse_factors(text: str) -> CliqueFactors:
         raise UsageError(str(exc)) from None
 
 
-def _load_input(args) -> tuple[DistanceMatrix | CliqueFactors, CliqueFactors | None]:
-    """What a resolving check needs for a path-or-tensor input, plus the
-    factor tag: a product of cliques is its factors (no table is built),
-    any other graph its distance table."""
+def _read_input(args) -> tuple[Graph | CliqueFactors, CliqueFactors | None]:
+    """A path-or-tensor input as parsed, plus the factor tag: the graph, or
+    the product as its factors.  No distance table is built."""
     if (args.path is None) == (args.tensor is None):
         raise UsageError("give exactly one input: a graph file or --tensor")
     if args.tensor is not None:
         factors = _parse_factors(args.tensor)
         return factors, factors
-    return all_pairs_distances(read_edge_list(args.path)), None
+    return read_edge_list(args.path), None
 
 
-def _check_exact_size(factors: CliqueFactors) -> None:
-    """Refuse a connected product too large for the exact search before its
+def _check_exact_size(space: Graph | CliqueFactors) -> None:
+    """Refuse a connected input too large for the exact search before its
     n x n table is built; a disconnected one is still reported as such."""
-    n = factors.vertex_count
-    if n > MAX_EXACT_VERTICES and factors.connected:
+    n = space.n
+    if n > MAX_EXACT_VERTICES and space.connected:
         raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
 
@@ -145,17 +145,17 @@ def _cmd_dim(args) -> int:
         _emit(report, args.out)
         return 0
 
-    if mode == "exact" and args.tensor is not None:
-        _check_exact_size(_parse_factors(args.tensor))
-    space, factors = _load_input(args)
-    dist = space if factors is None else tensor_clique_distances(factors)
-    report = {"n": dist.n, "method": mode}
+    space, factors = _read_input(args)
+    if mode == "exact":
+        _check_exact_size(space)
+    report = {"n": space.n, "method": mode}
     if factors is not None:
         report["factors"] = list(factors.sizes)
-    if not dist.connected:
+    if not space.connected:
         report.update({"dim": None, "disconnected": True})
         _emit(report, args.out)
         return 0
+    dist = tensor_clique_distances(factors) if factors is not None else all_pairs_distances(space)
 
     if mode == "greedy":
         wset = greedy_resolving_set(dist)
@@ -210,7 +210,9 @@ def _parse_set(text: str, factors: CliqueFactors | None, n: int) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    space, factors = _load_input(args)
+    space, factors = _read_input(args)
+    if factors is None:
+        space = all_pairs_distances(space)
     wset = _parse_set(args.set, factors, space.n)
     verdict = is_resolving(space, wset)
     if verdict:

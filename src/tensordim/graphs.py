@@ -60,6 +60,21 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2
 
+    @property
+    def connected(self) -> bool:
+        """Whether one search from vertex 0 reaches every vertex; no
+        distance table is built.  The empty graph counts as connected."""
+        if self.n == 0:
+            return True
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.n
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

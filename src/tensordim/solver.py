@@ -36,6 +36,16 @@ the vertices, so the size search breaks symmetry at the root:
   O_1..O_{i-1} from the candidates, finds a set of size |W|, and the least
   branch optimum is the dimension.
 
+A resolving set of such a product misses at most one value per axis, yet
+the search carries no rule for it, because the rule could never prune.
+Suppose the vertices still chosen or available miss values a and b on
+axis i, and take the two vertices that differ only on axis i, with values
+a and b there.  A vertex with neither value on axis i is at the same
+distance from both (the distance depends only on which coordinates
+match), so only vertices with value a or b on axis i tell them apart.
+That pair's mask is still pending and has no available resolver, and the
+kernel cuts the node on it already.
+
 The symmetry applies only to the optimum size.  The certificate queries run
 on the full instance, without forcing vertex 0, so the certificate is the
 least one in sorted order either way.
@@ -116,27 +126,26 @@ def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
 
 
 def _twin_classes(dist: DistanceMatrix) -> list[list[int]]:
-    """Maximal classes of mutually twin vertices, ids ascending."""
+    """Maximal classes of mutually twin vertices, ids ascending.
+
+    Twins are an equivalence relation (Hernando, Mora, Pelayo, Seara and
+    Wood, 2010), so each class is the twins of its least vertex.
+    """
     d = dist.values
     n = dist.n
-
-    def twins(x: int, y: int) -> bool:
-        keep = np.ones(n, dtype=bool)
-        keep[[x, y]] = False
-        return bool((d[x, keep] == d[y, keep]).all())
-
+    # differ[x, y, z]: z tells x and y apart; x and y themselves do not count.
+    differ = d[:, None, :] != d[None, :, :]
+    ids = np.arange(n)
+    differ[ids, :, ids] = False
+    differ[:, ids, ids] = False
+    twin = ~differ.any(axis=2)
     classes: list[list[int]] = []
-    assigned = [False] * n
+    assigned = np.zeros(n, dtype=bool)
     for x in range(n):
-        if assigned[x]:
-            continue
-        cls = [x]
-        for y in range(x + 1, n):
-            if not assigned[y] and all(twins(z, y) for z in cls):
-                cls.append(y)
-                assigned[y] = True
-        assigned[x] = True
-        classes.append(cls)
+        if not assigned[x]:
+            cls = np.flatnonzero(twin[x] & ~assigned)
+            assigned[cls] = True
+            classes.append(cls.tolist())
     return classes
 
 
@@ -213,7 +222,7 @@ def _greedy_completion(pending: list[int], cand_mask: int) -> int:
 
 
 def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int,
-                        factors: CliqueFactors, gm, go) -> int:
+                        factors: CliqueFactors) -> int:
     """Minimum hitting-set size for a product of cliques, forcing vertex 0
     and branching on the orbits of its stabilizer (see the module
     docstring)."""
@@ -229,26 +238,12 @@ def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int
         if best <= lower:
             break
         pair = 1 | (orbit & -orbit)
+        # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
         best = min(best, 2 + _default_kernel.min_hitting_size(
-            [m for m in masks if m & pair == 0], cand_mask & ~excluded & ~pair, pair,
-            max(0, lower - 2), best - 2, gm, go))
+            [m for m in masks if m & pair == 0], cand_mask & ~excluded & ~pair,
+            lower=max(0, lower - 2), upper=best - 2))
         excluded |= orbit
     return best
-
-
-def _factor_groups(factors: CliqueFactors) -> tuple[list[int], list[int]]:
-    """Flattened per-factor value masks for the structural pruning rule."""
-    coords = factors.coordinates()
-    gm: list[int] = []
-    go: list[int] = [0]
-    for axis in range(factors.t):
-        for value in range(factors.sizes[axis]):
-            mask = 0
-            for v in np.flatnonzero(coords[:, axis] == value):
-                mask |= 1 << int(v)
-            gm.append(mask)
-        go.append(len(gm))
-    return gm, go
 
 
 def exact_metric_dimension(
@@ -266,11 +261,10 @@ def exact_metric_dimension(
     the search stops as soon as it meets it.  `factors` asserts that `dist`
     is the product of those cliques with vertex ids in the mixed-radix
     codec (only the vertex count is checked).  With two or more factors,
-    all of size >= 3, it enables the factor-group pruning rule and the
-    symmetric size search and skips the twin scan; `factors=None` is the
-    plain reference search.  `method` is "auto", "enumeration", or
-    "branch-and-bound"; auto enumerates below the cutoff.  The result does
-    not depend on `factors`.
+    all of size >= 3, it enables the symmetric size search and skips the
+    twin scan; `factors=None` is the plain reference search.  `method` is
+    "auto", "enumeration", or "branch-and-bound"; auto enumerates below the
+    cutoff.  The result does not depend on `factors`.
     """
     if method not in ("auto", "enumeration", "branch-and-bound"):
         raise ValueError(f"unknown method {method!r}")
@@ -300,11 +294,7 @@ def exact_metric_dimension(
     table = build_pair_table(dist)
     clique_product = factors is not None and factors.t >= 2 and min(factors.sizes) >= 3
     forced: list[int] = []
-    gm: Sequence[int] = ()
-    go: Sequence[int] = (0,)
-    if clique_product:
-        gm, go = _factor_groups(factors)
-    else:
+    if not clique_product:
         for cls in _twin_classes(dist):
             forced.extend(cls[:-1])
         forced.sort()
@@ -325,12 +315,12 @@ def exact_metric_dimension(
         rest_upper = min(rest_upper, hint_rest)
     rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
-        k_rest = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper,
-                                     factors, gm, go)
+        k_rest = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper, factors)
     else:
-        k_rest = _default_kernel.min_hitting_size(pending, cand_mask, forced_mask,
-                                                  rest_lower, rest_upper, gm, go)
-    rest = _bb_py.lex_min_hitting_set(pending, cand_mask, forced_mask, k_rest, gm, go,
+        # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
+        k_rest = _default_kernel.min_hitting_size(pending, cand_mask,
+                                                  lower=rest_lower, upper=rest_upper)
+    rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
                                       min_size=_default_kernel.min_hitting_size)
     if rest is None or len(rest) != k_rest:
         raise AssertionError("certificate search disagrees with the size search")

@@ -138,6 +138,23 @@ def test_dim_exact_refuses_large_products_before_building_a_table(monkeypatch, c
     assert report["disconnected"] is True
 
 
+def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeypatch, capsys):
+    def no_table(g):
+        raise AssertionError(f"built a distance table for {g.n} vertices")
+
+    monkeypatch.setattr(cli, "all_pairs_distances", no_table)
+    path_graph = tmp_path / "path.txt"
+    path_graph.write_text("65 64\n" + "".join(f"{v} {v + 1}\n" for v in range(64)))
+    code, out, err = run(capsys, "dim", str(path_graph), "--exact")
+    assert (code, out) == (2, "")
+    assert "at most 64 vertices, got 65" in err
+    # Vertex 64 is isolated: reported as disconnected, still with no table.
+    split = tmp_path / "split.txt"
+    split.write_text("65 63\n" + "".join(f"{v} {v + 1}\n" for v in range(63)))
+    report = run_json(capsys, "dim", str(split), "--exact")
+    assert (report["n"], report["dim"], report["disconnected"]) == (65, None, True)
+
+
 def test_verify_unresolved_pair_with_coordinates(capsys):
     code, out, _ = run(capsys, "verify", "--tensor", "3,3",
                        "--set", "[[0,0],[1,1]]")

@@ -293,6 +293,16 @@ def test_disconnected_table_flags():
     assert dist.d(0, 1) == 1
 
 
+def test_graph_connectivity_matches_the_distance_table(rng):
+    # One search from vertex 0, against the oracle's full BFS table.
+    assert Graph(0).connected and Graph(1).connected and not Graph(2).connected
+    for _ in range(40):
+        n = rng.randrange(2, 12)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        want = all(d != -1 for row in oracle_bfs(n, edges) for d in row)
+        assert Graph(n, edges).connected == want
+
+
 def test_two_by_two_product_is_two_disjoint_edges():
     g = tensor_of_cliques(CliqueFactors((2, 2)))
     assert g.edge_count() == 2

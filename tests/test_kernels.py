@@ -13,7 +13,7 @@ import pytest
 
 from tensordim import _bb_py
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
-from tensordim.solver import _factor_groups, build_pair_table
+from tensordim.solver import build_pair_table
 
 from conftest import oracle_min_hitting
 
@@ -58,7 +58,7 @@ def test_min_size_matches_exhaustive_oracle(kernel):
         nbits = rng.randrange(3, 13)
         masks = random_instance(rng, nbits, rng.randrange(1, 10))
         want, _ = oracle_min_hitting(masks, nbits)
-        got = kernel.min_hitting_size(masks, (1 << nbits) - 1, 0, 0, nbits + 1)
+        got = kernel.min_hitting_size(masks, (1 << nbits) - 1, 0, nbits + 1)
         assert got == want
 
 
@@ -69,7 +69,7 @@ def test_lex_solution_matches_exhaustive_oracle(kernel):
         masks = random_instance(rng, nbits, rng.randrange(1, 9))
         size, _ = oracle_min_hitting(masks, nbits)
         want = oracle_lex_min(masks, nbits, size)
-        got = lex(kernel, masks, (1 << nbits) - 1, 0, size)
+        got = lex(kernel, masks, (1 << nbits) - 1, size)
         assert got == want
 
 
@@ -81,11 +81,11 @@ def test_budget_below_minimum_yields_none(kernel):
         size, _ = oracle_min_hitting(masks, nbits)
         if size == 0:
             continue
-        assert lex(kernel, masks, (1 << nbits) - 1, 0, size - 1) is None
+        assert lex(kernel, masks, (1 << nbits) - 1, size - 1) is None
 
 
 def test_nothing_pending_yields_empty_set(kernel):
-    assert lex(kernel, [], 0b111, 0, 0) == []
+    assert lex(kernel, [], 0b111, 0) == []
 
 
 def test_restricted_candidate_mask_respected(kernel):
@@ -95,16 +95,14 @@ def test_restricted_candidate_mask_respected(kernel):
         nbits = rng.randrange(4, 10)
         masks = [m | 2 for m in random_instance(rng, nbits, rng.randrange(1, 6))]
         cand = ((1 << nbits) - 1) & ~1
-        size = kernel.min_hitting_size(masks, cand, 0, 0, nbits + 1)
-        sol = lex(kernel, masks, cand, 0, size)
+        size = kernel.min_hitting_size(masks, cand, 0, nbits + 1)
+        sol = lex(kernel, masks, cand, size)
         assert sol is not None and 0 not in sol
 
 
 def product_instance(sizes):
     f = CliqueFactors(sizes)
-    masks = [int(m) for m in build_pair_table(tensor_clique_distances(f)).masks]
-    gm, go = _factor_groups(f)
-    return masks, f.vertex_count, gm, go
+    return [int(m) for m in build_pair_table(tensor_clique_distances(f)).masks], f.vertex_count
 
 
 def test_both_kernels_agree_on_random_instances(compiled_kernel):
@@ -113,32 +111,18 @@ def test_both_kernels_agree_on_random_instances(compiled_kernel):
     for _ in range(250):
         nbits = rng.randrange(3, 17)
         masks = random_instance(rng, nbits, rng.randrange(1, 14))
-        cases.append((masks, (1 << nbits) - 1, 0, (), (0,)))
-    # Products of cliques with the factor-group rule on.  The covered
-    # vertices count as chosen, as twin-forced vertices do in the solver.
-    # A size search that leaves them out of the rule gives the same sizes
-    # here, but a different certificate, or none, on all three cases.
-    for sizes, covered in [((4, 4), 0b10001), ((5, 5), 0b10000100000), ((3, 3, 4), 0b100)]:
-        masks, n, gm, go = product_instance(sizes)
-        cand = ((1 << n) - 1) & ~covered
-        pending = [m for m in masks if m & covered == 0]
-        cases.append((pending, cand, covered, gm, go))
-    for masks, cand, covered, gm, go in cases:
+        cases.append((masks, (1 << nbits) - 1))
+    # Products of cliques with a few vertices already taken, the way the
+    # solver takes twin-forced vertices: out of the candidates, and every
+    # mask they hit dropped.  Each step of the certificate loop poses the
+    # same kind of instance.
+    for sizes, taken in [((4, 4), 0b10001), ((5, 5), 0b10000100000), ((3, 3, 4), 0b100)]:
+        masks, n = product_instance(sizes)
+        cand = ((1 << n) - 1) & ~taken
+        cases.append(([m for m in masks if m & taken == 0], cand))
+    for masks, cand in cases:
         upper = cand.bit_count() + 1
-        a = _bb_py.min_hitting_size(masks, cand, covered, 0, upper, gm, go)
-        b = compiled_kernel.min_hitting_size(masks, cand, covered, 0, upper, gm, go)
+        a = _bb_py.min_hitting_size(masks, cand, 0, upper)
+        b = compiled_kernel.min_hitting_size(masks, cand, 0, upper)
         assert a == b
-        assert lex(_bb_py, masks, cand, covered, a, gm, go) == lex(
-            compiled_kernel, masks, cand, covered, a, gm, go)
-
-
-def test_factor_group_rule_preserves_answers(kernel):
-    # the group-coverage cut may prune subtrees but never change results
-    # on instances where it is valid
-    for sizes in [(3, 3), (3, 4), (4, 4)]:
-        masks, n, gm, go = product_instance(sizes)
-        cand = (1 << n) - 1
-        plain = kernel.min_hitting_size(masks, cand, 0, 0, n + 1)
-        cut = kernel.min_hitting_size(masks, cand, 0, 0, n + 1, gm, go)
-        assert plain == cut
-        assert lex(kernel, masks, cand, 0, plain) == lex(kernel, masks, cand, 0, plain, gm, go)
+        assert lex(_bb_py, masks, cand, a) == lex(compiled_kernel, masks, cand, a)

@@ -159,10 +159,38 @@ def test_structural_pruning_does_not_change_the_answer():
         assert on == plain
 
 
-def test_products_of_cliques_with_factors_of_three_have_no_twins():
+def twin_classes_checked(dist):
+    """solver._twin_classes, checked against a plain pairwise twin test: the
+    classes partition the vertices in ascending order, and two vertices
+    share a class exactly when they are twins."""
+    n = dist.n
+    table = dist.values.tolist()
+
+    def twins(x, y):
+        return all(table[x][z] == table[y][z] for z in range(n) if z not in (x, y))
+
+    classes = solver._twin_classes(dist)
+    assert sorted(v for cls in classes for v in cls) == list(range(n))
+    assert all(cls == sorted(cls) for cls in classes)
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+    label = {v: i for i, cls in enumerate(classes) for v in cls}
+    for x, y in itertools.combinations(range(n), 2):
+        assert (label[x] == label[y]) == twins(x, y), (x, y)
+    return classes
+
+
+def test_products_of_cliques_with_factors_of_three_have_no_twins(rng):
     for sizes in [(3, 3), (3, 5), (4, 4), (3, 3, 3)]:
-        classes = solver._twin_classes(tensor_clique_distances(CliqueFactors(sizes)))
+        classes = twin_classes_checked(tensor_clique_distances(CliqueFactors(sizes)))
         assert all(len(cls) == 1 for cls in classes)
+    # A factor of size 2 does make twins; so do the leaves of sparse graphs.
+    for sizes in [(2, 5), (2, 3, 4)]:
+        twin_classes_checked(tensor_clique_distances(CliqueFactors(sizes)))
+    twin_classes_checked(all_pairs_distances(Graph(9, [(0, v) for v in range(1, 9)])))
+    for _ in range(30):
+        n = rng.randrange(8, 25)
+        p = rng.choice([0.0, 0.05, 0.2, 0.7])
+        twin_classes_checked(all_pairs_distances(Graph(n, random_connected_edges(rng, n, p))))
 
 
 SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <= 30] + [(3, 3, 3)]
