@@ -10,7 +10,6 @@ fastest.  Every module and the command line speak this codec.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,21 +213,26 @@ def tensor_of_cliques(factors: CliqueFactors) -> Graph:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; unreachable entries hold INF."""
+    """Level-by-level BFS from every vertex; unreachable entries hold INF."""
     n = g.n
-    table = np.full((n, n), INF, dtype=np.uint16)
+    nbrs = [tuple(g.neighbors(v)) for v in range(n)]
+    rows = []
     for src in range(n):
-        row = table[src]
+        row = [INF] * n
         row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in g.neighbors(u):
-                if row[w] == INF:
-                    row[w] = du + 1
-                    queue.append(w)
-    return DistanceMatrix(table)
+        frontier = [src]
+        level = 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if row[w] == INF:
+                        row[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(row)
+    return DistanceMatrix(np.array(rows, dtype=np.uint16).reshape(n, n))
 
 
 def clique_distance_columns(factors: CliqueFactors, cols: Sequence[int]) -> np.ndarray:

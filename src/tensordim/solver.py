@@ -153,35 +153,32 @@ def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
     """Greedy heuristic: repeatedly take the vertex splitting the most
     still-identical representation classes, lowest id on ties.
 
-    Counts pairs through class refinement, so no pair list is materialized.
+    One pick scores every candidate: row v of the row-sorted key matrix
+    holds each vertex's (class, distance to v) key.
     """
     if not dist.connected:
         raise ValueError("graph is disconnected")
     n = dist.n
     if n == 0:
         return []
-    d = dist.values.astype(np.int64)
-    labels = np.zeros(n, dtype=np.int64)
+    span = int(dist.values.max()) + 1
+    # Keys class * span + distance stay below n * span.
+    key_type = np.min_scalar_type(n * span)
+    dt = np.ascontiguousarray(dist.values.T, dtype=key_type)
+    labels = np.zeros(n, dtype=key_type)
     chosen: list[int] = []
-
-    def unresolved_pairs(lbl: np.ndarray) -> int:
-        _, counts = np.unique(lbl, return_counts=True)
-        return int((counts * (counts - 1) // 2).sum())
-
-    current = unresolved_pairs(labels)
-    span = int(d.max()) + 1
+    current = pairs = n * (n - 1) // 2
     while current > 0:
-        best_v = -1
-        best_after = current + 1
-        for v in range(n):
-            _, counts = np.unique(labels * span + d[:, v], return_counts=True)
-            after = int((counts * (counts - 1) // 2).sum())
-            if after < best_after:
-                best_after = after
-                best_v = v
+        keys = dt + labels * span
+        keys.sort(axis=1)
+        run_start = np.where(keys[:, 1:] != keys[:, :-1], np.arange(1, n, dtype=key_type), 0)
+        np.maximum.accumulate(run_start, axis=1, out=run_start)
+        # Entry j of a run starting at s is tied with the j - s before it.
+        tied = pairs - run_start.sum(axis=1)
+        best_v = int(np.argmin(tied))
         chosen.append(best_v)
-        _, labels = np.unique(labels * span + d[:, best_v], return_inverse=True)
-        current = best_after
+        labels = np.unique(labels * span + dt[best_v], return_inverse=True)[1].astype(key_type)
+        current = int(tied[best_v])
     chosen.sort()
     if not is_resolving(dist, chosen):
         raise AssertionError("greedy result failed the resolving check")
@@ -205,18 +202,17 @@ def exhaustive_metric_dimension(dist: DistanceMatrix) -> DimResult:
 
 
 def _greedy_completion(pending: list[int], cand_mask: int) -> int:
-    """Size of a greedy hitting set for the reduced instance (upper seed)."""
+    """Size of a greedy hitting set for the reduced instance (upper seed):
+    take the candidate in the most pending masks, lowest id on ties."""
+    words = np.array(pending, dtype="<u8") & np.uint64(cand_mask)
+    # bits[k, w]: candidate w hits pending mask k.
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    if not bits.any(axis=1).all():
+        raise ValueError("a pending mask has no candidate resolver")
     count = 0
-    pend = list(pending)
-    while pend:
-        scores: dict[int, int] = {}
-        for m in pend:
-            for w in _bb_py._bits_ascending(m & cand_mask):
-                scores[w] = scores.get(w, 0) + 1
-        best_w = min(scores, key=lambda w: (-scores[w], w))
-        wb = 1 << best_w
-        cand_mask &= ~wb
-        pend = [m for m in pend if m & wb == 0]
+    while len(bits):
+        w = int(bits.sum(axis=0).argmax())
+        bits = bits[bits[:, w] == 0]
         count += 1
     return count
 

@@ -1,8 +1,9 @@
 """Shared test oracles.
 
 Everything here is written independently of the package internals, on
-purpose: plain adjacency dicts, list-based BFS, and exhaustive subset
-scans.  Tests compare package output against these slow references.
+purpose: plain adjacency dicts, list-based BFS, exhaustive subset scans,
+and the greedy heuristics as per-vertex loops.  Tests compare package
+output against these slow references.
 
 `build_kernel` compiles the C search kernel through `setup.py`, the one
 build definition, so the kernel tests run without an installed build.
@@ -21,6 +22,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +87,51 @@ def oracle_min_hitting(masks, nbits):
             if all(m & chosen for m in masks):
                 return k, combo
     return None
+
+
+def oracle_greedy(table) -> list[int]:
+    """The greedy heuristic as a plain loop: per pick, score each vertex by
+    the pairs still tied after adding it (np.unique per vertex), take the
+    lowest id among the best.  Returns the picks sorted.  Requires a
+    connected distance table."""
+    d = np.asarray(table, dtype=np.int64)
+    n = len(d)
+    labels = np.zeros(n, dtype=np.int64)
+    chosen = []
+
+    def tied_pairs(lbl):
+        _, counts = np.unique(lbl, return_counts=True)
+        return int((counts * (counts - 1) // 2).sum())
+
+    current = tied_pairs(labels)
+    span = int(d.max()) + 1 if n else 1
+    while current > 0:
+        best_v, best_after = -1, current + 1
+        for v in range(n):
+            after = tied_pairs(labels * span + d[:, v])
+            if after < best_after:
+                best_v, best_after = v, after
+        chosen.append(best_v)
+        _, labels = np.unique(labels * span + d[:, best_v], return_inverse=True)
+        current = best_after
+    return sorted(chosen)
+
+
+def oracle_greedy_completion(pending, cand_mask) -> int:
+    """Greedy hitting-set size as a plain loop: rescore every pending mask
+    bit by bit after each pick, most hits first, lowest bit on ties."""
+    count = 0
+    pend = list(pending)
+    while pend:
+        scores = {}
+        for m in pend:
+            for w in range(64):
+                if (m & cand_mask) >> w & 1:
+                    scores[w] = scores.get(w, 0) + 1
+        best_w = min(scores, key=lambda w: (-scores[w], w))
+        pend = [m for m in pend if not m >> best_w & 1]
+        count += 1
+    return count
 
 
 def random_connected_edges(rng: random.Random, n: int, p: float):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordim import (
     INF,
@@ -151,22 +153,27 @@ def test_factor_sizes_validated():
         CliqueFactors(())
 
 
-def test_bfs_distances_match_oracle(rng):
-    for _ in range(25):
-        n = rng.randrange(2, 10)
-        edges = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.4:
-                    edges.add((u, v))
-        g = Graph(n, edges)
-        dist = all_pairs_distances(g)
-        ref = oracle_bfs(n, edges)
-        for u in range(n):
-            for v in range(n):
-                want = ref[u][v]
-                got = dist.d(u, v)
-                assert got == (INF if want == -1 else want)
+@st.composite
+def edge_sets(draw):
+    """(n, edges) with n = 0..40 and any simple edge set: isolated vertices
+    and several components included."""
+    n = draw(st.integers(0, 40))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_sets())
+def test_bfs_distances_match_oracle(case):
+    n, edges = case
+    dist = all_pairs_distances(Graph(n, edges))
+    ref = np.array(oracle_bfs(n, edges), dtype=np.int64).reshape(n, n)
+    assert dist.values.shape == (n, n)
+    assert np.array_equal(dist.values == INF, ref == -1)
+    assert np.array_equal(dist.values[ref != -1], ref[ref != -1])
+    assert dist.connected == bool((ref != -1).all())
 
 
 def test_distance_table_is_a_metric(rng):

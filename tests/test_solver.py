@@ -22,7 +22,12 @@ from tensordim import (
 )
 from tensordim import solver
 
-from conftest import oracle_min_resolving, random_connected_edges
+from conftest import (
+    oracle_greedy,
+    oracle_greedy_completion,
+    oracle_min_resolving,
+    random_connected_edges,
+)
 
 
 def cycle_graph(n):
@@ -148,15 +153,6 @@ def test_exact_certificate_is_first_in_sorted_order(rng):
         table = [[dist.d(u, v) for v in range(n)] for u in range(n)]
         want_dim, want_set = oracle_min_resolving(table)
         assert (res.dim, res.certificate) == (want_dim, want_set)
-
-
-def test_structural_pruning_does_not_change_the_answer():
-    for sizes in [(3, 3), (3, 4), (4, 4)]:
-        f = CliqueFactors(sizes)
-        dist = tensor_clique_distances(f)
-        on = exact_metric_dimension(dist, factors=f, method="branch-and-bound")
-        plain = exact_metric_dimension(dist, method="branch-and-bound")
-        assert on == plain
 
 
 def twin_classes_checked(dist):
@@ -298,6 +294,59 @@ def test_greedy_at_least_exact(rng):
         dist = all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.35)))
         exact = exact_metric_dimension(dist)
         assert len(greedy_resolving_set(dist)) >= exact.dim
+
+
+def star_graph(n):
+    return Graph(n, [(0, v) for v in range(1, n)])
+
+
+def greedy_cases(rng):
+    """(name, distance table, factors) for random connected graphs with
+    n = 2..40, paths, stars, cycles and a few products of cliques."""
+    cases = []
+    for n in range(2, 41):
+        p = rng.choice([0.05, 0.1, 0.2, 0.4])
+        cases.append((f"random{n}", all_pairs_distances(
+            Graph(n, random_connected_edges(rng, n, p))), None))
+    for n in [2, 3, 5, 12, 25, 40]:
+        cases.append((f"path{n}", all_pairs_distances(path_graph(n)), None))
+        cases.append((f"star{n}", all_pairs_distances(star_graph(n)), None))
+        if n >= 3:
+            cases.append((f"cycle{n}", all_pairs_distances(cycle_graph(n)), None))
+    # Keys class * span + distance reach 2^16 and take a wider dtype.
+    cases.append(("cycle600", all_pairs_distances(cycle_graph(600)), None))
+    for sizes in [(2, 5), (3, 4), (3, 3, 3), (12, 20)]:
+        f = CliqueFactors(sizes)
+        cases.append(("x".join(map(str, sizes)), tensor_clique_distances(f), f))
+    return cases
+
+
+def test_greedy_matches_oracle(rng):
+    for name, dist, _ in greedy_cases(rng):
+        assert greedy_resolving_set(dist) == oracle_greedy(dist.values), name
+
+
+def test_greedy_completion_matches_oracle(rng, monkeypatch):
+    # Every upper-seed input met while solving the cases exactly.
+    inputs = []
+    completion = solver._greedy_completion
+
+    def record(pending, cand_mask):
+        inputs.append((list(pending), cand_mask))
+        return completion(pending, cand_mask)
+
+    monkeypatch.setattr(solver, "_greedy_completion", record)
+    for _, dist, f in greedy_cases(rng):
+        if dist.n <= solver.MAX_EXACT_VERTICES:
+            exact_metric_dimension(dist, factors=f, method="branch-and-bound")
+    assert len(inputs) >= 40
+    for pending, cand_mask in inputs:
+        assert completion(pending, cand_mask) == oracle_greedy_completion(pending, cand_mask)
+
+
+def test_greedy_completion_rejects_unhittable_mask():
+    with pytest.raises(ValueError, match="no candidate"):
+        solver._greedy_completion([0b100], 0b011)
 
 
 def test_greedy_rejects_disconnected():
