@@ -2,8 +2,10 @@
  *
  * Exports one entry point, min_hitting_size(masks, cand_mask, lower, upper),
  * and mirrors `_bb_py.min_hitting_size` rule for rule: same contract, same
- * branching order, same results.  See that module for the algorithm
- * description, and for the certificate loop built on this entry point.
+ * branching order, same forced picks, packing bound and last-pick rule, same
+ * results, and the same OverflowError for a mask outside 64 bits.  See that
+ * module for the algorithm description and the argument for each rule, and
+ * for the certificate loop built on this entry point.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace.
@@ -136,7 +138,7 @@ typedef struct {
 static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending,
                      Py_ssize_t np, int depth)
 {
-    uint64_t branch_mask;
+    uint64_t branch_mask, common;
     for (;;) {
         if (s->best <= s->lower)
             return;
@@ -148,12 +150,14 @@ static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending
         if (count + 1 >= s->best)
             return;
         uint64_t forced = 0;
+        common = avail;
         branch_mask = 0;
         int branch_count = 1 << 30;
         for (Py_ssize_t i = 0; i < np; i++) {
             uint64_t r = pending[i] & avail;
             if (r == 0)
                 return;
+            common &= r;
             int c = popcount(r);
             if (c == 1)
                 forced |= r;
@@ -169,6 +173,12 @@ static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending
             return;
         avail &= ~forced;
         np = drop_hit(pending, np, forced, pending);
+    }
+    if (count + 2 >= s->best) {
+        /* last pick: only a vertex hitting every pending mask improves */
+        if (common)
+            s->best = count + 1;
+        return;
     }
     if (count + packing_bound(&s->ws, pending, np, avail) >= s->best)
         return;

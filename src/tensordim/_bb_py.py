@@ -9,6 +9,19 @@ pending mask with the fewest resolvers (candidates in ascending id, with
 sibling exclusion so no subset is explored twice), propagate forced
 single-resolver picks, and bound with a greedy disjoint-mask packing.
 
+The last pick is settled without branching.  When propagation leaves a
+node with count picks and best <= count + 2, a child (count + 1 picks)
+improves best only if its one vertex hits every pending mask; a child with
+a mask left is cut at once.  Those vertices are `common`, the AND of the
+pending masks restricted to the available candidates, which the
+propagation pass builds along with the branching mask.  `common` lies
+inside the branching mask, so sibling exclusion drops none of them before
+it is tried, and the first one tried sets best = count + 1.  The node
+therefore sets best = count + 1 when common != 0 and returns either way:
+the same value, with the same stop at `lower`, that branching would reach.
+Two disjoint masks make common zero, so the packing bound adds nothing at
+this depth.
+
 `lex_min_hitting_set`, written once for both kernels, builds a solution
 within a budget from size queries to a kernel's `min_hitting_size`: it
 appends the least candidate v above the members so far whose unhit masks
@@ -20,6 +33,8 @@ the result is the lexicographically least minimum solution.
 
 from __future__ import annotations
 
+from operator import index
+
 
 def _bits_ascending(mask: int) -> list[int]:
     out = []
@@ -28,6 +43,22 @@ def _bits_ascending(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _word(value) -> int:
+    """value as a 64-bit mask; OverflowError outside [0, 2**64), as in `_bb`."""
+    value = index(value)
+    if value >> 64:  # nonzero for every negative value too
+        raise OverflowError(f"mask {value} does not fit in 64 unsigned bits")
+    return value
+
+
+def _words(masks) -> list[int]:
+    """Every mask checked as by `_word`, in one pass over the list."""
+    words = list(map(index, masks))
+    if words and (min(words) < 0 or max(words) >> 64):
+        raise OverflowError("a mask does not fit in 64 unsigned bits")
+    return words
 
 
 def _packing_bound(pending: list[int], avail: int) -> int:
@@ -46,12 +77,13 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
 
     `lower` must be a valid lower bound; the search stops early once it is
     met.  Returns `upper` when nothing strictly better exists (including the
-    infeasible case).
+    infeasible case).  A mask or `cand_mask` outside [0, 2**64) raises
+    OverflowError.
     """
-    cand_mask = int(cand_mask)
-    pending0 = [int(m) & cand_mask for m in masks]
+    cand_mask = _word(cand_mask)
     if lower >= upper:
         return upper
+    pending0 = [m & cand_mask for m in _words(masks)]
     best = upper
 
     def dfs(count: int, avail: int, pending: list[int]) -> None:
@@ -67,12 +99,14 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
             if count + 1 >= best:
                 return
             forced = 0
+            common = avail
             branch_mask = 0
             branch_count = 1 << 30
             for m in pending:
                 r = m & avail
                 if r == 0:
                     return
+                common &= r
                 c = r.bit_count()
                 if c == 1:
                     forced |= r
@@ -86,6 +120,11 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
                 return
             avail &= ~forced
             pending = [m for m in pending if m & forced == 0]
+        if count + 2 >= best:
+            # Last pick: only a vertex hitting every pending mask improves.
+            if common:
+                best = count + 1
+            return
         if count + _packing_bound(pending, avail) >= best:
             return
         excluded = 0
@@ -108,9 +147,10 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int,
     result is the lexicographically least minimum solution.  Returns [] when
     no mask is pending and None when no solution fits the budget.
     `min_size` answers the queries: `min_hitting_size` of either kernel.
+    Masks are checked as there.
     """
-    cand_mask = int(cand_mask)
-    pending = [int(m) & cand_mask for m in masks]
+    cand_mask = _word(cand_mask)
+    pending = [m & cand_mask for m in _words(masks)]
     prefix: list[int] = []
     while pending:
         need = budget - len(prefix) - 1

@@ -8,8 +8,8 @@ size k.  The certificate is then built from size queries to the same kernel
 (`_bb_py.lex_min_hitting_set`): each step appends the least vertex v above
 the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
 leaves unhit.  No minimum set extends the prefix with a smaller member, so
-the result is the lexicographically least minimum certificate.  Small
-graphs use plain subset enumeration instead, which visits k-subsets in
+the result is the lexicographically least minimum certificate.  Plain
+subset enumeration stays as a reference method: it visits k-subsets in
 lexicographic order and therefore returns the same certificate.
 
 Vertices that are mutual twins (identical distance rows away from each
@@ -73,7 +73,6 @@ if os.environ.get("TENSORDIM_PURE"):
     _default_kernel = _bb_py
 
 MAX_EXACT_VERTICES = 64
-ENUMERATION_CUTOFF = 12
 
 
 def kernel_name() -> str:
@@ -259,8 +258,9 @@ def exact_metric_dimension(
     codec (only the vertex count is checked).  With two or more factors,
     all of size >= 3, it enables the symmetric size search and skips the
     twin scan; `factors=None` is the plain reference search.  `method` is
-    "auto", "enumeration", or "branch-and-bound"; auto enumerates below the
-    cutoff.  The result does not depend on `factors`.
+    "auto" or "branch-and-bound", which run the branch and bound at every
+    size, or "enumeration", the plain subset scan kept as a reference.  The
+    result does not depend on `factors` or `method`.
     """
     if method not in ("auto", "enumeration", "branch-and-bound"):
         raise ValueError(f"unknown method {method!r}")
@@ -278,8 +278,6 @@ def exact_metric_dimension(
             raise ValueError("upper_hint is not a resolving set")
         if lower_hint > len(hint):
             raise ValueError(f"lower_hint {lower_hint} exceeds the upper_hint size {len(hint)}")
-    if method == "auto":
-        method = "enumeration" if n < ENUMERATION_CUTOFF else "branch-and-bound"
     if method == "enumeration":
         return exhaustive_metric_dimension(dist)
     if n > MAX_EXACT_VERTICES:

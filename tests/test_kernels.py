@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tensordim import _bb_py
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
@@ -60,6 +62,65 @@ def test_min_size_matches_exhaustive_oracle(kernel):
         want, _ = oracle_min_hitting(masks, nbits)
         got = kernel.min_hitting_size(masks, (1 << nbits) - 1, 0, nbits + 1)
         assert got == want
+
+
+@st.composite
+def bounded_instances(draw):
+    """Masks over a few bits (empty masks included), a candidate mask that
+    may leave some bits out, and lower <= opt with upper around opt, where
+    opt is the oracle's optimum (None when no candidate set hits them all)."""
+    nbits = draw(st.integers(1, 9))
+    masks = draw(st.lists(st.integers(0, (1 << nbits) - 1), max_size=10))
+    cand = draw(st.integers(0, (1 << nbits) - 1))
+    found = oracle_min_hitting([m & cand for m in masks], nbits)
+    if found is None:
+        upper = draw(st.integers(0, nbits + 1))
+        return masks, cand, draw(st.integers(0, nbits + 1)), upper, None
+    opt = found[0]
+    upper = draw(st.sampled_from([opt - 1, opt, opt + 1, opt + 2, nbits + 1]))
+    return masks, cand, draw(st.integers(0, opt)), upper, opt
+
+
+# The last-pick rule decides with one pick left under the incumbent.
+@example(((0b011, 0b110, 0b101), 0b111, 0, 2, 2))  # no vertex hits all three
+@example(((0b011, 0b110), 0b111, 0, 2, 1))  # vertex 1 hits both
+@example(((0b001, 0b110), 0b111, 0, 3, 2))  # a forced pick comes first
+@example(((0b101, 0, 0b011), 0b111, 0, 4, None))  # an empty mask
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bounded_instances())
+def test_min_size_keeps_its_contract_at_tight_bounds(kernel, case):
+    masks, cand, lower, upper, opt = case
+    want = opt if opt is not None and opt < upper else upper
+    assert kernel.min_hitting_size(list(masks), cand, lower, upper) == want
+
+
+def test_last_pick_is_settled_without_branching(monkeypatch):
+    # One pick under the incumbent, the pure kernel answers from the
+    # resolvers the pending masks share; it neither bounds nor branches.
+    def fail(*args):
+        raise AssertionError("the search branched on its last pick")
+
+    monkeypatch.setattr(_bb_py, "_packing_bound", fail)
+    assert _bb_py.min_hitting_size([0b011, 0b110], 0b111, 0, 2) == 1
+    assert _bb_py.min_hitting_size([0b011, 0b110, 0b101], 0b111, 0, 2) == 2
+    assert _bb_py.min_hitting_size([0b0001, 0b0110, 0b1100], 0b1111, 0, 3) == 2
+
+
+@pytest.mark.parametrize("masks, cand", [
+    ([3, 5], -1), ([3, 5], 1 << 64), ([3, 1 << 70], 7), ([3, -1], 7), ([1 << 64], 7),
+], ids=["cand-negative", "cand-2^64", "mask-bit-70", "mask-negative", "mask-2^64"])
+def test_words_outside_64_bits_raise(kernel, masks, cand):
+    with pytest.raises(OverflowError):
+        kernel.min_hitting_size(masks, cand, 0, 3)
+    with pytest.raises(OverflowError):
+        lex(kernel, masks, cand, 2)
+
+
+def test_full_64_bit_words_are_accepted(kernel):
+    top = (1 << 64) - 1
+    assert kernel.min_hitting_size([top, 1 << 63], top, 0, 3) == 1
+    assert lex(kernel, [top, 1 << 63], top, 1) == [63]
 
 
 def test_lex_solution_matches_exhaustive_oracle(kernel):

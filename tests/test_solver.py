@@ -133,6 +133,27 @@ def test_exact_matches_exhaustive_with_forced_branch_and_bound(rng):
         assert is_resolving(dist, list(bb.certificate))
 
 
+def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel, monkeypatch):
+    f = CliqueFactors((3, 3))
+    cases = [(all_pairs_distances(Graph(0, [])), None),
+             (all_pairs_distances(build_clique(1)), None),
+             (all_pairs_distances(build_clique(2)), None),
+             (all_pairs_distances(Graph(2, [])), None),
+             (tensor_clique_distances(f), None),
+             (tensor_clique_distances(f), f)]
+    want = [exact_metric_dimension(dist, method="enumeration") for dist, _ in cases]
+    assert [(r.dim, r.certificate) for r in want] == [
+        (0, ()), (0, ()), (1, (0,)), (None, None), (3, (0, 1, 3)), (3, (0, 1, 3))]
+
+    def fail(dist):
+        raise AssertionError("auto fell back to enumeration")
+
+    monkeypatch.setattr(solver, "exhaustive_metric_dimension", fail)
+    for (dist, factors), res in zip(cases, want):
+        assert exact_metric_dimension(dist, factors=factors) == res
+        assert exact_metric_dimension(dist, factors=factors, method="branch-and-bound") == res
+
+
 def test_exact_minimality_on_small_products():
     # no smaller set than the reported dimension resolves
     for sizes in [(3, 3), (2, 5), (3, 4), (4, 4)]:
