@@ -2,10 +2,11 @@
 
 Runs the same minimum-hitting-set searches through both implementations
 (the size search, then the certificate loop `_bb_py.lex_min_hitting_set`
-driven by that kernel's size search) and prints wall times plus the
-speedup.  When no built `tensordim._bb` is importable, the kernel is
-compiled into a temporary directory with the test suite's recipe
-(setup.py).  Usage:
+driven by that kernel's size search and seeded with the solution the size
+search found) and prints wall times, the speedup and the number of size
+queries the certificate loop made on each kernel.  When no built
+`tensordim._bb` is importable, the kernel is compiled into a temporary
+directory with the test suite's recipe (setup.py).  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -48,10 +49,20 @@ def random_instance(seed, nbits, nmasks):
 
 
 def run_search(kernel, masks, nbits):
+    """(size, certificate, number of certificate queries)."""
     cand = (1 << nbits) - 1
-    size = kernel.min_hitting_size(masks, cand, 0, nbits + 1)
-    sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size)
-    return size, sol
+    witness = []
+    size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
+    queries = 0
+
+    def query(*args, **kwargs):
+        nonlocal queries
+        queries += 1
+        return kernel.min_hitting_size(*args, **kwargs)
+
+    sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=query,
+                                     completion=witness[0] if witness else None)
+    return size, sol, queries
 
 
 def best_time(kernel, args, repeats):
@@ -76,7 +87,8 @@ def compare(compiled, repeats: int) -> int:
     ]
 
     width = max(len(name) for name, *_ in instances)
-    print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
+    print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}"
+          f"  {'queries py/c':>12}")
     for name, masks, nbits in instances:
         args = (masks, nbits)
         t_py, r_py = best_time(_bb_py, args, repeats)
@@ -84,7 +96,8 @@ def compare(compiled, repeats: int) -> int:
         if r_py != r_c:
             print(f"{name}: KERNEL MISMATCH {r_py} vs {r_c}", file=sys.stderr)
             return 1
-        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x")
+        queries = f"{r_py[2]}/{r_c[2]}"
+        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {queries:>12}")
     return 0
 
 

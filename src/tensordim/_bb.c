@@ -1,11 +1,16 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports one entry point, min_hitting_size(masks, cand_mask, lower, upper),
- * and mirrors `_bb_py.min_hitting_size` rule for rule: same contract, same
- * branching order, same forced picks, packing bound and last-pick rule, same
- * results, and the same OverflowError for a mask outside 64 bits.  See that
- * module for the algorithm description and the argument for each rule, and
- * for the certificate loop built on this entry point.
+ * Exports one entry point,
+ * min_hitting_size(masks, cand_mask, lower, upper, witness=None): the least
+ * number of cand_mask bits hitting every mask, or upper when nothing below
+ * it exists, stopping early once lower is met.  When witness is a list and
+ * the result is below upper, one solution of that size is appended to it
+ * as an int mask.  It mirrors `_bb_py.min_hitting_size` rule for rule: same
+ * contract, same branching order, same forced picks, packing bound and
+ * last-pick rule, same results and witnesses, and the same OverflowError
+ * for a mask outside 64 bits.  See that module for the algorithm
+ * description and the argument for each rule, and for the certificate loop
+ * built on this entry point.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace.
@@ -132,19 +137,22 @@ static Py_ssize_t drop_hit(const uint64_t *pending, Py_ssize_t np, uint64_t bit,
 typedef struct {
     Workspace ws;
     int best;
+    uint64_t best_set; /* a solution of size best, once best < upper */
     int lower;
 } SizeSearch;
 
-static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending,
-                     Py_ssize_t np, int depth)
+static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
+                     uint64_t *pending, Py_ssize_t np, int depth)
 {
     uint64_t branch_mask, common;
     for (;;) {
         if (s->best <= s->lower)
             return;
         if (np == 0) {
-            if (count < s->best)
+            if (count < s->best) {
                 s->best = count;
+                s->best_set = chosen;
+            }
             return;
         }
         if (count + 1 >= s->best)
@@ -171,13 +179,16 @@ static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending
         count += popcount(forced);
         if (count >= s->best)
             return;
+        chosen |= forced;
         avail &= ~forced;
         np = drop_hit(pending, np, forced, pending);
     }
     if (count + 2 >= s->best) {
         /* last pick: only a vertex hitting every pending mask improves */
-        if (common)
+        if (common) {
             s->best = count + 1;
+            s->best_set = chosen | (common & -common);
+        }
         return;
     }
     if (count + packing_bound(&s->ws, pending, np, avail) >= s->best)
@@ -187,25 +198,30 @@ static void size_dfs(SizeSearch *s, int count, uint64_t avail, uint64_t *pending
     for (uint64_t r = branch_mask; r; r &= r - 1) {
         uint64_t wb = r & -r;
         Py_ssize_t keep = drop_hit(pending, np, wb, child);
-        size_dfs(s, count + 1, avail & ~excluded & ~wb, child, keep, depth + 1);
+        size_dfs(s, count + 1, chosen | wb, avail & ~excluded & ~wb, child, keep,
+                 depth + 1);
         if (s->best <= s->lower)
             return;
         excluded |= wb;
     }
 }
 
-static char *size_kwlist[] = {"masks", "cand_mask", "lower", "upper", NULL};
+static char *size_kwlist[] = {"masks", "cand_mask", "lower", "upper", "witness", NULL};
 
 static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *masks, *cand_obj;
+    PyObject *masks, *cand_obj, *witness = Py_None;
     int lower, upper;
     uint64_t cand;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOii:min_hitting_size", size_kwlist,
-                                     &masks, &cand_obj, &lower, &upper))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOii|O:min_hitting_size", size_kwlist,
+                                     &masks, &cand_obj, &lower, &upper, &witness))
         return NULL;
     if (as_u64(cand_obj, &cand) < 0)
         return NULL;
+    if (witness != Py_None && !PyList_Check(witness)) {
+        PyErr_SetString(PyExc_TypeError, "witness must be a list or None");
+        return NULL;
+    }
     if (lower >= upper)
         return PyLong_FromLong(upper);
     SizeSearch s = {.best = upper, .lower = lower};
@@ -213,8 +229,16 @@ static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwar
     int depth_cap = upper < MAX_BITS ? (upper > 0 ? upper : 0) : MAX_BITS;
     if (ws_init(&s.ws, masks, cand, depth_cap) < 0)
         return NULL;
-    size_dfs(&s, 0, cand, s.ws.rows, s.ws.cap, 0);
+    size_dfs(&s, 0, 0, cand, s.ws.rows, s.ws.cap, 0);
     ws_free(&s.ws);
+    if (witness != Py_None && s.best < upper) {
+        PyObject *set = PyLong_FromUnsignedLongLong(s.best_set);
+        if (set == NULL || PyList_Append(witness, set) < 0) {
+            Py_XDECREF(set);
+            return NULL;
+        }
+        Py_DECREF(set);
+    }
     return PyLong_FromLong(s.best);
 }
 

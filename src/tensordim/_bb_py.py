@@ -22,6 +22,13 @@ the same value, with the same stop at `lower`, that branching would reach.
 Two disjoint masks make common zero, so the packing bound adds nothing at
 this depth.
 
+The search carries `chosen`, the picks on the path to a node: forced picks
+and the branch bit are added as they are made.  Each time best falls, the
+node records chosen (a node with nothing pending) or chosen plus the least
+vertex of common (the last-pick rule, the vertex branching would take
+first), so a caller's `witness` list receives a solution of the returned
+size.
+
 `lex_min_hitting_set`, written once for both kernels, builds a solution
 within a budget from size queries to a kernel's `min_hitting_size`: it
 appends the least candidate v above the members so far whose unhit masks
@@ -29,6 +36,19 @@ the candidates above v can still hit within the budget.  It skips a v that
 hits no pending mask, which no minimum solution contains.  So at budget ==
 optimum no minimum solution extends the prefix with a smaller member, and
 the result is the lexicographically least minimum solution.
+
+Many of those queries are answered before they are asked.  The loop keeps
+a completion `comp`: a set inside the candidates, with at most budget
+minus the prefix's size members, that hits every pending mask.  The
+caller may pass one (the solution its size search found), and every
+successful query's witness becomes the next.  When the scan reaches
+v = min(comp), comp - v lies above v, fits the smaller budget and hits
+every mask v leaves unhit, so the query would succeed: v is taken without
+it.  A v below min(comp) is queried as before, and a skipped v that hits
+nothing pending leaves comp, which still hits every pending mask.  Every
+step therefore takes the same v as the plain loop.  Each completion is
+checked before it is trusted, so a kernel that returns a wrong witness
+raises AssertionError instead of yielding a set that is not the least.
 """
 
 from __future__ import annotations
@@ -72,22 +92,26 @@ def _packing_bound(pending: list[int], avail: int) -> int:
     return count
 
 
-def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
+def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None) -> int:
     """Smallest number of candidate bits hitting every mask, capped at upper.
 
     `lower` must be a valid lower bound; the search stops early once it is
     met.  Returns `upper` when nothing strictly better exists (including the
-    infeasible case).  A mask or `cand_mask` outside [0, 2**64) raises
-    OverflowError.
+    infeasible case).  When `witness` is a list and the result is below
+    `upper`, one solution of that size is appended to it as a mask.  A mask
+    or `cand_mask` outside [0, 2**64) raises OverflowError.
     """
     cand_mask = _word(cand_mask)
+    if witness is not None and not isinstance(witness, list):
+        raise TypeError("witness must be a list or None")
     if lower >= upper:
         return upper
     pending0 = [m & cand_mask for m in _words(masks)]
     best = upper
+    best_set = 0
 
-    def dfs(count: int, avail: int, pending: list[int]) -> None:
-        nonlocal best
+    def dfs(count: int, chosen: int, avail: int, pending: list[int]) -> None:
+        nonlocal best, best_set
         # Propagate masks with a single remaining resolver.
         while True:
             if best <= lower:
@@ -95,6 +119,7 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
             if not pending:
                 if count < best:
                     best = count
+                    best_set = chosen
                 return
             if count + 1 >= best:
                 return
@@ -118,39 +143,61 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int) -> int:
             count += forced.bit_count()
             if count >= best:
                 return
+            chosen |= forced
             avail &= ~forced
             pending = [m for m in pending if m & forced == 0]
         if count + 2 >= best:
             # Last pick: only a vertex hitting every pending mask improves.
             if common:
                 best = count + 1
+                best_set = chosen | (common & -common)
             return
         if count + _packing_bound(pending, avail) >= best:
             return
         excluded = 0
         for w in _bits_ascending(branch_mask):
             wb = 1 << w
-            dfs(count + 1, avail & ~excluded & ~wb, [m for m in pending if m & wb == 0])
+            dfs(count + 1, chosen | wb, avail & ~excluded & ~wb,
+                [m for m in pending if m & wb == 0])
             if best <= lower:
                 return
             excluded |= wb
 
-    dfs(0, cand_mask, pending0)
+    dfs(0, 0, cand_mask, pending0)
+    if witness is not None and best < upper:
+        witness.append(best_set)
     return best
 
 
-def lex_min_hitting_set(masks, cand_mask: int, budget: int,
-                        min_size=min_hitting_size) -> list[int] | None:
+def _checked_completion(comp: int, pending: list[int], cand_mask: int, size: int) -> int:
+    """comp, after checking that it is a completion: inside cand_mask, at
+    most size members, and hitting every pending mask."""
+    if comp & ~cand_mask or comp.bit_count() > size or not all(m & comp for m in pending):
+        raise AssertionError(f"{comp:#x} is not a completion within {size} candidates")
+    return comp
+
+
+def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting_size,
+                        completion=None) -> list[int] | None:
     """Lexicographically least hitting set of size <= budget, from size queries.
 
     Intended to run at budget == optimum (from min_hitting_size), where the
     result is the lexicographically least minimum solution.  Returns [] when
     no mask is pending and None when no solution fits the budget.
     `min_size` answers the queries: `min_hitting_size` of either kernel.
-    Masks are checked as there.
+    `completion`, when given, is a mask of candidates, at most `budget` of
+    them, hitting every mask (a solution the size search found); it spares
+    the queries it already answers and never changes the result.
+    Masks are checked as there; a completion or a query's witness that is
+    not a solution raises AssertionError.
     """
     cand_mask = _word(cand_mask)
-    pending = [m & cand_mask for m in _words(masks)]
+    pending = list(dict.fromkeys(m & cand_mask for m in _words(masks)))
+    # comp: inside cand_mask, at most budget - len(prefix) members, hitting
+    # every pending mask; 0 while no such set is known.
+    comp = 0
+    if completion is not None:
+        comp = _checked_completion(_word(completion), pending, cand_mask, budget)
     prefix: list[int] = []
     while pending:
         need = budget - len(prefix) - 1
@@ -160,10 +207,19 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int,
             vb = 1 << v
             rest = [m for m in pending if m & vb == 0]
             if len(rest) == len(pending):
-                continue  # hits nothing pending, so no minimum solution holds v
+                comp &= ~vb  # hits nothing pending, so no minimum solution holds v
+                continue
             later = cand_mask >> (v + 1) << (v + 1)
+            rest = list(dict.fromkeys(m & later for m in rest))
+            if vb == comp & -comp:
+                comp ^= vb  # comp - v lies above v and fits: the query succeeds
+                break
             # lower and upper go by keyword: tdbench/tracing.py reads them by name.
-            if min_size(rest, later, lower=need, upper=need + 1) <= need:
+            witness: list[int] = []
+            if min_size(rest, later, lower=need, upper=need + 1, witness=witness) <= need:
+                if not witness:
+                    raise AssertionError("a size query succeeded without a witness")
+                comp = _checked_completion(witness[0], rest, later, need)
                 break
         else:
             return None

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -30,11 +31,16 @@ class UnresolvedPair:
 
 
 def check_vertex_set(n: int, wset: Sequence[int]) -> list[int]:
-    """Validate a vertex set: ids in range, no duplicates.  Returns a list."""
+    """Validate a vertex set: integer ids in range, no duplicates.  Returns a
+    list of ints.  An id that is not an integer (a float, a string, a bool)
+    raises TypeError; numpy integers are accepted."""
     out: list[int] = []
     seen: set[int] = set()
     for w in wset:
-        w = int(w)
+        if type(w) is not int:  # plain ints, the common case, need no conversion
+            if isinstance(w, bool):
+                raise TypeError(f"vertex id {w!r} is a bool, not an integer")
+            w = index(w)
         if not 0 <= w < n:
             raise ValueError(f"vertex id {w} out of range for {n} vertices")
         if w in seen:

@@ -8,9 +8,17 @@ size k.  The certificate is then built from size queries to the same kernel
 (`_bb_py.lex_min_hitting_set`): each step appends the least vertex v above
 the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
 leaves unhit.  No minimum set extends the prefix with a smaller member, so
-the result is the lexicographically least minimum certificate.  Plain
-subset enumeration stays as a reference method: it visits k-subsets in
-lexicographic order and therefore returns the same certificate.
+the result is the lexicographically least minimum certificate.  The loop
+starts from a solution of size k that the solver already holds: the size
+search's witness when it beat the upper seed, else the greedy seed or the
+hint.  A query that such a solution answers is skipped (the `_bb_py`
+docstring gives the argument), so the certificate is unchanged.  Every
+instance handed to the kernel (the root, each symmetric branch, each
+certificate query) has its masks restricted to that instance's candidates
+and de-duplicated, first occurrence kept, by the caller, so both kernels
+see the same input and branch the same way.  Plain subset enumeration
+stays as a reference method: it visits k-subsets in lexicographic order
+and therefore returns the same certificate.
 
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
@@ -200,45 +208,58 @@ def exhaustive_metric_dimension(dist: DistanceMatrix) -> DimResult:
     raise AssertionError("unreachable: the full vertex set always resolves")
 
 
-def _greedy_completion(pending: list[int], cand_mask: int) -> int:
-    """Size of a greedy hitting set for the reduced instance (upper seed):
-    take the candidate in the most pending masks, lowest id on ties."""
+def _greedy_completion(pending: list[int], cand_mask: int) -> list[int]:
+    """A greedy hitting set for the reduced instance (upper seed), in pick
+    order: take the candidate in the most pending masks, lowest id on ties."""
     words = np.array(pending, dtype="<u8") & np.uint64(cand_mask)
     # bits[k, w]: candidate w hits pending mask k.
     bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
     if not bits.any(axis=1).all():
         raise ValueError("a pending mask has no candidate resolver")
-    count = 0
+    picks = []
     while len(bits):
         w = int(bits.sum(axis=0).argmax())
         bits = bits[bits[:, w] == 0]
-        count += 1
-    return count
+        picks.append(w)
+    return picks
+
+
+def _mask(ids) -> int:
+    out = 0
+    for v in ids:
+        out |= 1 << v
+    return out
 
 
 def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int,
-                        factors: CliqueFactors) -> int:
+                        factors: CliqueFactors) -> tuple[int, int | None]:
     """Minimum hitting-set size for a product of cliques, forcing vertex 0
     and branching on the orbits of its stabilizer (see the module
-    docstring)."""
+    docstring).  Returns the size and, when it is below `upper`, a solution
+    of that size as a mask (else None)."""
     zero = factors.coordinates() == 0
     orbits: dict[tuple[bool, ...], int] = {}
     for v in range(1, factors.vertex_count):
         key = tuple(zero[v])
         orbits[key] = orbits.get(key, 0) | 1 << v
     best = upper
+    best_set = None
     excluded = 0
     # Largest orbit first, so the later branches drop the most candidates.
     for orbit in sorted(orbits.values(), key=lambda o: -o.bit_count()):
         if best <= lower:
             break
         pair = 1 | (orbit & -orbit)
+        cand = cand_mask & ~excluded & ~pair
+        witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
-        best = min(best, 2 + _default_kernel.min_hitting_size(
-            [m for m in masks if m & pair == 0], cand_mask & ~excluded & ~pair,
-            lower=max(0, lower - 2), upper=best - 2))
+        size = 2 + _default_kernel.min_hitting_size(
+            list(dict.fromkeys(m & cand for m in masks if m & pair == 0)), cand,
+            lower=max(0, lower - 2), upper=best - 2, witness=witness)
+        if witness:
+            best, best_set = size, pair | witness[0]
         excluded |= orbit
-    return best
+    return best, best_set
 
 
 def exact_metric_dimension(
@@ -253,7 +274,10 @@ def exact_metric_dimension(
 
     `lower_hint` must be a valid lower bound and `upper_hint` a resolving
     set when given; a result equal to `lower_hint` trusts the hint, since
-    the search stops as soon as it meets it.  `factors` asserts that `dist`
+    the search stops as soon as it meets it.  A `lower_hint` above the size
+    of a resolving set the solver already holds (the upper hint, the
+    twin-forced vertices plus the greedy seed, or the set enumeration
+    found) raises ValueError.  `factors` asserts that `dist`
     is the product of those cliques with vertex ids in the mixed-radix
     codec (only the vertex count is checked).  With two or more factors,
     all of size >= 3, it enables the symmetric size search and skips the
@@ -279,11 +303,12 @@ def exact_metric_dimension(
         if lower_hint > len(hint):
             raise ValueError(f"lower_hint {lower_hint} exceeds the upper_hint size {len(hint)}")
     if method == "enumeration":
-        return exhaustive_metric_dimension(dist)
+        result = exhaustive_metric_dimension(dist)
+        if lower_hint > result.dim:
+            raise ValueError(f"lower_hint {lower_hint} exceeds the dimension {result.dim}")
+        return result
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
-    if n == 1:
-        return DimResult(0, ())
 
     table = build_pair_table(dist)
     clique_product = factors is not None and factors.t >= 2 and min(factors.sizes) >= 3
@@ -292,30 +317,42 @@ def exact_metric_dimension(
         for cls in _twin_classes(dist):
             forced.extend(cls[:-1])
         forced.sort()
-    forced_mask = 0
-    for v in forced:
-        forced_mask |= 1 << v
-    pending = [int(m) for m in table.masks if m & forced_mask == 0]
+    forced_mask = _mask(forced)
     cand_mask = ((1 << n) - 1) & ~forced_mask
-
-    hint_rest = len(hint) - len(forced) if hint is not None else None
-
+    # Masks missing the forced vertices lie inside cand_mask already.
+    unhit = [m for m in table.masks.tolist() if m & forced_mask == 0]
+    # The greedy seed counts every pair (on products of cliques it is
+    # smaller that way); the kernel needs each mask once.
+    greedy = _greedy_completion(unhit, cand_mask)  # [] when nothing is pending
+    pending = list(dict.fromkeys(unhit))
+    rest_upper = len(greedy)
+    if hint is not None:
+        rest_upper = min(rest_upper, len(hint) - len(forced))
+    if lower_hint > len(forced) + rest_upper:
+        raise ValueError(f"lower_hint {lower_hint} exceeds the size "
+                         f"{len(forced) + rest_upper} of a resolving set already found")
     if not pending:
         cert = tuple(forced)
         return DimResult(len(cert), cert)
-
-    rest_upper = _greedy_completion(pending, cand_mask)
-    if hint_rest is not None:
-        rest_upper = min(rest_upper, hint_rest)
     rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
-        k_rest = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper, factors)
+        k_rest, found = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper, factors)
     else:
+        witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
-        k_rest = _default_kernel.min_hitting_size(pending, cand_mask,
-                                                  lower=rest_lower, upper=rest_upper)
+        k_rest = _default_kernel.min_hitting_size(pending, cand_mask, lower=rest_lower,
+                                                  upper=rest_upper, witness=witness)
+        found = witness[0] if witness else None
+    # A solution of size k_rest seeds the certificate loop: the search's own
+    # when it beat the seed, else the seed that set k_rest.
+    if found is None and len(greedy) == k_rest:
+        found = _mask(greedy)
+    if found is None and hint is not None:
+        rest_hint = _mask(hint) & ~forced_mask
+        found = rest_hint if rest_hint.bit_count() <= k_rest else None
     rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
-                                      min_size=_default_kernel.min_hitting_size)
+                                      min_size=_default_kernel.min_hitting_size,
+                                      completion=found)
     if rest is None or len(rest) != k_rest:
         raise AssertionError("certificate search disagrees with the size search")
     cert = tuple(sorted(forced + rest))

@@ -117,10 +117,11 @@ def oracle_greedy(table) -> list[int]:
     return sorted(chosen)
 
 
-def oracle_greedy_completion(pending, cand_mask) -> int:
-    """Greedy hitting-set size as a plain loop: rescore every pending mask
-    bit by bit after each pick, most hits first, lowest bit on ties."""
-    count = 0
+def oracle_greedy_completion(pending, cand_mask) -> list[int]:
+    """Greedy hitting set as a plain loop, in pick order: rescore every
+    pending mask bit by bit after each pick, most hits first, lowest bit on
+    ties."""
+    picks = []
     pend = list(pending)
     while pend:
         scores = {}
@@ -130,8 +131,8 @@ def oracle_greedy_completion(pending, cand_mask) -> int:
                     scores[w] = scores.get(w, 0) + 1
         best_w = min(scores, key=lambda w: (-scores[w], w))
         pend = [m for m in pend if not m >> best_w & 1]
-        count += 1
-    return count
+        picks.append(best_w)
+    return picks
 
 
 def random_connected_edges(rng: random.Random, n: int, p: float):

@@ -92,7 +92,17 @@ def bounded_instances(draw):
 def test_min_size_keeps_its_contract_at_tight_bounds(kernel, case):
     masks, cand, lower, upper, opt = case
     want = opt if opt is not None and opt < upper else upper
-    assert kernel.min_hitting_size(list(masks), cand, lower, upper) == want
+    witness = []
+    got = kernel.min_hitting_size(list(masks), cand, lower, upper, witness=witness)
+    assert got == want
+    if got == upper:
+        assert witness == []
+    else:
+        # One solution of the returned size: inside the candidates, hitting
+        # every mask.
+        [found] = witness
+        assert found & ~cand == 0 and found.bit_count() == got
+        assert all(m & found for m in masks)
 
 
 def test_last_pick_is_settled_without_branching(monkeypatch):
@@ -149,6 +159,60 @@ def test_nothing_pending_yields_empty_set(kernel):
     assert lex(kernel, [], 0b111, 0) == []
 
 
+def test_witness_must_be_a_list(kernel):
+    with pytest.raises(TypeError):
+        kernel.min_hitting_size([0b11], 0b11, 0, 2, witness=())
+
+
+def oracle_min_solutions(masks, nbits):
+    """Every minimum hitting set, as masks."""
+    size, _ = oracle_min_hitting(masks, nbits)
+    out = []
+    for combo in itertools.combinations(range(nbits), size):
+        chosen = sum(1 << b for b in combo)
+        if all(m & chosen for m in masks):
+            out.append(chosen)
+    return size, out
+
+
+def test_every_minimum_completion_gives_the_same_certificate(kernel):
+    # A completion only spares queries; the loop still returns the
+    # lexicographically least minimum solution.
+    rng = random.Random(16)
+    for _ in range(60):
+        nbits = rng.randrange(3, 11)
+        masks = random_instance(rng, nbits, rng.randrange(1, 9))
+        size, solutions = oracle_min_solutions(masks, nbits)
+        want = oracle_lex_min(masks, nbits, size)
+        cand = (1 << nbits) - 1
+        assert lex(kernel, masks, cand, size) == want
+        for comp in solutions:
+            assert _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
+                                              completion=comp) == want
+
+
+@pytest.mark.parametrize("masks, cand, budget, comp", [
+    ([0b011, 0b100], 0b111, 2, 0b001),  # misses 0b100
+    ([0b011, 0b100], 0b111, 2, 0b111),  # three members over a budget of two
+    ([0b011, 0b100], 0b110, 2, 0b101),  # bit 0 is no candidate
+    ([0b011, 0], 0b111, 2, 0b001),  # nothing hits the empty mask
+], ids=["misses-a-mask", "too-large", "outside-candidates", "empty-mask"])
+def test_a_completion_that_is_no_solution_raises(kernel, masks, cand, budget, comp):
+    with pytest.raises(AssertionError):
+        _bb_py.lex_min_hitting_set(masks, cand, budget, min_size=kernel.min_hitting_size,
+                                   completion=comp)
+
+
+def test_a_wrong_witness_raises():
+    # A size query whose witness does not hit the masks it was asked about.
+    def lying(masks, cand_mask, lower, upper, witness):
+        witness.append(0)
+        return lower
+
+    with pytest.raises(AssertionError):
+        _bb_py.lex_min_hitting_set([0b011, 0b110], 0b111, 2, min_size=lying)
+
+
 def test_restricted_candidate_mask_respected(kernel):
     # forbid bit 0 everywhere; solutions must avoid it
     rng = random.Random(14)
@@ -183,7 +247,8 @@ def test_both_kernels_agree_on_random_instances(compiled_kernel):
         cases.append(([m for m in masks if m & taken == 0], cand))
     for masks, cand in cases:
         upper = cand.bit_count() + 1
-        a = _bb_py.min_hitting_size(masks, cand, 0, upper)
-        b = compiled_kernel.min_hitting_size(masks, cand, 0, upper)
-        assert a == b
+        found_a, found_b = [], []
+        a = _bb_py.min_hitting_size(masks, cand, 0, upper, witness=found_a)
+        b = compiled_kernel.min_hitting_size(masks, cand, 0, upper, witness=found_b)
+        assert (a, found_a) == (b, found_b)
         assert lex(_bb_py, masks, cand, a) == lex(compiled_kernel, masks, cand, a)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from tensordim import (
@@ -57,6 +58,27 @@ def test_check_vertex_set():
         check_vertex_set(4, [-1])
     with pytest.raises(ValueError):
         check_vertex_set(4, [1, 1])
+
+
+@pytest.mark.parametrize("wset", [[0.7, 4.2], [0, 4.0], ["3", "4", "0"], [True, 2],
+                                  [np.bool_(True), 2], [np.float64(1.0)]],
+                         ids=["floats", "integral-float", "strings", "bool", "numpy-bool",
+                              "numpy-float"])
+def test_vertex_ids_must_be_integers(wset):
+    # int() would truncate 0.7 to 0 and parse "3"; neither is a vertex id.
+    f = CliqueFactors((3, 3))
+    for space in (f, tensor_clique_distances(f)):
+        with pytest.raises(TypeError):
+            is_resolving(space, wset)
+
+
+def test_numpy_integer_ids_are_accepted():
+    f = CliqueFactors((3, 3))
+    ids = np.array([0, 4, 8], dtype=np.uint8)
+    assert check_vertex_set(9, ids) == [0, 4, 8]
+    assert all(type(v) is int for v in check_vertex_set(9, ids))
+    assert is_resolving(tensor_clique_distances(f), [np.int64(0), np.int32(1), 3]) == \
+        is_resolving(tensor_clique_distances(f), [0, 1, 3])
 
 
 def test_path_end_resolves():

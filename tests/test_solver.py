@@ -276,6 +276,30 @@ def test_lower_hint_above_upper_hint_rejected():
                                lower_hint=6, upper_hint=upper)
 
 
+@pytest.mark.parametrize("hint", [4, 5, 10])
+def test_lower_hint_above_a_known_resolving_set_rejected(hint):
+    # dim(K_3 x K_3) = 3: the greedy seed, and enumeration, hold a set of size 3.
+    f = CliqueFactors((3, 3))
+    dist = tensor_clique_distances(f)
+    for factors, method in [(None, "auto"), (f, "auto"), (None, "enumeration")]:
+        with pytest.raises(ValueError, match="lower_hint"):
+            exact_metric_dimension(dist, factors=factors, lower_hint=hint, method=method)
+    assert exact_metric_dimension(dist, factors=f, lower_hint=3).dim == 3
+
+
+def test_lower_hint_rejected_when_nothing_is_pending():
+    # Every vertex of K_5 is a twin of every other: four are forced and no
+    # pair is left pending.  A single vertex has no pair at all.
+    dist = all_pairs_distances(build_clique(5))
+    assert exact_metric_dimension(dist, lower_hint=4).certificate == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="lower_hint"):
+        exact_metric_dimension(dist, lower_hint=5)
+    single = all_pairs_distances(Graph(1))
+    assert exact_metric_dimension(single).certificate == ()
+    with pytest.raises(ValueError, match="lower_hint"):
+        exact_metric_dimension(single, lower_hint=1)
+
+
 def test_unknown_method_rejected():
     dist = all_pairs_distances(build_clique(3))
     with pytest.raises(ValueError):
