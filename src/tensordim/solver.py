@@ -29,20 +29,29 @@ take a different route.  They have no twins: if u and v differ on axis a,
 a vertex z with z_a = u_a and, on every other axis, a value that is neither
 u's nor v's has d(u, z) = 2 and d(v, z) = 1.  Their automorphisms include
 S_{m_1} x ... x S_{m_t} acting on the coordinates, which is transitive on
-the vertices, so the size search breaks symmetry at the root:
+the vertices, so the size search breaks symmetry by orbital branching
+(Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011):
 
-- Some minimum resolving set contains vertex 0 (map any member to 0).
-- Permuting the nonzero values of each axis fixes vertex 0.  The orbits of
-  this stabilizer S_{m_1-1} x ... x S_{m_t-1} on the other vertices are the
-  equality patterns with vertex 0: the set of axes on which a vertex has
-  coordinate 0.  The orbit's least id, with 0 on those axes and 1 on the
-  others, represents it.
-- A minimum set W containing 0 has a second member (one vertex sees at most
-  three distances).  Let O_i be the first orbit, in a fixed order, that W
-  meets.  A stabilizer element maps a member of W in O_i to rep_i and keeps
-  W away from O_1..O_{i-1}.  So branch i, which forces {0, rep_i} and drops
-  O_1..O_{i-1} from the candidates, finds a set of size |W|, and the least
-  branch optimum is the dimension.
+- Some minimum resolving set contains vertex 0 (map any member to 0), so
+  the search starts from the forced set F = {0}.
+- The pointwise stabilizer of F fixes, on each axis, the values that F
+  uses and permutes the others.  Its orbits on the candidates are keyed
+  axis by axis: a vertex's own value where F uses it, "other" elsewhere.
+- Suppose some minimum set W holds F and avoids the excluded candidates
+  E, and E is invariant under the stabilizer.  If F leaves a pair
+  unresolved, W has a member outside F.  Let O_i be the first orbit, in a
+  fixed order, that W meets.  A stabilizer element maps a member of W in
+  O_i to the orbit's least id rep_i; it fixes F, and it keeps W away from
+  O_1..O_{i-1} and from E.  So branch i, which forces F + {rep_i} and
+  excludes E + O_1..O_{i-1}, finds a set of size |W|, and the least branch
+  optimum is the optimum.
+- The branch's exclusions are unions of orbits of the stabilizer of F, so
+  they are invariant under the smaller stabilizer of F + {rep_i}, and the
+  argument applies again one level down.  `_orbit_depth` sets how many
+  levels branch this way (measured per factor count and vertex count);
+  below them the kernel searches each branch, and the `best <= lower`
+  stop holds across all levels.  Orbits go largest first, so the later
+  branches drop the most candidates.
 
 A resolving set of such a product misses at most one value per axis, yet
 the search carries no rule for it, because the rule could never prune.
@@ -57,6 +66,12 @@ kernel cuts the node on it already.
 The symmetry applies only to the optimum size.  The certificate queries run
 on the full instance, without forcing vertex 0, so the certificate is the
 least one in sorted order either way.
+
+A caller that needs only the dimension (`certificate=False`) runs the same
+forcing, seeds and size search and skips the certificate loop.  The size
+is still machine-checked: the forced vertices plus the size search's
+solution, or the seed that set the size, must be a resolving set of that
+size.
 """
 
 from __future__ import annotations
@@ -90,7 +105,8 @@ def kernel_name() -> str:
 
 @dataclass(frozen=True)
 class DimResult:
-    """Metric dimension plus certificate; dim None means disconnected."""
+    """Metric dimension plus certificate; dim None means disconnected.  The
+    certificate is also None when only the dimension was asked for."""
 
     dim: int | None
     certificate: tuple[int, ...] | None
@@ -231,35 +247,92 @@ def _mask(ids) -> int:
     return out
 
 
-def _symmetric_min_size(masks: list[int], cand_mask: int, lower: int, upper: int,
-                        factors: CliqueFactors) -> tuple[int, int | None]:
-    """Minimum hitting-set size for a product of cliques, forcing vertex 0
-    and branching on the orbits of its stabilizer (see the module
-    docstring).  Returns the size and, when it is below `upper`, a solution
-    of that size as a mask (else None)."""
-    zero = factors.coordinates() == 0
-    orbits: dict[tuple[bool, ...], int] = {}
-    for v in range(1, factors.vertex_count):
-        key = tuple(zero[v])
-        orbits[key] = orbits.get(key, 0) | 1 << v
-    best = upper
-    best_set = None
-    excluded = 0
-    # Largest orbit first, so the later branches drop the most candidates.
-    for orbit in sorted(orbits.values(), key=lambda o: -o.bit_count()):
-        if best <= lower:
-            break
-        pair = 1 | (orbit & -orbit)
-        cand = cand_mask & ~excluded & ~pair
+def _value_masks(factors: CliqueFactors) -> list[list[int]]:
+    """masks[i][a]: the vertices with value a on axis i.  In the mixed-radix
+    codec they are the runs of `stride` ids at offset a * stride in every
+    period of m_i * stride ids, so each mask is the run times a repeat."""
+    n = factors.vertex_count
+    masks = []
+    stride = n
+    for m in factors.sizes:
+        stride //= m
+        period = m * stride
+        repeat = ((1 << n) - 1) // ((1 << period) - 1)  # bit 0 of each period
+        masks.append([repeat * ((1 << stride) - 1) << (a * stride) for a in range(m)])
+    return masks
+
+
+def _stabilizer_orbits(value_masks: list[list[int]], used: list[set[int]], cand: int) -> list[int]:
+    """Orbits on the candidates of the pointwise stabilizer of the forced
+    vertices, as masks, largest first and then by least id.  `used[i]`
+    holds the values the forced vertices take on axis i.
+
+    An orbit takes one class per axis: a used value's vertices, or the
+    vertices of all the other values.  The classes come whole from
+    `_value_masks`, so no step runs per vertex.
+    """
+    classes = []
+    for masks, values in zip(value_masks, used):
+        held = [masks[a] for a in values]
+        other = cand
+        for m in held:
+            other &= ~m
+        classes.append(held + [other] if other else held)
+    orbits = []
+    for pick in itertools.product(*classes):
+        orbit = cand
+        for m in pick:
+            orbit &= m
+        if orbit:
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (-o.bit_count(), o & -o))
+    return orbits
+
+
+def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int]], lower: int,
+                    upper: int, factors: CliqueFactors, value_masks: list[list[int]],
+                    depth: int) -> tuple[int, int | None]:
+    """Least size below `upper` of a hitting set made of the `forced` mask
+    and candidates in `cand`; `masks` are those `forced` leaves unhit and
+    `used[i]` holds the values the forced vertices take on axis i.
+    Branches on the orbits of the pointwise stabilizer of `forced` for
+    `depth` levels, then hands each branch to the kernel (see the module
+    docstring).  Returns the size and such a set as a mask, or (upper,
+    None) when none is smaller."""
+    k = forced.bit_count()
+    if depth == 0 or not masks:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
-        size = 2 + _default_kernel.min_hitting_size(
-            list(dict.fromkeys(m & cand for m in masks if m & pair == 0)), cand,
-            lower=max(0, lower - 2), upper=best - 2, witness=witness)
-        if witness:
-            best, best_set = size, pair | witness[0]
-        excluded |= orbit
+        size = k + _default_kernel.min_hitting_size(
+            list(dict.fromkeys(m & cand for m in masks)), cand,
+            lower=max(0, lower - k), upper=upper - k, witness=witness)
+        return (size, forced | witness[0]) if witness else (upper, None)
+    best, best_set = upper, None
+    for orbit in _stabilizer_orbits(value_masks, used, cand):
+        # Every branch forces k + 1 vertices.
+        if best <= lower or k + 1 >= best:
+            break
+        rep = orbit & -orbit
+        coords = factors.coords_of(rep.bit_length() - 1)
+        size, found = _orbit_min_size([m for m in masks if not m & rep], cand & ~rep,
+                                      forced | rep, [u | {c} for u, c in zip(used, coords)],
+                                      lower, best, factors, value_masks, depth - 1)
+        if found is not None:
+            best, best_set = size, found
+        cand &= ~orbit
     return best, best_set
+
+
+def _orbit_depth(factors: CliqueFactors) -> int:
+    """Levels of orbit branching in the symmetric size search, by factor
+    count and vertex count.  Measured on both kernels: a level pays on the
+    larger products (6x6 and 5x8 take about half the time at depth 2, 8x8
+    and 7x9 gain again at depth 3) and costs on the smaller ones (3x3x4
+    and 4x4 slow at depth 2; 4x4x4 slows at depth 3)."""
+    n = factors.vertex_count
+    if factors.t == 2:
+        return 1 if n < 30 else 2 if n < 56 else 3
+    return 1 if n < 40 else 2
 
 
 def exact_metric_dimension(
@@ -269,6 +342,7 @@ def exact_metric_dimension(
     upper_hint: Sequence[int] | None = None,
     factors: CliqueFactors | None = None,
     method: str = "auto",
+    certificate: bool = True,
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
 
@@ -282,11 +356,15 @@ def exact_metric_dimension(
     codec (only the vertex count is checked).  With two or more factors,
     all of size >= 3, it enables the symmetric size search and skips the
     twin scan; `factors=None` is the plain reference search.  `method` is
-    "auto" or "branch-and-bound", which run the branch and bound at every
-    size, or "enumeration", the plain subset scan kept as a reference.  The
-    result does not depend on `factors` or `method`.
+    "auto", the branch and bound, or "enumeration", the plain subset scan
+    kept as a reference.  With `certificate=False` only the dimension is
+    computed, and the result's certificate is None: the certificate loop is
+    skipped, and the resolving check runs on the set that proves the size
+    (the forced vertices plus the size search's solution or the seed that
+    set the size).  The dimension does not depend on `factors`, `method` or
+    `certificate`.
     """
-    if method not in ("auto", "enumeration", "branch-and-bound"):
+    if method not in ("auto", "enumeration"):
         raise ValueError(f"unknown method {method!r}")
     if not dist.connected:
         return DimResult(None, None)
@@ -306,7 +384,7 @@ def exact_metric_dimension(
         result = exhaustive_metric_dimension(dist)
         if lower_hint > result.dim:
             raise ValueError(f"lower_hint {lower_hint} exceeds the dimension {result.dim}")
-        return result
+        return result if certificate else DimResult(result.dim, None)
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
@@ -332,11 +410,13 @@ def exact_metric_dimension(
         raise ValueError(f"lower_hint {lower_hint} exceeds the size "
                          f"{len(forced) + rest_upper} of a resolving set already found")
     if not pending:
-        cert = tuple(forced)
-        return DimResult(len(cert), cert)
+        return DimResult(len(forced), tuple(forced) if certificate else None)
     rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
-        k_rest, found = _symmetric_min_size(pending, cand_mask, rest_lower, rest_upper, factors)
+        # Nothing is forced on this route, so vertex 0 is a candidate.
+        k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
+                                        [{0} for _ in factors.sizes], rest_lower, rest_upper,
+                                        factors, _value_masks(factors), _orbit_depth(factors))
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
@@ -350,6 +430,14 @@ def exact_metric_dimension(
     if found is None and hint is not None:
         rest_hint = _mask(hint) & ~forced_mask
         found = rest_hint if rest_hint.bit_count() <= k_rest else None
+    dim = len(forced) + k_rest
+    if not certificate:
+        # The set that proves the size; a hint that leaves out a forced
+        # vertex is the one case without a found solution.
+        proof = forced + _bb_py._bits_ascending(found) if found is not None else hint
+        if proof is None or len(proof) != dim or not is_resolving(dist, proof):
+            raise AssertionError("the set behind the exact dimension failed the resolving check")
+        return DimResult(dim, None)
     rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
                                       min_size=_default_kernel.min_hitting_size,
                                       completion=found)
@@ -358,4 +446,4 @@ def exact_metric_dimension(
     cert = tuple(sorted(forced + rest))
     if not is_resolving(dist, cert):
         raise AssertionError("exact certificate failed the resolving check")
-    return DimResult(len(cert), cert)
+    return DimResult(dim, cert)

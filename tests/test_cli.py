@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
-from tensordim import cli, constructions, graphs, metric
+from tensordim import _bb_py, cli, constructions, graphs, metric
 from tensordim.cli import main
 
 
@@ -136,6 +136,31 @@ def test_dim_exact_refuses_large_products_before_building_a_table(monkeypatch, c
     # Two factors of size 2 make the product disconnected, whatever its size.
     report = run_json(capsys, "dim", "--tensor", "2,2,17", "--exact")
     assert report["disconnected"] is True
+
+
+def test_table_refuses_large_products_before_building_a_row(monkeypatch, capsys):
+    def no_table(factors):
+        raise AssertionError(f"built a distance table for {factors.sizes}")
+
+    monkeypatch.setattr(cli, "tensor_clique_distances", no_table)
+    code, out, err = run(capsys, "table", "--max-m", "3", "--max-n", "22",
+                         "--exact-up-to", "100")
+    assert (code, out) == (2, "")
+    assert "exact search supports at most 64 vertices, got 66" in err
+
+
+def test_bounds_and_table_build_no_certificate(monkeypatch, capsys):
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("ran the certificate loop")
+
+    monkeypatch.setattr(_bb_py, "lex_min_hitting_set", no_certificate)
+    for sizes in ("3,3,3", "3,4", "2,3,4", "2,2,3"):
+        report = run_json(capsys, "bounds", "--tensor", sizes, "--exact-up-to", "64")
+        assert report["exact"]["computed"] is True
+    code, out, _ = run(capsys, "table", "--max-m", "6", "--max-n", "8", "--exact-up-to", "40")
+    assert code == 0 and out.count(",true\n") == 25
+    with pytest.raises(AssertionError, match="certificate loop"):
+        main(["dim", "--tensor", "3,4", "--exact"])
 
 
 def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from tensordim import (
     CliqueFactors,
+    DimResult,
     Graph,
     all_pairs_distances,
     build_clique,
@@ -127,7 +128,7 @@ def test_exact_matches_exhaustive_with_forced_branch_and_bound(rng):
         n = rng.randrange(4, 12)
         dist = all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.3)))
         enum = exact_metric_dimension(dist, method="enumeration")
-        bb = exact_metric_dimension(dist, method="branch-and-bound")
+        bb = exact_metric_dimension(dist)
         assert enum.dim == bb.dim
         assert enum.certificate == bb.certificate
         assert is_resolving(dist, list(bb.certificate))
@@ -151,7 +152,6 @@ def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel, monkeypa
     monkeypatch.setattr(solver, "exhaustive_metric_dimension", fail)
     for (dist, factors), res in zip(cases, want):
         assert exact_metric_dimension(dist, factors=factors) == res
-        assert exact_metric_dimension(dist, factors=factors, method="branch-and-bound") == res
 
 
 def test_exact_minimality_on_small_products():
@@ -170,7 +170,7 @@ def test_exact_certificate_is_first_in_sorted_order(rng):
     for _ in range(8):
         n = rng.randrange(4, 9)
         dist = all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.4)))
-        res = exact_metric_dimension(dist, method="branch-and-bound")
+        res = exact_metric_dimension(dist)
         table = [[dist.d(u, v) for v in range(n)] for u in range(n)]
         want_dim, want_set = oracle_min_resolving(table)
         assert (res.dim, res.certificate) == (want_dim, want_set)
@@ -213,25 +213,99 @@ def test_products_of_cliques_with_factors_of_three_have_no_twins(rng):
 SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <= 30] + [(3, 3, 3)]
 
 
-def test_symmetric_search_matches_plain_search(solver_kernel):
+def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
+    # Every product of cliques with all factors >= 3 and at most 30
+    # vertices, at each depth of orbit branching.
     for sizes in SYMMETRIC_SIZES:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
-        sym = exact_metric_dimension(dist, factors=f, method="branch-and-bound")
-        plain = exact_metric_dimension(dist, method="branch-and-bound")
-        assert sym == plain, sizes
+        plain = exact_metric_dimension(dist)
+        for depth in (1, 2, 3):
+            monkeypatch.setattr(solver, "_orbit_depth", lambda factors: depth)
+            assert exact_metric_dimension(dist, factors=f) == plain, (sizes, depth)
+            dim_only = exact_metric_dimension(dist, factors=f, certificate=False)
+            assert dim_only.dim == plain.dim, (sizes, depth)
 
 
 def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monkeypatch):
-    # The certificates are those of the search without symmetry breaking.
+    # The certificates are those of the search without symmetry breaking,
+    # at each depth of orbit branching.
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
-    f = CliqueFactors((7, 7))
-    res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
-    assert res.dim == dim_formula(7, 7).dim
-    assert res.certificate == (0, 1, 9, 10, 18, 25, 33, 40)
-    f = CliqueFactors((4, 4, 4))
-    res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
-    assert (res.dim, res.certificate) == (8, (0, 1, 4, 16, 22, 41, 47, 59))
+    want = {(7, 7): DimResult(dim_formula(7, 7).dim, (0, 1, 9, 10, 18, 25, 33, 40)),
+            (4, 4, 4): DimResult(8, (0, 1, 4, 16, 22, 41, 47, 59))}
+    for sizes, result in want.items():
+        f = CliqueFactors(sizes)
+        dist = tensor_clique_distances(f)
+        for depth in (1, 2, 3):
+            monkeypatch.setattr(solver, "_orbit_depth", lambda factors: depth)
+            assert exact_metric_dimension(dist, factors=f) == result, (sizes, depth)
+
+
+def test_stabilizer_orbits_partition_the_candidates():
+    # Orbits of the stabilizer of {0, v}, checked against a plain
+    # coordinate comparison, largest first and then by least id.
+    f = CliqueFactors((3, 4, 5))
+    coords = [f.coords_of(v) for v in range(f.vertex_count)]
+    value_masks = solver._value_masks(f)
+    for i, m in enumerate(f.sizes):
+        for a in range(m):
+            assert value_masks[i][a] == sum(1 << u for u in range(f.vertex_count)
+                                            if coords[u][i] == a)
+    v = f.flat_index((1, 1, 0))
+    used = [{0, c} for c in coords[v]]
+    cand = ((1 << f.vertex_count) - 1) & ~1 & ~(1 << v) & ~(1 << 7)
+    got = solver._stabilizer_orbits(value_masks, used, cand)
+
+    def key(u):
+        return tuple(c if c in (coords[0][i], coords[v][i]) else None
+                     for i, c in enumerate(coords[u]))
+
+    want = {}
+    for u in range(f.vertex_count):
+        if cand >> u & 1:
+            want[key(u)] = want.get(key(u), 0) | 1 << u
+    assert sorted(got) == sorted(want.values())
+    assert got == sorted(got, key=lambda o: (-o.bit_count(), o & -o))
+
+
+def test_dimension_only_matches_the_certified_search(solver_kernel, rng):
+    cases = []
+    for n in range(2, 41, 2):
+        p = rng.choice([0.05, 0.1, 0.2, 0.4])
+        cases.append((all_pairs_distances(Graph(n, random_connected_edges(rng, n, p))), None))
+    for sizes in [(2, 2), (2, 5), (3, 4), (4, 5), (2, 3, 4), (3, 3, 3), (2, 2, 3)]:
+        f = CliqueFactors(sizes)
+        dist = tensor_clique_distances(f)
+        cases += [(dist, f), (dist, None)]
+    cases.append((all_pairs_distances(Graph(5, [(0, 1), (2, 3)])), None))
+    cases.append((all_pairs_distances(build_clique(5)), None))
+    disconnected = 0
+    for dist, f in cases:
+        want = exact_metric_dimension(dist, factors=f)
+        got = exact_metric_dimension(dist, factors=f, certificate=False)
+        assert got == DimResult(want.dim, None)
+        disconnected += got.dim is None
+    assert disconnected == 5
+
+
+def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatch):
+    # Leaves 1 and 2 are twins, so 1 is forced.  A minimum set holding 2
+    # instead, given as the hint, is the only set of the optimum size when
+    # the greedy seed is made worse than it.
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    dist = all_pairs_distances(g)
+    want = exact_metric_dimension(dist)
+    hint = next(c for c in itertools.combinations(range(6), want.dim)
+                if 1 not in c and is_resolving(dist, list(c)))
+    monkeypatch.setattr(solver, "_greedy_completion",
+                        lambda pending, cand_mask: solver._bb_py._bits_ascending(cand_mask))
+    checked = []
+    real_check = solver.is_resolving
+    monkeypatch.setattr(solver, "is_resolving",
+                        lambda d, w: checked.append(sorted(w)) or real_check(d, w))
+    got = exact_metric_dimension(dist, upper_hint=hint, certificate=False)
+    assert got == DimResult(want.dim, None)
+    assert checked == [list(hint), list(hint)]
 
 
 @pytest.mark.slow
@@ -383,7 +457,7 @@ def test_greedy_completion_matches_oracle(rng, monkeypatch):
     monkeypatch.setattr(solver, "_greedy_completion", record)
     for _, dist, f in greedy_cases(rng):
         if dist.n <= solver.MAX_EXACT_VERTICES:
-            exact_metric_dimension(dist, factors=f, method="branch-and-bound")
+            exact_metric_dimension(dist, factors=f)
     assert len(inputs) >= 40
     for pending, cand_mask in inputs:
         assert completion(pending, cand_mask) == oracle_greedy_completion(pending, cand_mask)
