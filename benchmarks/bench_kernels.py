@@ -3,8 +3,11 @@
 Runs the same minimum-hitting-set searches through both implementations
 (the size search, then the certificate loop `_bb_py.lex_min_hitting_set`
 driven by that kernel's size search and seeded with the solution the size
-search found) and prints wall times, the speedup and the number of size
-queries the certificate loop made on each kernel.  When no built
+search found) and prints wall times, the speedup, the number of size
+queries the certificate loop made on each kernel and the number it
+answered by symmetry instead.  On the products of cliques the loop gets
+the solver's symmetry, `solver._value_swaps`; the size search stays the
+plain one on every instance.  When no built
 `tensordim._bb` is importable, the kernel is compiled into a temporary
 directory with the test suite's recipe (setup.py).  Usage:
 
@@ -22,7 +25,7 @@ from pathlib import Path
 
 from tensordim import _bb_py
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
-from tensordim.solver import build_pair_table
+from tensordim.solver import _value_masks, _value_swaps, build_pair_table
 
 try:
     from tensordim import _bb
@@ -33,7 +36,8 @@ except ImportError:
 def product_instance(sizes):
     f = CliqueFactors(sizes)
     table = build_pair_table(tensor_clique_distances(f))
-    return f"product {'x'.join(map(str, sizes))}", [int(m) for m in table.masks], f.vertex_count
+    return (f"product {'x'.join(map(str, sizes))}", [int(m) for m in table.masks],
+            f.vertex_count, _value_swaps(f, _value_masks(f)))
 
 
 def random_instance(seed, nbits, nmasks):
@@ -45,24 +49,33 @@ def random_instance(seed, nbits, nmasks):
             if rng.random() < 0.25:
                 m |= 1 << b
         masks.append(m or 1 << rng.randrange(nbits))
-    return f"random {nbits}b/{nmasks}m seed {seed}", masks, nbits
+    return f"random {nbits}b/{nmasks}m seed {seed}", masks, nbits, None
 
 
-def run_search(kernel, masks, nbits):
-    """(size, certificate, number of certificate queries)."""
+def run_search(kernel, masks, nbits, symmetry):
+    """(size, certificate, certificate queries asked, queries answered by
+    symmetry)."""
     cand = (1 << nbits) - 1
     witness = []
     size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
-    queries = 0
+    queries = answered = 0
 
     def query(*args, **kwargs):
         nonlocal queries
         queries += 1
         return kernel.min_hitting_size(*args, **kwargs)
 
+    def rule(prefix, u, v):
+        # The loop stops consulting at a map, so each map answers one query.
+        nonlocal answered
+        sigma = symmetry(prefix, u, v)
+        answered += sigma is not None
+        return sigma
+
     sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=query,
-                                     completion=witness[0] if witness else None)
-    return size, sol, queries
+                                     completion=witness[0] if witness else None,
+                                     symmetry=rule if symmetry else None)
+    return size, sol, queries, answered
 
 
 def best_time(kernel, args, repeats):
@@ -88,16 +101,17 @@ def compare(compiled, repeats: int) -> int:
 
     width = max(len(name) for name, *_ in instances)
     print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}"
-          f"  {'queries py/c':>12}")
-    for name, masks, nbits in instances:
-        args = (masks, nbits)
+          f"  {'queries py/c':>12}  {'by symmetry':>11}")
+    for name, masks, nbits, symmetry in instances:
+        args = (masks, nbits, symmetry)
         t_py, r_py = best_time(_bb_py, args, repeats)
         t_c, r_c = best_time(compiled, args, repeats)
         if r_py != r_c:
             print(f"{name}: KERNEL MISMATCH {r_py} vs {r_c}", file=sys.stderr)
             return 1
         queries = f"{r_py[2]}/{r_c[2]}"
-        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {queries:>12}")
+        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {queries:>12}"
+              f"  {r_py[3]:>11}")
     return 0
 
 

@@ -49,6 +49,28 @@ nothing pending leaves comp, which still hits every pending mask.  Every
 step therefore takes the same v as the plain loop.  Each completion is
 checked before it is trusted, so a kernel that returns a wrong witness
 raises AssertionError instead of yielding a set that is not the least.
+
+A caller that knows symmetries of the instance may answer more queries
+without asking them (isomorphism pruning, Margot, Math. Prog. 94, 2002).
+It passes `symmetry(prefix, u, v)`, with prefix the mask of the members so
+far and u < v candidates, which returns a map of masks sigma or None.  A
+sigma must be a permutation of the ids that maps cand_mask and the family
+of masks (restricted to cand_mask) onto themselves, fixes every prefix
+member, sends v to u and sends every id above v to an id above u.  Such a
+sigma fixes the prefix, so it maps the sets that complete the prefix onto
+each other.  It gives two implications:
+
+- Completion move.  The scan reaches v below c = min(comp).  If sigma
+  sends c to v, sigma(comp) holds v, lies above v with that one exception,
+  fits the budget and completes the prefix: the query at v would succeed.
+  v is taken without it, and comp becomes sigma(comp) - v.
+- Failure carry.  The query at u failed at this prefix and sigma sends v
+  to u.  Then the query at v fails too: sigma maps v plus a completion
+  above v onto u plus a completion above u.  v is skipped and recorded as
+  failed.  The record starts empty at each prefix, so every u and v the
+  loop passes lie above every prefix member.
+
+Both keep the v of every step, so the result is unchanged.
 """
 
 from __future__ import annotations
@@ -178,7 +200,7 @@ def _checked_completion(comp: int, pending: list[int], cand_mask: int, size: int
 
 
 def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting_size,
-                        completion=None) -> list[int] | None:
+                        completion=None, symmetry=None) -> list[int] | None:
     """Lexicographically least hitting set of size <= budget, from size queries.
 
     Intended to run at budget == optimum (from min_hitting_size), where the
@@ -188,6 +210,9 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     `completion`, when given, is a mask of candidates, at most `budget` of
     them, hitting every mask (a solution the size search found); it spares
     the queries it already answers and never changes the result.
+    `symmetry(prefix, u, v)`, when given, returns a map of masks sigma or
+    None, under the contract of the module docstring; it spares the queries
+    that sigma answers and never changes the result either.
     Masks are checked as there; a completion or a query's witness that is
     not a solution raises AssertionError.
     """
@@ -199,10 +224,12 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     if completion is not None:
         comp = _checked_completion(_word(completion), pending, cand_mask, budget)
     prefix: list[int] = []
+    taken = 0  # the prefix as a mask
     while pending:
         need = budget - len(prefix) - 1
         if need < 0:
             return None
+        failed: list[int] = []  # queries known to fail at this prefix
         for v in _bits_ascending(cand_mask):
             vb = 1 << v
             rest = [m for m in pending if m & vb == 0]
@@ -214,6 +241,14 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
             if vb == comp & -comp:
                 comp ^= vb  # comp - v lies above v and fits: the query succeeds
                 break
+            if symmetry is not None:
+                sigma = symmetry(taken, v, (comp & -comp).bit_length() - 1) if comp else None
+                if sigma is not None:  # the completion move
+                    comp = _checked_completion(sigma(comp) ^ vb, rest, later, need)
+                    break
+                if any(symmetry(taken, u, v) is not None for u in failed):
+                    failed.append(v)  # the failure carry
+                    continue
             # lower and upper go by keyword: tdbench/tracing.py reads them by name.
             witness: list[int] = []
             if min_size(rest, later, lower=need, upper=need + 1, witness=witness) <= need:
@@ -221,9 +256,11 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
                     raise AssertionError("a size query succeeded without a witness")
                 comp = _checked_completion(witness[0], rest, later, need)
                 break
+            failed.append(v)
         else:
             return None
         prefix.append(v)
+        taken |= vb
         pending = rest
         cand_mask = later
     return prefix

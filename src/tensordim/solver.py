@@ -63,9 +63,23 @@ match), so only vertices with value a or b on axis i tell them apart.
 That pair's mask is still pending and has no available resolver, and the
 kernel cuts the node on it already.
 
-The symmetry applies only to the optimum size.  The certificate queries run
-on the full instance, without forcing vertex 0, so the certificate is the
-least one in sorted order either way.
+The certificate queries run on the full instance, without forcing vertex
+0, so the certificate is the least one in sorted order either way.  The
+symmetry answers some of them without asking (`_bb_py` gives the two
+implications, the completion move and the failure carry).  For a prefix P
+and candidates u < v, the loop needs an automorphism sigma that fixes P,
+sends v to u and sends every id above v to an id above u.  `_value_swaps`
+gives one when u_i <= v_i on every axis and no member of P uses u_i or
+v_i on an axis where they differ: the product of the value transpositions
+(u_i v_i) on those axes.  It fixes P, since P avoids every swapped value,
+and sends v to u.  Take x > v and the first axis k where x and v differ,
+so x_k > v_k >= u_k.  On the axes before k, x agrees with v and so
+sigma(x) agrees with u.  On axis k, x_k is neither u_k nor v_k, so sigma
+leaves it, and sigma(x)_k = x_k > u_k: in the mixed-radix codec, sigma(x)
+> u.  A transposition with u_i > v_i on some axis cannot serve: it sends
+the ids that agree with v before axis i and have value u_i there, which
+lie above v, below u.  Each transposition is two shifts of `_value_masks`
+runs, so no step runs per vertex.
 
 A caller that needs only the dimension (`certificate=False`) runs the same
 forcing, seeds and size search and skips the certificate loop.  The size
@@ -76,6 +90,7 @@ size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections.abc import Sequence
@@ -323,6 +338,40 @@ def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int
     return best, best_set
 
 
+def _swap_values(swaps: list[tuple[int, int, int]], mask: int) -> int:
+    """mask under the value transpositions `swaps`: each (low, high, shift)
+    moves the vertices of `low` up by shift ids and those of `high` down."""
+    for low, high, shift in swaps:
+        mask = mask & ~(low | high) | (mask & low) << shift | (mask & high) >> shift
+    return mask
+
+
+def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
+    """The certificate loop's `symmetry` on a product of cliques (see the
+    module docstring): symmetry(prefix, u, v) maps masks by the value
+    transpositions (u_i v_i) on the axes where u and v differ, or is None
+    unless u_i < v_i on each such axis and no vertex of the `prefix` mask
+    uses u_i or v_i there."""
+    axes = []
+    stride = factors.vertex_count
+    for m, masks in zip(factors.sizes, value_masks):
+        stride //= m
+        axes.append((stride, m, masks))
+
+    def symmetry(prefix: int, u: int, v: int):
+        swaps = []
+        for stride, m, masks in axes:
+            a, b = u // stride % m, v // stride % m
+            if a != b:
+                low, high = masks[a], masks[b]
+                if a > b or prefix & (low | high):
+                    return None
+                swaps.append((low, high, (b - a) * stride))
+        return functools.partial(_swap_values, swaps)
+
+    return symmetry
+
+
 def _orbit_depth(factors: CliqueFactors) -> int:
     """Levels of orbit branching in the symmetric size search, by factor
     count and vertex count.  Measured on both kernels: a level pays on the
@@ -354,8 +403,9 @@ def exact_metric_dimension(
     found) raises ValueError.  `factors` asserts that `dist`
     is the product of those cliques with vertex ids in the mixed-radix
     codec (only the vertex count is checked).  With two or more factors,
-    all of size >= 3, it enables the symmetric size search and skips the
-    twin scan; `factors=None` is the plain reference search.  `method` is
+    all of size >= 3, it enables the symmetric size search and the
+    certificate loop's symmetry and skips the twin scan; `factors=None` is
+    the plain reference search.  `method` is
     "auto", the branch and bound, or "enumeration", the plain subset scan
     kept as a reference.  With `certificate=False` only the dimension is
     computed, and the result's certificate is None: the certificate loop is
@@ -413,10 +463,11 @@ def exact_metric_dimension(
         return DimResult(len(forced), tuple(forced) if certificate else None)
     rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
+        value_masks = _value_masks(factors)
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
                                         [{0} for _ in factors.sizes], rest_lower, rest_upper,
-                                        factors, _value_masks(factors), _orbit_depth(factors))
+                                        factors, value_masks, _orbit_depth(factors))
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
@@ -438,9 +489,10 @@ def exact_metric_dimension(
         if proof is None or len(proof) != dim or not is_resolving(dist, proof):
             raise AssertionError("the set behind the exact dimension failed the resolving check")
         return DimResult(dim, None)
+    symmetry = _value_swaps(factors, value_masks) if clique_product else None
     rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
                                       min_size=_default_kernel.min_hitting_size,
-                                      completion=found)
+                                      completion=found, symmetry=symmetry)
     if rest is None or len(rest) != k_rest:
         raise AssertionError("certificate search disagrees with the size search")
     cert = tuple(sorted(forced + rest))

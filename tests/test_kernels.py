@@ -213,6 +213,14 @@ def test_a_wrong_witness_raises():
         _bb_py.lex_min_hitting_set([0b011, 0b110], 0b111, 2, min_size=lying)
 
 
+def test_a_completion_move_off_the_contract_raises(kernel):
+    # The identity does not send 1, the completion's least member, to 0, so
+    # the moved completion holds 0 and fails the check.
+    with pytest.raises(AssertionError):
+        _bb_py.lex_min_hitting_set([0b011, 0b110], 0b111, 1, min_size=kernel.min_hitting_size,
+                                   completion=0b010, symmetry=lambda prefix, u, v: lambda m: m)
+
+
 def test_restricted_candidate_mask_respected(kernel):
     # forbid bit 0 everywhere; solutions must avoid it
     rng = random.Random(14)

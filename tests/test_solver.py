@@ -241,6 +241,107 @@ def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monk
             assert exact_metric_dimension(dist, factors=f) == result, (sizes, depth)
 
 
+def test_symmetric_search_on_the_slower_three_factor_products(compiled_kernel, monkeypatch):
+    # The certificates of the plain route (factors=None), found once and
+    # pinned here, since that route takes seconds on these products.
+    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
+    want = {(3, 4, 5): DimResult(9, (0, 6, 12, 18, 20, 27, 33, 36, 44)),
+            (3, 3, 6): DimResult(11, (0, 1, 2, 6, 9, 10, 17, 19, 27, 38, 46))}
+    for sizes, result in want.items():
+        f = CliqueFactors(sizes)
+        assert exact_metric_dimension(tensor_clique_distances(f), factors=f) == result, sizes
+
+
+PRODUCTS_TO_FORTY = [(m, n) for m in range(3, 14) for n in range(m, 14) if m * n <= 40] + [
+    (3, 3, 3), (3, 3, 4)]
+
+
+def test_value_swaps_are_the_automorphisms_the_certificate_loop_needs():
+    # Every prefix of size 0-2 below u, as in the loop, and every u < v.
+    # The map exists exactly when u_i <= v_i on every axis and no prefix
+    # member uses u_i or v_i on an axis where u and v differ; it is then a
+    # distance-preserving permutation that fixes the prefix, sends v to u
+    # and sends every id above v to an id above u.
+    for sizes in [(3, 3), (3, 4), (4, 5), (3, 3, 3), (3, 3, 4)]:
+        f = CliqueFactors(sizes)
+        n = f.vertex_count
+        d = tensor_clique_distances(f).values
+        coords = f.coordinates()
+        on_axis = [[sum(1 << int(x) for x in np.flatnonzero(coords[:, i] == a)) for a in range(m)]
+                   for i, m in enumerate(sizes)]
+        symmetry = solver._value_swaps(f, solver._value_masks(f))
+        preserves = {}
+        for u, v in itertools.combinations(range(n), 2):
+            ordered = bool((coords[u] <= coords[v]).all())
+            swapped = 0
+            for i in np.flatnonzero(coords[u] != coords[v]):
+                swapped |= on_axis[i][coords[u][i]] | on_axis[i][coords[v][i]]
+            for k in range(3):
+                for members in itertools.combinations(range(u), k):
+                    prefix = sum(1 << p for p in members)
+                    sigma = symmetry(prefix, u, v)
+                    assert (sigma is not None) == (ordered and not prefix & swapped), (
+                        sizes, members, u, v)
+                    if sigma is None:
+                        continue
+                    images = [sigma(1 << x) for x in range(n)]
+                    assert all(image.bit_count() == 1 for image in images)
+                    perm = tuple(image.bit_length() - 1 for image in images)
+                    assert sorted(perm) == list(range(n))
+                    if perm not in preserves:
+                        preserves[perm] = bool((d[np.ix_(perm, perm)] == d).all())
+                    assert preserves[perm], (sizes, u, v)
+                    assert all(perm[p] == p for p in members)
+                    assert perm[v] == u
+                    assert min(perm[v + 1:], default=n) > u
+
+
+def test_value_swaps_keep_the_certificates(monkeypatch):
+    # Pure kernel, every product of cliques with all factors >= 3 and at
+    # most 40 vertices: the solver's certificate equals that of the plain
+    # certificate loop, with neither a seed nor the symmetry.  Products up
+    # to 30 vertices are also compared with factors=None above.
+    monkeypatch.setattr(solver, "_default_kernel", solver._bb_py)
+    for sizes in PRODUCTS_TO_FORTY:
+        f = CliqueFactors(sizes)
+        dist = tensor_clique_distances(f)
+        got = exact_metric_dimension(dist, factors=f)
+        plain = solver._bb_py.lex_min_hitting_set(build_pair_table(dist).masks.tolist(),
+                                                  (1 << f.vertex_count) - 1, got.dim)
+        assert got.certificate == tuple(plain), sizes
+
+
+def test_value_swaps_answer_certificate_queries(monkeypatch):
+    # Without the symmetry 3x3x4 asks 25 queries and 4x7 asks 15; with the
+    # failure carry alone 21 and 9, with the completion move alone 24 and 14.
+    # The loop consults the symmetry only where the test above checks it:
+    # u < v, both above every member of the current prefix.
+    monkeypatch.setattr(solver, "_default_kernel", solver._bb_py)
+    real = solver._bb_py.lex_min_hitting_set
+    queries = []
+    consulted = []
+
+    def counted(*args, min_size, symmetry, **kwargs):
+        def query(*q_args, **q_kwargs):
+            queries.append(1)
+            return min_size(*q_args, **q_kwargs)
+
+        def rule(prefix, u, v):
+            consulted.append((prefix, u, v))
+            return symmetry(prefix, u, v)
+
+        return real(*args, min_size=query, symmetry=symmetry and rule, **kwargs)
+
+    monkeypatch.setattr(solver._bb_py, "lex_min_hitting_set", counted)
+    for sizes, most in [((3, 3, 4), 20), ((4, 7), 8)]:
+        f = CliqueFactors(sizes)
+        queries.clear()
+        consulted.clear()
+        exact_metric_dimension(tensor_clique_distances(f), factors=f)
+        assert len(queries) <= most, sizes
+        assert consulted and all(prefix >> u == 0 and u < v for prefix, u, v in consulted), sizes
+
+
 def test_stabilizer_orbits_partition_the_candidates():
     # Orbits of the stabilizer of {0, v}, checked against a plain
     # coordinate comparison, largest first and then by least id.
@@ -308,7 +409,6 @@ def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatc
     assert checked == [list(hint), list(hint)]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("sizes", [(7, 8), (7, 9), (8, 8)], ids=["7x8", "7x9", "8x8"])
 def test_exact_matches_formula_up_to_sixty_four_vertices(sizes, compiled_kernel, monkeypatch):
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
