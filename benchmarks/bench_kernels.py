@@ -1,15 +1,18 @@
 """Benchmark the compiled search kernel against the pure-Python reference.
 
-Runs the same minimum-hitting-set searches through both implementations
-(the size search, then the certificate loop `_bb_py.lex_min_hitting_set`
-driven by that kernel's size search and seeded with the solution the size
-search found) and prints wall times, the speedup, the number of size
-queries the certificate loop made on each kernel and the number it
-answered by symmetry instead.  On the products of cliques the loop gets
-the solver's symmetry, `solver._value_swaps`; the size search stays the
-plain one on every instance.  When no built
-`tensordim._bb` is importable, the kernel is compiled into a temporary
-directory with the test suite's recipe (setup.py).  Usage:
+Runs the same searches on both kernels and prints wall times, the
+speedup, the number of kernel calls on each kernel and the number of
+certificate queries answered by symmetry instead.  A product of cliques
+runs the solver's route, as `dim --tensor ... --exact` does:
+`cli._exact_product` (orbital branching in the size search, then the
+certificate loop with the solver's symmetry `solver._value_swaps`), with
+`solver._default_kernel` set to the kernel under test; the distance table
+is built once, outside the timing.  A random instance runs the plain size
+search, then the certificate loop `_bb_py.lex_min_hitting_set` driven by
+that kernel and seeded with the solution the size search found.  Times
+are best of `--repeats`; the counts come from one further, untimed run.
+When no built `tensordim._bb` is importable, the kernel is compiled into
+a temporary directory with the test suite's recipe (setup.py).  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -22,10 +25,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
-from tensordim import _bb_py
+from tensordim import _bb_py, cli, solver
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
-from tensordim.solver import _value_masks, _value_swaps, build_pair_table
 
 try:
     from tensordim import _bb
@@ -34,13 +37,24 @@ except ImportError:
 
 
 def product_instance(sizes):
-    f = CliqueFactors(sizes)
-    table = build_pair_table(tensor_clique_distances(f))
-    return (f"product {'x'.join(map(str, sizes))}", [int(m) for m in table.masks],
-            f.vertex_count, _value_swaps(f, _value_masks(f)))
+    """The solver's route on K_{m_1} x ... x K_{m_t}: a callable taking a
+    kernel and the wrapper `solver._value_swaps` to use."""
+    factors = CliqueFactors(sizes)
+    dist = tensor_clique_distances(factors)
+
+    def run(kernel, swaps=solver._value_swaps):
+        saved = solver._default_kernel, solver._value_swaps
+        solver._default_kernel, solver._value_swaps = kernel, swaps
+        try:
+            return cli._exact_product(factors, dist)
+        finally:
+            solver._default_kernel, solver._value_swaps = saved
+
+    return f"product {'x'.join(map(str, sizes))}", run
 
 
 def random_instance(seed, nbits, nmasks):
+    """The plain size search and certificate loop on random masks."""
     rng = random.Random(seed)
     masks = []
     for _ in range(nmasks):
@@ -49,43 +63,51 @@ def random_instance(seed, nbits, nmasks):
             if rng.random() < 0.25:
                 m |= 1 << b
         masks.append(m or 1 << rng.randrange(nbits))
-    return f"random {nbits}b/{nmasks}m seed {seed}", masks, nbits, None
-
-
-def run_search(kernel, masks, nbits, symmetry):
-    """(size, certificate, certificate queries asked, queries answered by
-    symmetry)."""
     cand = (1 << nbits) - 1
-    witness = []
-    size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
-    queries = answered = 0
 
-    def query(*args, **kwargs):
-        nonlocal queries
-        queries += 1
+    def run(kernel, swaps=None):
+        witness = []
+        size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
+        sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
+                                         completion=witness[0] if witness else None)
+        return size, sol
+
+    return f"random {nbits}b/{nmasks}m seed {seed}", run
+
+
+def counted(run, kernel):
+    """(result, kernel calls, certificate queries answered by symmetry)."""
+    calls = answered = 0
+    value_swaps_of = solver._value_swaps
+
+    def min_hitting_size(*args, **kwargs):
+        nonlocal calls
+        calls += 1
         return kernel.min_hitting_size(*args, **kwargs)
 
-    def rule(prefix, u, v):
-        # The loop stops consulting at a map, so each map answers one query.
-        nonlocal answered
-        sigma = symmetry(prefix, u, v)
-        answered += sigma is not None
-        return sigma
+    def value_swaps(*args):
+        symmetry = value_swaps_of(*args)
 
-    sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=query,
-                                     completion=witness[0] if witness else None,
-                                     symmetry=rule if symmetry else None)
-    return size, sol, queries, answered
+        def rule(prefix, u, v):
+            # The loop stops consulting at a map, so each map answers one query.
+            nonlocal answered
+            sigma = symmetry(prefix, u, v)
+            answered += sigma is not None
+            return sigma
+
+        return rule
+
+    result = run(SimpleNamespace(min_hitting_size=min_hitting_size), value_swaps)
+    return result, calls, answered
 
 
-def best_time(kernel, args, repeats):
+def best_time(run, kernel, repeats):
     best = float("inf")
-    result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = run_search(kernel, *args)
+        run(kernel)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def compare(compiled, repeats: int) -> int:
@@ -94,24 +116,27 @@ def compare(compiled, repeats: int) -> int:
         product_instance((5, 5)),
         product_instance((6, 6)),
         product_instance((3, 3, 4)),
+        product_instance((8, 8)),
+        product_instance((4, 4, 4)),
+        product_instance((3, 4, 5)),
         random_instance(1, 20, 60),
         random_instance(2, 24, 80),
         random_instance(3, 28, 100),
     ]
 
-    width = max(len(name) for name, *_ in instances)
+    width = max(len(name) for name, _ in instances)
     print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}"
-          f"  {'queries py/c':>12}  {'by symmetry':>11}")
-    for name, masks, nbits, symmetry in instances:
-        args = (masks, nbits, symmetry)
-        t_py, r_py = best_time(_bb_py, args, repeats)
-        t_c, r_c = best_time(compiled, args, repeats)
+          f"  {'calls py/c':>10}  {'by symmetry':>11}")
+    for name, run in instances:
+        t_py = best_time(run, _bb_py, repeats)
+        t_c = best_time(run, compiled, repeats)
+        r_py, r_c = counted(run, _bb_py), counted(run, compiled)
         if r_py != r_c:
             print(f"{name}: KERNEL MISMATCH {r_py} vs {r_c}", file=sys.stderr)
             return 1
-        queries = f"{r_py[2]}/{r_c[2]}"
-        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {queries:>12}"
-              f"  {r_py[3]:>11}")
+        calls = f"{r_py[1]}/{r_c[1]}"
+        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {calls:>10}"
+              f"  {r_py[2]:>11}", flush=True)
     return 0
 
 

@@ -6,11 +6,11 @@
  * it exists, stopping early once lower is met.  When witness is a list and
  * the result is below upper, one solution of that size is appended to it
  * as an int mask.  It mirrors `_bb_py.min_hitting_size` rule for rule: same
- * contract, same branching order, same forced picks, packing bound and
- * last-pick rule, same results and witnesses, and the same OverflowError
- * for a mask outside 64 bits.  See that module for the algorithm
- * description and the argument for each rule, and for the certificate loop
- * built on this entry point.
+ * contract, same branching order, same forced picks, packing bound, last-pick
+ * and two-pick rules, same results and witnesses, and the same
+ * OverflowError for a mask outside 64 bits.  See that module for the
+ * algorithm description and the argument for each rule, and for the
+ * certificate loop built on this entry point.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace.
@@ -144,7 +144,7 @@ typedef struct {
 static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
                      uint64_t *pending, Py_ssize_t np, int depth)
 {
-    uint64_t branch_mask, common;
+    uint64_t branch_mask;
     for (;;) {
         if (s->best <= s->lower)
             return;
@@ -157,15 +157,24 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
         }
         if (count + 1 >= s->best)
             return;
+        if (count + 2 >= s->best) {
+            /* last pick: only a vertex in every pending mask improves */
+            for (Py_ssize_t i = 0; i < np; i++) {
+                avail &= pending[i];
+                if (avail == 0)
+                    return;
+            }
+            s->best = count + 1;
+            s->best_set = chosen | (avail & -avail);
+            return;
+        }
         uint64_t forced = 0;
-        common = avail;
         branch_mask = 0;
         int branch_count = 1 << 30;
         for (Py_ssize_t i = 0; i < np; i++) {
             uint64_t r = pending[i] & avail;
             if (r == 0)
                 return;
-            common &= r;
             int c = popcount(r);
             if (c == 1)
                 forced |= r;
@@ -183,17 +192,39 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
         avail &= ~forced;
         np = drop_hit(pending, np, forced, pending);
     }
-    if (count + 2 >= s->best) {
-        /* last pick: only a vertex hitting every pending mask improves */
-        if (common) {
-            s->best = count + 1;
-            s->best_set = chosen | (common & -common);
+    uint64_t excluded = 0;
+    if (count + 3 >= s->best) {
+        /* two picks left: each child w is a last-pick node, settled here */
+        for (uint64_t r = branch_mask; r; r &= r - 1) {
+            uint64_t wb = r & -r;
+            /* once best is count + 2, only a w in every mask improves */
+            uint64_t common = count + 2 < s->best ? avail & ~excluded & ~wb : 0;
+            int missed = 0;
+            for (Py_ssize_t i = 0; i < np; i++) {
+                if ((pending[i] & wb) == 0) {
+                    missed = 1;
+                    common &= pending[i];
+                    if (common == 0)
+                        break;
+                }
+            }
+            if (!missed) {
+                s->best = count + 1;
+                s->best_set = chosen | wb;
+                return;
+            }
+            if (common) {
+                s->best = count + 2;
+                s->best_set = chosen | wb | (common & -common);
+                if (s->best <= s->lower)
+                    return;
+            }
+            excluded |= wb;
         }
         return;
     }
     if (count + packing_bound(&s->ws, pending, np, avail) >= s->best)
         return;
-    uint64_t excluded = 0;
     uint64_t *child = s->ws.rows + (Py_ssize_t)(depth + 1) * s->ws.cap;
     for (uint64_t r = branch_mask; r; r &= r - 1) {
         uint64_t wb = r & -r;

@@ -9,25 +9,39 @@ pending mask with the fewest resolvers (candidates in ascending id, with
 sibling exclusion so no subset is explored twice), propagate forced
 single-resolver picks, and bound with a greedy disjoint-mask packing.
 
-The last pick is settled without branching.  When propagation leaves a
-node with count picks and best <= count + 2, a child (count + 1 picks)
-improves best only if its one vertex hits every pending mask; a child with
-a mask left is cut at once.  Those vertices are `common`, the AND of the
-pending masks restricted to the available candidates, which the
-propagation pass builds along with the branching mask.  `common` lies
-inside the branching mask, so sibling exclusion drops none of them before
-it is tried, and the first one tried sets best = count + 1.  The node
-therefore sets best = count + 1 when common != 0 and returns either way:
-the same value, with the same stop at `lower`, that branching would reach.
-Two disjoint masks make common zero, so the packing bound adds nothing at
-this depth.
+Near the leaves, nodes are settled without branching, by two rules.
+
+- Last pick.  A node with count picks and best <= count + 2 improves best
+  only through a child with count + 1 picks, that is, a vertex hitting
+  every pending mask.  The node ANDs its pending masks into its available
+  candidates and returns as soon as the AND is zero; otherwise it sets
+  best = count + 1 with the least vertex of the AND.  The AND lies inside
+  every restricted mask, the branching mask among them, so branching would
+  reach that vertex first, with no earlier sibling excluding it.  The rule
+  runs before each propagation pass.  Forced picks could only confirm the
+  node's one vertex: a single forced vertex is the only candidate the AND
+  can hold, and two of them leave it empty.
+- Two picks left.  After propagation, a node with best = count + 3 settles
+  its children in place.  It takes each w of the branching mask in
+  ascending order, with the earlier siblings excluded as in branching.
+  Each child is a last-pick node (or has nothing pending).  A w that
+  misses no mask gives best = count + 1, and no later child can improve
+  on it.  Otherwise the child ANDs the masks that miss w into its own
+  candidates, and a nonzero AND gives best = count + 2 with its least
+  vertex; from then on only a w missing no mask improves, so the AND
+  starts from zero.  The `lower` stop is checked after each child, as in
+  branching.  The node therefore returns the value, witness and `lower`
+  stop that branching would, without building the children's pending
+  lists.  The pass runs before the packing bound: at best = count + 3 the
+  bound cuts only a node with three disjoint masks, where no two vertices
+  hit every mask and the pass rejects every child anyway.
 
 The search carries `chosen`, the picks on the path to a node: forced picks
 and the branch bit are added as they are made.  Each time best falls, the
-node records chosen (a node with nothing pending) or chosen plus the least
-vertex of common (the last-pick rule, the vertex branching would take
-first), so a caller's `witness` list receives a solution of the returned
-size.
+node records chosen (a node with nothing pending), chosen plus the least
+vertex of the last pick's AND, or chosen plus w and the least vertex of
+w's AND (the two-pick pass): the vertices branching would take first.  So
+a caller's `witness` list receives a solution of the returned size.
 
 `lex_min_hitting_set`, written once for both kernels, builds a solution
 within a budget from size queries to a kernel's `min_hitting_size`: it
@@ -145,15 +159,22 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
                 return
             if count + 1 >= best:
                 return
+            if count + 2 >= best:
+                # Last pick: only a vertex in every pending mask improves.
+                for m in pending:
+                    avail &= m
+                    if not avail:
+                        return
+                best = count + 1
+                best_set = chosen | (avail & -avail)
+                return
             forced = 0
-            common = avail
             branch_mask = 0
             branch_count = 1 << 30
             for m in pending:
                 r = m & avail
                 if r == 0:
                     return
-                common &= r
                 c = r.bit_count()
                 if c == 1:
                     forced |= r
@@ -168,15 +189,33 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
             chosen |= forced
             avail &= ~forced
             pending = [m for m in pending if m & forced == 0]
-        if count + 2 >= best:
-            # Last pick: only a vertex hitting every pending mask improves.
-            if common:
-                best = count + 1
-                best_set = chosen | (common & -common)
+        excluded = 0
+        if count + 3 >= best:
+            # Two picks left: each child w is a last-pick node, settled here.
+            for w in _bits_ascending(branch_mask):
+                wb = 1 << w
+                # Once best is count + 2, only a w in every mask improves.
+                common = avail & ~excluded & ~wb if count + 2 < best else 0
+                missed = False
+                for m in pending:
+                    if m & wb == 0:
+                        missed = True
+                        common &= m
+                        if not common:
+                            break
+                if not missed:
+                    best = count + 1
+                    best_set = chosen | wb
+                    return
+                if common:
+                    best = count + 2
+                    best_set = chosen | wb | (common & -common)
+                    if best <= lower:
+                        return
+                excluded |= wb
             return
         if count + _packing_bound(pending, avail) >= best:
             return
-        excluded = 0
         for w in _bits_ascending(branch_mask):
             wb = 1 << w
             dfs(count + 1, chosen | wb, avail & ~excluded & ~wb,

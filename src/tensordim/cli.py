@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .constructions import (
+    _two_factor_hint,
     _two_factor_set,
     dim_formula,
     formula_case,
@@ -75,7 +76,7 @@ def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None, *
                    certificate: bool = True) -> DimResult:
     """Exact dimension of a product of cliques, searched between the hints
     its bounds give: max(m_i) - 1 below when every factor is >= 3, and the
-    certified construction above for two factors other than 2 x 2.  With
+    construction above for two factors other than 2 x 2.  With
     `certificate=False` only the dimension is computed."""
     if dist is None:
         _check_exact_size(factors)
@@ -85,7 +86,8 @@ def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None, *
         lower_hint = lower_bound_largest_factor(factors)
     upper_hint = None
     if factors.t == 2 and factors.sizes != (2, 2):
-        upper_hint = _two_factor_set(*factors.sizes)
+        # The solver checks the hint, so the construction's own check is skipped.
+        upper_hint = _two_factor_hint(*factors.sizes)
     return exact_metric_dimension(dist, lower_hint=lower_hint, upper_hint=upper_hint,
                                   factors=factors, certificate=certificate)
 

@@ -13,6 +13,8 @@ closed form, and every value is witnessed by an explicit set:
 
 Every constructor machine-checks its output before returning it and raises
 ConstructionFailed otherwise; a failure is a bug, never silently repaired.
+The one unchecked builder, `_two_factor_hint`, feeds the exact solver,
+which checks its `upper_hint` itself.
 Coordinates below are 0-based; sets are returned as flat vertex ids in
 block order.
 """
@@ -84,14 +86,28 @@ def _certified(wset: list[int], factors: CliqueFactors) -> list[int]:
     return wset
 
 
+def _m2_set(factors: CliqueFactors) -> list[int]:
+    n = factors.sizes[1]
+    if n < 3:
+        raise ValueError(f"needs n >= 3, got {n}")
+    return [factors.flat_index((0, j)) for j in range(n - 1)]
+
+
 def construct_m2(n: int) -> list[int]:
     """Resolving set of size n - 1 for K_2 x K_n, n >= 3: the vertices
     (0, j) for j < n - 1."""
-    if n < 3:
-        raise ValueError(f"needs n >= 3, got {n}")
     factors = CliqueFactors((2, n))
-    wset = [factors.flat_index((0, j)) for j in range(n - 1)]
-    return _certified(wset, factors)
+    return _certified(_m2_set(factors), factors)
+
+
+def _large_n_set(factors: CliqueFactors) -> list[int]:
+    m, n = factors.sizes
+    if m < 3 or n < 2 * m - 1:
+        raise ValueError(f"needs m >= 3 and n >= 2m - 1, got ({m}, {n})")
+    coords = [(i, i) for i in range(m - 1)]
+    coords += [(i, m - 1 + i) for i in range(m - 1)]
+    coords += [(0, j) for j in range(2 * (m - 1), n - 1)]
+    return [factors.flat_index(c) for c in coords]
 
 
 def construct_large_n(m: int, n: int) -> list[int]:
@@ -101,13 +117,23 @@ def construct_large_n(m: int, n: int) -> list[int]:
     (i, m - 1 + i) for i < m - 1, and the first-row tail (0, j) for
     2(m - 1) <= j < n - 1.
     """
-    if m < 3 or n < 2 * m - 1:
-        raise ValueError(f"needs m >= 3 and n >= 2m - 1, got ({m}, {n})")
     factors = CliqueFactors((m, n))
-    coords = [(i, i) for i in range(m - 1)]
-    coords += [(i, m - 1 + i) for i in range(m - 1)]
-    coords += [(0, j) for j in range(2 * (m - 1), n - 1)]
-    return _certified([factors.flat_index(c) for c in coords], factors)
+    return _certified(_large_n_set(factors), factors)
+
+
+def _balanced_set(factors: CliqueFactors) -> list[int]:
+    m, n = factors.sizes
+    if not (3 <= m <= n <= 2 * m - 2):
+        raise ValueError(f"needs 3 <= m <= n <= 2m - 2, got ({m}, {n})")
+    k = (m + n - 2) // 3
+
+    def wrap(j: int) -> int:
+        return (j - 1) % k + 1
+
+    ones = [(i, i) for i in range(1, k + 1)]
+    ones += [(k + i, wrap(i)) for i in range(1, m - k)]
+    ones += [(wrap(m - k - 1 + i), k + i) for i in range(1, n - k)]
+    return [factors.flat_index((a - 1, b - 1)) for a, b in ones]
 
 
 def construct_balanced(m: int, n: int) -> list[int]:
@@ -120,34 +146,31 @@ def construct_balanced(m: int, n: int) -> list[int]:
     where wrap folds an index into 1..k.  The three index ranges are
     disjoint by coordinate, so the size is exact.
     """
-    if not (3 <= m <= n <= 2 * m - 2):
-        raise ValueError(f"needs 3 <= m <= n <= 2m - 2, got ({m}, {n})")
-    k = (m + n - 2) // 3
-
-    def wrap(j: int) -> int:
-        return (j - 1) % k + 1
-
-    ones = [(i, i) for i in range(1, k + 1)]
-    ones += [(k + i, wrap(i)) for i in range(1, m - k)]
-    ones += [(wrap(m - k - 1 + i), k + i) for i in range(1, n - k)]
     factors = CliqueFactors((m, n))
-    wset = [factors.flat_index((a - 1, b - 1)) for a, b in ones]
-    return _certified(wset, factors)
+    return _certified(_balanced_set(factors), factors)
 
 
-def construct_resolving(m: int, n: int) -> list[int]:
-    """Certified minimum resolving set of K_m x K_n for 2 <= m <= n,
-    matching dim_formula in size."""
-    if not 2 <= m <= n:
+def _resolving_set(factors: CliqueFactors) -> list[int]:
+    """construct_resolving's set for factors (m, n), before its resolving
+    check."""
+    m, n = factors.sizes
+    if not m <= n:
         raise ValueError(f"needs 2 <= m <= n, got ({m}, {n})")
     case = formula_case(m, n)
     if case.kind == "disconnected":
         raise ValueError("K_2 x K_2 is disconnected; no resolving set exists")
     if case.kind == "m2":
-        return construct_m2(n)
+        return _m2_set(factors)
     if case.kind == "large_n":
-        return construct_large_n(m, n)
-    return construct_balanced(m, n)
+        return _large_n_set(factors)
+    return _balanced_set(factors)
+
+
+def construct_resolving(m: int, n: int) -> list[int]:
+    """Certified minimum resolving set of K_m x K_n for 2 <= m <= n,
+    matching dim_formula in size."""
+    factors = CliqueFactors((m, n))
+    return _certified(_resolving_set(factors), factors)
 
 
 def lower_bound_largest_factor(factors: CliqueFactors) -> int:
@@ -159,17 +182,28 @@ def lower_bound_largest_factor(factors: CliqueFactors) -> int:
     return max(factors.sizes) - 1
 
 
-def _two_factor_set(a: int, b: int) -> list[int]:
-    """construct_resolving oriented for arbitrary order of the two sizes."""
+def _oriented(wset: list[int], a: int, b: int) -> list[int]:
+    """A set built for K_min(a,b) x K_max(a,b), as ids of K_a x K_b."""
     if a <= b:
-        return construct_resolving(a, b)
+        return wset
     swapped = CliqueFactors((b, a))
     target = CliqueFactors((a, b))
     out = []
-    for v in construct_resolving(b, a):
+    for v in wset:
         x, y = swapped.coords_of(v)
         out.append(target.flat_index((y, x)))
     return out
+
+
+def _two_factor_set(a: int, b: int) -> list[int]:
+    """construct_resolving oriented for arbitrary order of the two sizes."""
+    return _oriented(construct_resolving(min(a, b), max(a, b)), a, b)
+
+
+def _two_factor_hint(a: int, b: int) -> list[int]:
+    """_two_factor_set without its resolving check, for a caller that
+    checks the set itself (the exact solver checks its `upper_hint`)."""
+    return _oriented(_resolving_set(CliqueFactors((min(a, b), max(a, b)))), a, b)
 
 
 def lower_bound_subproduct(factors: CliqueFactors) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
-from tensordim import _bb_py, cli, constructions, graphs, metric
+from tensordim import _bb_py, cli, constructions, graphs, metric, solver
 from tensordim.cli import main
 
 
@@ -161,6 +161,24 @@ def test_bounds_and_table_build_no_certificate(monkeypatch, capsys):
     assert code == 0 and out.count(",true\n") == 25
     with pytest.raises(AssertionError, match="certificate loop"):
         main(["dim", "--tensor", "3,4", "--exact"])
+
+
+def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
+    # Two sets, two checks: the construction, as the solver's upper hint,
+    # and the certificate.
+    checked = []
+    original = metric.is_resolving
+
+    def counting(space, wset):
+        checked.append(tuple(wset))
+        return original(space, wset)
+
+    for module in (metric, constructions, solver, cli):
+        if getattr(module, "is_resolving", None) is original:
+            monkeypatch.setattr(module, "is_resolving", counting)
+    report = run_json(capsys, "dim", "--tensor", "4,7", "--exact")
+    assert report["dim"] == 6
+    assert len(checked) == 2 and len(set(checked)) == 2
 
 
 def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeypatch, capsys):

@@ -117,6 +117,26 @@ def test_last_pick_is_settled_without_branching(monkeypatch):
     assert _bb_py.min_hitting_size([0b0001, 0b0110, 0b1100], 0b1111, 0, 3) == 2
 
 
+def test_two_picks_are_settled_without_bounding(monkeypatch):
+    # Two picks under the incumbent, the pure kernel settles each child in
+    # place; it neither bounds nor recurses.  The witnesses are those that
+    # branching reaches: the first child that two vertices complete, with
+    # the least such second vertex, or the first vertex in every mask.
+    def fail(*args):
+        raise AssertionError("the search bounded a node with two picks left")
+
+    monkeypatch.setattr(_bb_py, "_packing_bound", fail)
+    for masks, want, found in [
+        ([0b0011, 0b1100], 2, [0b0101]),
+        ([0b0011, 0b0110], 1, [0b0010]),
+        ([0b000011, 0b001100, 0b110000], 3, []),
+        ([0b0011, 0b0101, 0b1110], 2, [0b0011]),
+    ]:
+        witness = []
+        assert _bb_py.min_hitting_size(masks, (1 << 6) - 1, 0, 3, witness=witness) == want
+        assert witness == found
+
+
 @pytest.mark.parametrize("masks, cand", [
     ([3, 5], -1), ([3, 5], 1 << 64), ([3, 1 << 70], 7), ([3, -1], 7), ([1 << 64], 7),
 ], ids=["cand-negative", "cand-2^64", "mask-bit-70", "mask-negative", "mask-2^64"])
@@ -260,3 +280,10 @@ def test_both_kernels_agree_on_random_instances(compiled_kernel):
         b = compiled_kernel.min_hitting_size(masks, cand, 0, upper, witness=found_b)
         assert (a, found_a) == (b, found_b)
         assert lex(_bb_py, masks, cand, a) == lex(compiled_kernel, masks, cand, a)
+        # One to three picks under the incumbent at the root, where the
+        # last-pick and two-pick rules choose the witness.
+        for upper in (a + 1, a + 2, a + 3):
+            found_a, found_b = [], []
+            a_at = _bb_py.min_hitting_size(masks, cand, 0, upper, witness=found_a)
+            b_at = compiled_kernel.min_hitting_size(masks, cand, 0, upper, witness=found_b)
+            assert (a_at, found_a) == (b_at, found_b)
