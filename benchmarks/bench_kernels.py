@@ -119,6 +119,8 @@ def compare(compiled, repeats: int) -> int:
         product_instance((8, 8)),
         product_instance((4, 4, 4)),
         product_instance((3, 4, 5)),
+        product_instance((2, 28)),
+        product_instance((2, 4, 6)),
         random_instance(1, 20, 60),
         random_instance(2, 24, 80),
         random_instance(3, 28, 100),

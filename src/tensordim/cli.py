@@ -75,17 +75,17 @@ def _check_exact_size(space: Graph | CliqueFactors) -> None:
 def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None, *,
                    certificate: bool = True) -> DimResult:
     """Exact dimension of a product of cliques, searched between the hints
-    its bounds give: max(m_i) - 1 below when every factor is >= 3, and the
-    construction above for two factors other than 2 x 2.  With
-    `certificate=False` only the dimension is computed."""
+    its bounds give on a connected product: max(m_i) - 1 below, and for two
+    factors the construction above.  With `certificate=False` only the
+    dimension is computed."""
     if dist is None:
         _check_exact_size(factors)
         dist = tensor_clique_distances(factors)
     lower_hint = 0
-    if all(s >= 3 for s in factors.sizes):
+    if factors.connected:
         lower_hint = lower_bound_largest_factor(factors)
     upper_hint = None
-    if factors.t == 2 and factors.sizes != (2, 2):
+    if factors.t == 2 and factors.connected:
         # The solver checks the hint, so the construction's own check is skipped.
         upper_hint = _two_factor_hint(*factors.sizes)
     return exact_metric_dimension(dist, lower_hint=lower_hint, upper_hint=upper_hint,
@@ -253,12 +253,12 @@ def _cmd_bounds(args) -> int:
     all_big = all(s >= 3 for s in factors.sizes)
     report: dict = {"factors": list(factors.sizes), "vertices": factors.vertex_count}
     bounds: dict = {}
-    if all_big:
+    if factors.connected:
         bounds["largest_factor_lower"] = {
             "applicable": True, "value": lower_bound_largest_factor(factors)}
     else:
         bounds["largest_factor_lower"] = {
-            "applicable": False, "reason": "needs every factor of size >= 3"}
+            "applicable": False, "reason": "needs a connected product"}
     if all_big and factors.t >= 3:
         bounds["subproduct_lower"] = {
             "applicable": True, "value": lower_bound_subproduct(factors)}

@@ -174,11 +174,11 @@ def construct_resolving(m: int, n: int) -> list[int]:
 
 
 def lower_bound_largest_factor(factors: CliqueFactors) -> int:
-    """max(m_i) - 1: a resolving set misses at most one value per factor,
-    so its projection alone forces this many members.  Needs all
-    factors >= 3."""
-    if any(s < 3 for s in factors.sizes):
-        raise ValueError("bound requires every factor of size >= 3")
+    """max(m_i) - 1: distance depends only on which coordinates match, so a
+    resolving set misses at most one value per factor, and its projection
+    alone forces this many members.  Needs a connected product."""
+    if not factors.connected:
+        raise ValueError("bound requires a connected product")
     return max(factors.sizes) - 1
 
 

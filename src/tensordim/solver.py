@@ -16,18 +16,20 @@ docstring gives the argument), so the certificate is unchanged.  Every
 instance handed to the kernel (the root, each symmetric branch, each
 certificate query) has its masks restricted to that instance's candidates
 and de-duplicated, first occurrence kept, by the caller, so both kernels
-see the same input and branch the same way.  Plain subset enumeration
-stays as a reference method: it visits k-subsets in lexicographic order
-and therefore returns the same certificate.
+see the same input and branch the same way.  Plain subset enumeration,
+`exhaustive_metric_dimension`, stays as the reference: it visits k-subsets
+in lexicographic order and therefore returns the same certificate.
 
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
 smallest ids are forced into the solution before the search starts.
 
-Products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 and every m_i >= 3
-take a different route.  They have no twins: if u and v differ on axis a,
-a vertex z with z_a = u_a and, on every other axis, a value that is neither
-u's nor v's has d(u, z) = 2 and d(v, z) = 1.  Their automorphisms include
+Connected products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 (at most
+one m_i is 2) take a different route.  They have no twins.  Take u != v
+and an axis a where they differ, the size-2 axis if they differ there.
+Every other axis has a value that is neither u's nor v's (on the size-2
+axis they agree), so a vertex z with z_a = u_a and those values elsewhere
+has d(v, z) = 1 and d(u, z) in {2, 3}.  Their automorphisms include
 S_{m_1} x ... x S_{m_t} acting on the coordinates, which is transitive on
 the vertices, so the size search breaks symmetry by orbital branching
 (Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011):
@@ -140,8 +142,11 @@ class PairResolutionTable:
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
     masks: np.ndarray
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(itertools.combinations(range(self.n), 2))
 
     def resolvers(self, k: int) -> list[int]:
         return _bb_py._bits_ascending(int(self.masks[k]))
@@ -160,7 +165,7 @@ def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
     words = np.zeros((len(xs), 8), dtype=np.uint8)
     words[:, : bits.shape[1]] = bits
     masks = words.view("<u8").ravel().astype(np.uint64)
-    return PairResolutionTable(n, tuple(zip(xs.tolist(), ys.tolist())), masks)
+    return PairResolutionTable(n, masks)
 
 
 def _twin_classes(dist: DistanceMatrix) -> list[list[int]]:
@@ -390,7 +395,6 @@ def exact_metric_dimension(
     lower_hint: int = 0,
     upper_hint: Sequence[int] | None = None,
     factors: CliqueFactors | None = None,
-    method: str = "auto",
     certificate: bool = True,
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
@@ -398,24 +402,20 @@ def exact_metric_dimension(
     `lower_hint` must be a valid lower bound and `upper_hint` a resolving
     set when given; a result equal to `lower_hint` trusts the hint, since
     the search stops as soon as it meets it.  A `lower_hint` above the size
-    of a resolving set the solver already holds (the upper hint, the
-    twin-forced vertices plus the greedy seed, or the set enumeration
-    found) raises ValueError.  `factors` asserts that `dist`
-    is the product of those cliques with vertex ids in the mixed-radix
-    codec (only the vertex count is checked).  With two or more factors,
-    all of size >= 3, it enables the symmetric size search and the
-    certificate loop's symmetry and skips the twin scan; `factors=None` is
-    the plain reference search.  `method` is
-    "auto", the branch and bound, or "enumeration", the plain subset scan
-    kept as a reference.  With `certificate=False` only the dimension is
-    computed, and the result's certificate is None: the certificate loop is
-    skipped, and the resolving check runs on the set that proves the size
-    (the forced vertices plus the size search's solution or the seed that
-    set the size).  The dimension does not depend on `factors`, `method` or
-    `certificate`.
+    of a resolving set the solver already holds (the upper hint, or the
+    twin-forced vertices plus the greedy seed) raises ValueError.
+    `factors` asserts that `dist` is the product of those cliques with
+    vertex ids in the mixed-radix codec (only the vertex count is checked).
+    On a connected product of two or more factors it enables the symmetric
+    size search and the certificate loop's symmetry and skips the twin
+    scan; `factors=None` is the plain search.  `exhaustive_metric_dimension`
+    is the subset scan kept as a reference.  With `certificate=False` only
+    the dimension is computed, and the result's certificate is None: the
+    certificate loop is skipped, and the resolving check runs on the set
+    that proves the size (the forced vertices plus the size search's
+    solution or the seed that set the size).  The dimension does not depend
+    on `factors` or `certificate`.
     """
-    if method not in ("auto", "enumeration"):
-        raise ValueError(f"unknown method {method!r}")
     if not dist.connected:
         return DimResult(None, None)
     n = dist.n
@@ -430,16 +430,11 @@ def exact_metric_dimension(
             raise ValueError("upper_hint is not a resolving set")
         if lower_hint > len(hint):
             raise ValueError(f"lower_hint {lower_hint} exceeds the upper_hint size {len(hint)}")
-    if method == "enumeration":
-        result = exhaustive_metric_dimension(dist)
-        if lower_hint > result.dim:
-            raise ValueError(f"lower_hint {lower_hint} exceeds the dimension {result.dim}")
-        return result if certificate else DimResult(result.dim, None)
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
     table = build_pair_table(dist)
-    clique_product = factors is not None and factors.t >= 2 and min(factors.sizes) >= 3
+    clique_product = factors is not None and factors.t >= 2
     forced: list[int] = []
     if not clique_product:
         for cls in _twin_classes(dist):

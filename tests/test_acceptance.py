@@ -18,6 +18,7 @@ from tensordim import (
     diameter,
     dim_formula,
     exact_metric_dimension,
+    exhaustive_metric_dimension,
     is_resolving,
     lower_bound_largest_factor,
     lower_bound_subproduct,
@@ -39,17 +40,20 @@ def report(name, ok, detail):
 
 
 def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
+    # Every K_m x K_n with 2 <= m <= n and mn <= 64, the exact search's
+    # limit, searched above the proven bound max(m, n) - 1.
     t0 = time.perf_counter()
     pinned = {(3, 3): 3, (3, 4): 4, (3, 5): 4, (4, 4): 4, (4, 5): 5,
               (4, 6): 6, (5, 6): 6, (6, 6): 7}
     checked = 0
     ok = True
-    for m in range(2, 7):
-        for n in range(m, 7):
+    for m in range(2, 9):
+        for n in range(m, 64 // m + 1):
             if (m, n) == (2, 2):
                 continue
             f = CliqueFactors((m, n))
-            res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            res = exact_metric_dimension(tensor_clique_distances(f), factors=f,
+                                         lower_hint=lower_bound_largest_factor(f))
             want = dim_formula(m, n).dim
             if m == 2:
                 ok &= want == n - 1
@@ -60,7 +64,7 @@ def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
             checked += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 600
-    report("exact search equals closed form, 2<=m<=n<=6", ok,
+    report("exact search equals closed form, 2<=m<=n, mn<=64", ok,
            f"{checked} products, {elapsed:.1f}s (budget 600s)")
 
 
@@ -205,7 +209,7 @@ def test_8_branch_and_bound_agrees_with_enumeration():
         n = rng.randrange(4, 13)
         g = Graph(n, random_connected_edges(rng, n, rng.uniform(0.15, 0.5)))
         dist = all_pairs_distances(g)
-        enum = exact_metric_dimension(dist, method="enumeration")
+        enum = exhaustive_metric_dimension(dist)
         bb = exact_metric_dimension(dist)
         if enum.dim != bb.dim:
             continue

@@ -274,7 +274,13 @@ def test_bounds_two_factors(capsys):
 
 
 def test_bounds_small_factor_gates_everything(capsys):
+    # One factor of size 2 gates the paper's constructions; a second one
+    # disconnects the product and gates the largest-factor bound too.
     report = run_json(capsys, "bounds", "--tensor", "2,3,3")
+    assert report["bounds"]["largest_factor_lower"] == {"applicable": True, "value": 2}
+    for name in ("subproduct_lower", "construction_upper"):
+        assert report["bounds"][name]["applicable"] is False
+    report = run_json(capsys, "bounds", "--tensor", "2,2,3")
     for name in ("largest_factor_lower", "subproduct_lower", "construction_upper"):
         assert report["bounds"][name]["applicable"] is False
 

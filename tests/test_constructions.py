@@ -134,8 +134,8 @@ def test_constructions_leave_exactly_the_last_factor_vertex_out():
 
 
 def test_largest_factor_bound_never_exceeds_the_formula():
-    for m in range(3, 46):
-        for n in range(m, 46):
+    for m in range(2, 46):
+        for n in range(max(m, 3), 46):
             bound = lower_bound_largest_factor(CliqueFactors((m, n)))
             assert bound <= dim_formula(m, n).dim
 
@@ -163,8 +163,9 @@ def test_largest_factor_lower_bound():
     assert lower_bound_largest_factor(CliqueFactors((3, 4, 5))) == 4
     assert lower_bound_largest_factor(CliqueFactors((3, 3))) == 2
     assert lower_bound_largest_factor(CliqueFactors((7,))) == 6
+    assert lower_bound_largest_factor(CliqueFactors((2, 3))) == 2
     with pytest.raises(ValueError):
-        lower_bound_largest_factor(CliqueFactors((2, 3)))
+        lower_bound_largest_factor(CliqueFactors((2, 2, 3)))
 
 
 def test_subproduct_lower_bound_values():

@@ -127,14 +127,14 @@ def test_exact_matches_exhaustive_with_forced_branch_and_bound(rng):
     for _ in range(20):
         n = rng.randrange(4, 12)
         dist = all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.3)))
-        enum = exact_metric_dimension(dist, method="enumeration")
+        enum = exhaustive_metric_dimension(dist)
         bb = exact_metric_dimension(dist)
         assert enum.dim == bb.dim
         assert enum.certificate == bb.certificate
         assert is_resolving(dist, list(bb.certificate))
 
 
-def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel, monkeypatch):
+def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel):
     f = CliqueFactors((3, 3))
     cases = [(all_pairs_distances(Graph(0, [])), None),
              (all_pairs_distances(build_clique(1)), None),
@@ -142,14 +142,9 @@ def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel, monkeypa
              (all_pairs_distances(Graph(2, [])), None),
              (tensor_clique_distances(f), None),
              (tensor_clique_distances(f), f)]
-    want = [exact_metric_dimension(dist, method="enumeration") for dist, _ in cases]
+    want = [exhaustive_metric_dimension(dist) for dist, _ in cases]
     assert [(r.dim, r.certificate) for r in want] == [
         (0, ()), (0, ()), (1, (0,)), (None, None), (3, (0, 1, 3)), (3, (0, 1, 3))]
-
-    def fail(dist):
-        raise AssertionError("auto fell back to enumeration")
-
-    monkeypatch.setattr(solver, "exhaustive_metric_dimension", fail)
     for (dist, factors), res in zip(cases, want):
         assert exact_metric_dimension(dist, factors=factors) == res
 
@@ -197,12 +192,11 @@ def twin_classes_checked(dist):
 
 
 def test_products_of_cliques_with_factors_of_three_have_no_twins(rng):
-    for sizes in [(3, 3), (3, 5), (4, 4), (3, 3, 3)]:
+    # Connected products have no twins, with one factor of size 2 or none.
+    for sizes in [(3, 3), (3, 5), (4, 4), (3, 3, 3), (2, 5), (2, 3, 4), (3, 2, 4), (2, 3, 3, 3)]:
         classes = twin_classes_checked(tensor_clique_distances(CliqueFactors(sizes)))
-        assert all(len(cls) == 1 for cls in classes)
-    # A factor of size 2 does make twins; so do the leaves of sparse graphs.
-    for sizes in [(2, 5), (2, 3, 4)]:
-        twin_classes_checked(tensor_clique_distances(CliqueFactors(sizes)))
+        assert all(len(cls) == 1 for cls in classes), sizes
+    # The leaves of sparse graphs are twins.
     twin_classes_checked(all_pairs_distances(Graph(9, [(0, v) for v in range(1, 9)])))
     for _ in range(30):
         n = rng.randrange(8, 25)
@@ -210,21 +204,28 @@ def test_products_of_cliques_with_factors_of_three_have_no_twins(rng):
         twin_classes_checked(all_pairs_distances(Graph(n, random_connected_edges(rng, n, p))))
 
 
-SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <= 30] + [(3, 3, 3)]
+SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <= 30] + [
+    (3, 3, 3)] + [sizes for t in (2, 3) for sizes in itertools.product(range(2, 16), repeat=t)
+                  if sizes.count(2) == 1 and np.prod(sizes) <= 30]
 
 
 def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
-    # Every product of cliques with all factors >= 3 and at most 30
-    # vertices, at each depth of orbit branching.
+    # Every product of cliques with all factors >= 3, or with one factor
+    # of size 2 in any position, and at most 30 vertices, at each depth of
+    # orbit branching.  Each solve with factors takes the symmetric route,
+    # the one caller of _orbit_depth.
+    routed = []
     for sizes in SYMMETRIC_SIZES:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         plain = exact_metric_dimension(dist)
         for depth in (1, 2, 3):
-            monkeypatch.setattr(solver, "_orbit_depth", lambda factors: depth)
+            monkeypatch.setattr(solver, "_orbit_depth",
+                                lambda factors: routed.append(factors.sizes) or depth)
             assert exact_metric_dimension(dist, factors=f) == plain, (sizes, depth)
             dim_only = exact_metric_dimension(dist, factors=f, certificate=False)
             assert dim_only.dim == plain.dim, (sizes, depth)
+    assert routed == [sizes for sizes in SYMMETRIC_SIZES for _ in range(6)]
 
 
 def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monkeypatch):
@@ -262,7 +263,7 @@ def test_value_swaps_are_the_automorphisms_the_certificate_loop_needs():
     # member uses u_i or v_i on an axis where u and v differ; it is then a
     # distance-preserving permutation that fixes the prefix, sends v to u
     # and sends every id above v to an id above u.
-    for sizes in [(3, 3), (3, 4), (4, 5), (3, 3, 3), (3, 3, 4)]:
+    for sizes in [(3, 3), (3, 4), (4, 5), (3, 3, 3), (3, 3, 4), (2, 4), (3, 2, 3)]:
         f = CliqueFactors(sizes)
         n = f.vertex_count
         d = tensor_clique_distances(f).values
@@ -409,16 +410,6 @@ def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatc
     assert checked == [list(hint), list(hint)]
 
 
-@pytest.mark.parametrize("sizes", [(7, 8), (7, 9), (8, 8)], ids=["7x8", "7x9", "8x8"])
-def test_exact_matches_formula_up_to_sixty_four_vertices(sizes, compiled_kernel, monkeypatch):
-    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
-    f = CliqueFactors(sizes)
-    dist = tensor_clique_distances(f)
-    res = exact_metric_dimension(dist, factors=f)
-    assert res.dim == dim_formula(*sizes).dim
-    assert is_resolving(dist, list(res.certificate))
-
-
 def test_hints_do_not_change_the_answer():
     f = CliqueFactors((3, 4))
     dist = tensor_clique_distances(f)
@@ -452,12 +443,12 @@ def test_lower_hint_above_upper_hint_rejected():
 
 @pytest.mark.parametrize("hint", [4, 5, 10])
 def test_lower_hint_above_a_known_resolving_set_rejected(hint):
-    # dim(K_3 x K_3) = 3: the greedy seed, and enumeration, hold a set of size 3.
+    # dim(K_3 x K_3) = 3: the greedy seed holds a set of size 3.
     f = CliqueFactors((3, 3))
     dist = tensor_clique_distances(f)
-    for factors, method in [(None, "auto"), (f, "auto"), (None, "enumeration")]:
+    for factors in [None, f]:
         with pytest.raises(ValueError, match="lower_hint"):
-            exact_metric_dimension(dist, factors=factors, lower_hint=hint, method=method)
+            exact_metric_dimension(dist, factors=factors, lower_hint=hint)
     assert exact_metric_dimension(dist, factors=f, lower_hint=3).dim == 3
 
 
@@ -472,12 +463,6 @@ def test_lower_hint_rejected_when_nothing_is_pending():
     assert exact_metric_dimension(single).certificate == ()
     with pytest.raises(ValueError, match="lower_hint"):
         exact_metric_dimension(single, lower_hint=1)
-
-
-def test_unknown_method_rejected():
-    dist = all_pairs_distances(build_clique(3))
-    with pytest.raises(ValueError):
-        exact_metric_dimension(dist, method="magic")
 
 
 def test_exact_rejects_more_than_64_vertices():
