@@ -410,6 +410,16 @@ def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatc
     assert checked == [list(hint), list(hint)]
 
 
+@pytest.mark.parametrize("sizes", [(7, 8), (7, 9), (8, 8)], ids=["7x8", "7x9", "8x8"])
+def test_exact_matches_formula_up_to_sixty_four_vertices(sizes, compiled_kernel, monkeypatch):
+    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
+    f = CliqueFactors(sizes)
+    dist = tensor_clique_distances(f)
+    res = exact_metric_dimension(dist, factors=f)
+    assert res.dim == dim_formula(*sizes).dim
+    assert is_resolving(dist, list(res.certificate))
+
+
 def test_hints_do_not_change_the_answer():
     f = CliqueFactors((3, 4))
     dist = tensor_clique_distances(f)
