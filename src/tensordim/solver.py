@@ -49,11 +49,13 @@ the vertices, so the size search breaks symmetry by orbital branching
   optimum is the optimum.
 - The branch's exclusions are unions of orbits of the stabilizer of F, so
   they are invariant under the smaller stabilizer of F + {rep_i}, and the
-  argument applies again one level down.  `_orbit_depth` sets how many
-  levels branch this way (measured per factor count and vertex count);
-  below them the kernel searches each branch, and the `best <= lower`
-  stop holds across all levels.  Orbits go largest first, so the later
-  branches drop the most candidates.
+  argument applies again one level down, at any depth; a node that does
+  not branch goes to the kernel whole.  The root F = {0} branches, and so
+  does a node below it while its largest orbit has `ORBIT_MIN_CANDIDATES`
+  candidates and the incumbent exceeds |F| by `ORBIT_MIN_BUDGET`; past
+  that, the Python call per branch costs more than the kernel saves.  The
+  `best <= lower` stop holds across all levels.  Orbits go largest first,
+  so the later branches drop the most candidates.
 
 A resolving set of such a product misses at most one value per axis, yet
 the search carries no rule for it, because the rule could never prune.
@@ -113,6 +115,10 @@ if os.environ.get("TENSORDIM_PURE"):
     _default_kernel = _bb_py
 
 MAX_EXACT_VERTICES = 64
+# Orbit branching below the root (see the module docstring) needs a largest
+# orbit of this many candidates and an incumbent this far above |forced|.
+ORBIT_MIN_CANDIDATES = 4
+ORBIT_MIN_BUDGET = 5
 
 
 def kernel_name() -> str:
@@ -310,17 +316,20 @@ def _stabilizer_orbits(value_masks: list[list[int]], used: list[set[int]], cand:
 
 
 def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int]], lower: int,
-                    upper: int, factors: CliqueFactors, value_masks: list[list[int]],
-                    depth: int) -> tuple[int, int | None]:
+                    upper: int, factors: CliqueFactors,
+                    value_masks: list[list[int]]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
     and candidates in `cand`; `masks` are those `forced` leaves unhit and
     `used[i]` holds the values the forced vertices take on axis i.
-    Branches on the orbits of the pointwise stabilizer of `forced` for
-    `depth` levels, then hands each branch to the kernel (see the module
-    docstring).  Returns the size and such a set as a mask, or (upper,
-    None) when none is smaller."""
+    Branches on the orbits of the pointwise stabilizer of `forced` at the
+    root and at nodes that pass the ORBIT_MIN_* rule, else hands the node
+    to the kernel (see the module docstring).  Returns the size and such a
+    set as a mask, or (upper, None) when none is smaller."""
     k = forced.bit_count()
-    if depth == 0 or not masks:
+    root = k == 1
+    orbits = (_stabilizer_orbits(value_masks, used, cand)
+              if masks and (root or upper - k >= ORBIT_MIN_BUDGET) else [])
+    if not orbits or not root and orbits[0].bit_count() < ORBIT_MIN_CANDIDATES:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
         size = k + _default_kernel.min_hitting_size(
@@ -328,7 +337,7 @@ def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int
             lower=max(0, lower - k), upper=upper - k, witness=witness)
         return (size, forced | witness[0]) if witness else (upper, None)
     best, best_set = upper, None
-    for orbit in _stabilizer_orbits(value_masks, used, cand):
+    for orbit in orbits:
         # Every branch forces k + 1 vertices.
         if best <= lower or k + 1 >= best:
             break
@@ -336,7 +345,7 @@ def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int
         coords = factors.coords_of(rep.bit_length() - 1)
         size, found = _orbit_min_size([m for m in masks if not m & rep], cand & ~rep,
                                       forced | rep, [u | {c} for u, c in zip(used, coords)],
-                                      lower, best, factors, value_masks, depth - 1)
+                                      lower, best, factors, value_masks)
         if found is not None:
             best, best_set = size, found
         cand &= ~orbit
@@ -375,18 +384,6 @@ def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
         return functools.partial(_swap_values, swaps)
 
     return symmetry
-
-
-def _orbit_depth(factors: CliqueFactors) -> int:
-    """Levels of orbit branching in the symmetric size search, by factor
-    count and vertex count.  Measured on both kernels: a level pays on the
-    larger products (6x6 and 5x8 take about half the time at depth 2, 8x8
-    and 7x9 gain again at depth 3) and costs on the smaller ones (3x3x4
-    and 4x4 slow at depth 2; 4x4x4 slows at depth 3)."""
-    n = factors.vertex_count
-    if factors.t == 2:
-        return 1 if n < 30 else 2 if n < 56 else 3
-    return 1 if n < 40 else 2
 
 
 def exact_metric_dimension(
@@ -462,7 +459,7 @@ def exact_metric_dimension(
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
                                         [{0} for _ in factors.sizes], rest_lower, rest_upper,
-                                        factors, value_masks, _orbit_depth(factors))
+                                        factors, value_masks)
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.

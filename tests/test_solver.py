@@ -209,48 +209,85 @@ SYMMETRIC_SIZES = [(m, n) for m in range(3, 11) for n in range(m, 11) if m * n <
                   if sizes.count(2) == 1 and np.prod(sizes) <= 30]
 
 
+# (ORBIT_MIN_CANDIDATES, ORBIT_MIN_BUDGET): orbit branching at the root
+# only, the default rule, and below the root wherever an orbit has two
+# candidates.
+ORBIT_RULES = [(4, solver.MAX_EXACT_VERTICES + 1),
+               (solver.ORBIT_MIN_CANDIDATES, solver.ORBIT_MIN_BUDGET), (2, 0)]
+
+
+def set_orbit_rule(monkeypatch, rule):
+    monkeypatch.setattr(solver, "ORBIT_MIN_CANDIDATES", rule[0])
+    monkeypatch.setattr(solver, "ORBIT_MIN_BUDGET", rule[1])
+
+
 def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
     # Every product of cliques with all factors >= 3, or with one factor
-    # of size 2 in any position, and at most 30 vertices, at each depth of
-    # orbit branching.  Each solve with factors takes the symmetric route,
-    # the one caller of _orbit_depth.
+    # of size 2 in any position, and at most 30 vertices, under each rule
+    # for orbit branching.  Each solve with factors takes the symmetric
+    # route, whose root call is the one with vertex 0 alone forced.
     routed = []
+    orbit_min_size = solver._orbit_min_size
+
+    def spy(masks, cand, forced, used, lower, upper, factors, value_masks):
+        if forced == 1:
+            routed.append(factors.sizes)
+        return orbit_min_size(masks, cand, forced, used, lower, upper, factors, value_masks)
+
+    monkeypatch.setattr(solver, "_orbit_min_size", spy)
     for sizes in SYMMETRIC_SIZES:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         plain = exact_metric_dimension(dist)
-        for depth in (1, 2, 3):
-            monkeypatch.setattr(solver, "_orbit_depth",
-                                lambda factors: routed.append(factors.sizes) or depth)
-            assert exact_metric_dimension(dist, factors=f) == plain, (sizes, depth)
+        for rule in ORBIT_RULES:
+            set_orbit_rule(monkeypatch, rule)
+            assert exact_metric_dimension(dist, factors=f) == plain, (sizes, rule)
             dim_only = exact_metric_dimension(dist, factors=f, certificate=False)
-            assert dim_only.dim == plain.dim, (sizes, depth)
+            assert dim_only.dim == plain.dim, (sizes, rule)
     assert routed == [sizes for sizes in SYMMETRIC_SIZES for _ in range(6)]
 
 
 def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monkeypatch):
     # The certificates are those of the search without symmetry breaking,
-    # at each depth of orbit branching.
+    # under each rule for orbit branching.
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
     want = {(7, 7): DimResult(dim_formula(7, 7).dim, (0, 1, 9, 10, 18, 25, 33, 40)),
             (4, 4, 4): DimResult(8, (0, 1, 4, 16, 22, 41, 47, 59))}
     for sizes, result in want.items():
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
-        for depth in (1, 2, 3):
-            monkeypatch.setattr(solver, "_orbit_depth", lambda factors: depth)
-            assert exact_metric_dimension(dist, factors=f) == result, (sizes, depth)
+        for rule in ORBIT_RULES:
+            set_orbit_rule(monkeypatch, rule)
+            assert exact_metric_dimension(dist, factors=f) == result, (sizes, rule)
 
 
 def test_symmetric_search_on_the_slower_three_factor_products(compiled_kernel, monkeypatch):
-    # The certificates of the plain route (factors=None), found once and
-    # pinned here, since that route takes seconds on these products.
+    # Certificates found once and pinned here: 3x4x5 and 3x3x6 by the plain
+    # route (factors=None), which takes seconds on them, 3x3x7 and 2x3x10
+    # by the symmetric route with a fixed depth of orbit branching.
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
     want = {(3, 4, 5): DimResult(9, (0, 6, 12, 18, 20, 27, 33, 36, 44)),
-            (3, 3, 6): DimResult(11, (0, 1, 2, 6, 9, 10, 17, 19, 27, 38, 46))}
+            (3, 3, 6): DimResult(11, (0, 1, 2, 6, 9, 10, 17, 19, 27, 38, 46)),
+            (3, 3, 7): DimResult(14, (0, 1, 2, 3, 7, 8, 11, 12, 14, 20, 23, 32, 45, 54)),
+            (2, 3, 10): DimResult(18, (0, 1, 2, 3, 4, 5, 6, 17, 18, 30, 31, 32, 33, 34, 35,
+                                       36, 47, 48))}
     for sizes, result in want.items():
         f = CliqueFactors(sizes)
         assert exact_metric_dimension(tensor_clique_distances(f), factors=f) == result, sizes
+
+
+def test_rook_graph_has_the_same_resolving_sets(solver_kernel):
+    # For 3 <= m <= n the complement of K_m x K_n is the rook's graph
+    # K_m [] K_n (two cells adjacent when they share a row or a column),
+    # and both have diameter 2, so distances 1 and 2 swap and the resolving
+    # sets agree.  The rook's graph gets the plain search on its BFS table.
+    for m in range(3, 6):
+        for n in range(m, 30 // m + 1):
+            f = CliqueFactors((m, n))
+            rook = Graph(m * n, [(u, v) for u, v in itertools.combinations(range(m * n), 2)
+                                 if u // n == v // n or u % n == v % n])
+            want = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            assert exact_metric_dimension(all_pairs_distances(rook)) == want, (m, n)
 
 
 PRODUCTS_TO_FORTY = [(m, n) for m in range(3, 14) for n in range(m, 14) if m * n <= 40] + [
