@@ -109,6 +109,15 @@ def _word(value) -> int:
     return value
 
 
+def _c_int(value) -> int:
+    """value as a C int, as `_bb` parses `lower` and `upper`: TypeError
+    for a non-integer, OverflowError outside [-2**31, 2**31)."""
+    value = index(value)
+    if not -(1 << 31) <= value < 1 << 31:
+        raise OverflowError(f"{value} does not fit in a C int")
+    return value
+
+
 def _words(masks) -> list[int]:
     """Every mask checked as by `_word`, in one pass over the list."""
     words = list(map(index, masks))
@@ -135,8 +144,11 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
     met.  Returns `upper` when nothing strictly better exists (including the
     infeasible case).  When `witness` is a list and the result is below
     `upper`, one solution of that size is appended to it as a mask.  A mask
-    or `cand_mask` outside [0, 2**64) raises OverflowError.
+    or `cand_mask` outside [0, 2**64), or a `lower` or `upper` outside the
+    C int range, raises OverflowError; a non-integer one TypeError.
     """
+    lower = _c_int(lower)
+    upper = _c_int(upper)
     cand_mask = _word(cand_mask)
     if witness is not None and not isinstance(witness, list):
         raise TypeError("witness must be a list or None")
@@ -252,9 +264,11 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     `symmetry(prefix, u, v)`, when given, returns a map of masks sigma or
     None, under the contract of the module docstring; it spares the queries
     that sigma answers and never changes the result either.
-    Masks are checked as there; a completion or a query's witness that is
-    not a solution raises AssertionError.
+    Masks and `budget` are checked as there (`budget` as `upper`); a
+    completion or a query's witness that is not a solution raises
+    AssertionError.
     """
+    budget = _c_int(budget)
     cand_mask = _word(cand_mask)
     pending = list(dict.fromkeys(m & cand_mask for m in _words(masks)))
     # comp: inside cand_mask, at most budget - len(prefix) members, hitting

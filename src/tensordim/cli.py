@@ -19,6 +19,7 @@ from .constructions import (
     dim_formula,
     formula_case,
     lower_bound_largest_factor,
+    lower_bound_lines,
     lower_bound_subproduct,
     upper_bound_construction,
 )
@@ -75,15 +76,15 @@ def _check_exact_size(space: Graph | CliqueFactors) -> None:
 def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None, *,
                    certificate: bool = True) -> DimResult:
     """Exact dimension of a product of cliques, searched between the hints
-    its bounds give on a connected product: max(m_i) - 1 below, and for two
-    factors the construction above.  With `certificate=False` only the
-    dimension is computed."""
+    its bounds give on a connected product: the larger of max(m_i) - 1 and
+    the line-counting bound below, and for two factors the construction
+    above.  With `certificate=False` only the dimension is computed."""
     if dist is None:
         _check_exact_size(factors)
         dist = tensor_clique_distances(factors)
     lower_hint = 0
     if factors.connected:
-        lower_hint = lower_bound_largest_factor(factors)
+        lower_hint = max(lower_bound_largest_factor(factors), lower_bound_lines(factors))
     upper_hint = None
     if factors.t == 2 and factors.connected:
         # The solver checks the hint, so the construction's own check is skipped.
@@ -253,12 +254,12 @@ def _cmd_bounds(args) -> int:
     all_big = all(s >= 3 for s in factors.sizes)
     report: dict = {"factors": list(factors.sizes), "vertices": factors.vertex_count}
     bounds: dict = {}
-    if factors.connected:
-        bounds["largest_factor_lower"] = {
-            "applicable": True, "value": lower_bound_largest_factor(factors)}
-    else:
-        bounds["largest_factor_lower"] = {
-            "applicable": False, "reason": "needs a connected product"}
+    for key, bound in (("largest_factor_lower", lower_bound_largest_factor),
+                       ("line_lower", lower_bound_lines)):
+        if factors.connected:
+            bounds[key] = {"applicable": True, "value": bound(factors)}
+        else:
+            bounds[key] = {"applicable": False, "reason": "needs a connected product"}
     if all_big and factors.t >= 3:
         bounds["subproduct_lower"] = {
             "applicable": True, "value": lower_bound_subproduct(factors)}

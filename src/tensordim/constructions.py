@@ -11,6 +11,37 @@ closed form, and every value is witnessed by an explicit set:
 * m >= 3, m <= n <= 2m - 2 ("balanced"): dimension ceil(2(m + n - 2) / 3),
   witnessed by three wrapped diagonal blocks.
 
+For longer products only bounds are known.  `lower_bound_lines` is a
+counting bound.  Take a connected product K_{m_1} x ... x K_{m_t} on n
+vertices and an axis i with m_i >= 3.  A line along axis i is the m_i
+vertices that agree off axis i; there are n / m_i of them.
+
+* Distance depends only on which coordinates match: 1 when none do, and
+  otherwise 2, or 3 when the two differ on a size-2 axis.
+* So two vertices x, y of a line, with values a and b on axis i, are told
+  apart only by x, y and the w with w_i in {a, b} that differ from the
+  line on every other axis.  A w with w_i outside {a, b} matches x and y
+  on the same coordinates.  A w with w_i = a that matches the line
+  somewhere off axis i is at distance 2 or 3 from both, and 3 from y
+  exactly when it is 3 from x, because axis i (where only y differs from
+  w) has m_i >= 3.  On a size-2 axis that last step fails: in 2x3x3,
+  w = (0, 0, 1) is at distance 2 from (0, 0, 0) and 3 from (1, 0, 0).
+* Say a vertex sees a line when it lies on it or differs from it on every
+  other axis.  For a resolving set W, the axis-i values of the members
+  that see a line may miss at most one value, else the two line vertices
+  with the missing values stay unresolved.  So at least m_i - 1 members
+  see each line.
+* A vertex lies on one line and differs on every other axis from
+  prod_{j != i} (m_j - 1) of them, so it sees at most
+  1 + prod_{j != i} (m_j - 1) lines.  Counting the pairs (member, line it
+  sees) both ways gives
+  |W| >= ceil((n / m_i)(m_i - 1) / (1 + prod_{j != i} (m_j - 1))).
+
+On two factors m <= n the bound is n - 1, the same as
+`lower_bound_largest_factor` and the closed form's value unless the pair
+is balanced.  On 3x3x3 it gives 4, on 3x3x7 11, and on 2x3xn 2(n - 1),
+the exact value for n = 5..10.
+
 Every constructor machine-checks its output before returning it and raises
 ConstructionFailed otherwise; a failure is a bug, never silently repaired.
 The one unchecked builder, `_two_factor_hint`, feeds the exact solver,
@@ -21,6 +52,7 @@ block order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graphs import CliqueFactors
@@ -180,6 +212,21 @@ def lower_bound_largest_factor(factors: CliqueFactors) -> int:
     if not factors.connected:
         raise ValueError("bound requires a connected product")
     return max(factors.sizes) - 1
+
+
+def lower_bound_lines(factors: CliqueFactors) -> int:
+    """The line-counting bound of the module docstring, the largest over
+    the axes of size >= 3 (0 when there is none).  Needs a connected
+    product."""
+    if not factors.connected:
+        raise ValueError("bound requires a connected product")
+    n = factors.vertex_count
+    best = 0
+    for i, m in enumerate(factors.sizes):
+        if m >= 3:
+            seen = 1 + math.prod(s - 1 for j, s in enumerate(factors.sizes) if j != i)
+            best = max(best, -(-(n // m) * (m - 1) // seen))
+    return best
 
 
 def _oriented(wset: list[int], a: int, b: int) -> list[int]:

@@ -10,13 +10,17 @@ the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
 leaves unhit.  No minimum set extends the prefix with a smaller member, so
 the result is the lexicographically least minimum certificate.  The loop
 starts from a solution of size k that the solver already holds: the size
-search's witness when it beat the upper seed, else the greedy seed or the
-hint.  A query that such a solution answers is skipped (the `_bb_py`
-docstring gives the argument), so the certificate is unchanged.  Every
-instance handed to the kernel (the root, each symmetric branch, each
-certificate query) has its masks restricted to that instance's candidates
-and de-duplicated, first occurrence kept, by the caller, so both kernels
-see the same input and branch the same way.  Plain subset enumeration,
+search's witness when it beat the upper seed, else that seed when it holds
+the forced vertices (below).  The upper seed is the caller's hint when one
+is given (on a product of two cliques the CLI passes the paper's
+construction, which is optimal), and a greedy completion only when none
+is.  A query that such a
+solution answers is skipped (the `_bb_py` docstring gives the argument),
+so the certificate is unchanged.  Every instance handed to the kernel (the
+root, each symmetric branch, each certificate query) has its masks
+restricted to that instance's candidates and de-duplicated, first
+occurrence kept, by the caller, so both kernels see the same input and
+branch the same way.  Plain subset enumeration,
 `exhaustive_metric_dimension`, stays as the reference: it visits k-subsets
 in lexicographic order and therefore returns the same certificate.
 
@@ -96,6 +100,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -398,9 +403,12 @@ def exact_metric_dimension(
 
     `lower_hint` must be a valid lower bound and `upper_hint` a resolving
     set when given; a result equal to `lower_hint` trusts the hint, since
-    the search stops as soon as it meets it.  A `lower_hint` above the size
-    of a resolving set the solver already holds (the upper hint, or the
-    twin-forced vertices plus the greedy seed) raises ValueError.
+    the search stops as soon as it meets it.  `lower_hint` is read as an
+    integer first: a float or other non-integer raises TypeError and a
+    negative value ValueError, before any other check.  The upper seed of
+    the search is the hint when given, and only otherwise the twin-forced
+    vertices plus a greedy completion.  A `lower_hint` above the size of
+    that seed raises ValueError.
     `factors` asserts that `dist` is the product of those cliques with
     vertex ids in the mixed-radix codec (only the vertex count is checked).
     On a connected product of two or more factors it enables the symmetric
@@ -413,13 +421,14 @@ def exact_metric_dimension(
     solution or the seed that set the size).  The dimension does not depend
     on `factors` or `certificate`.
     """
+    lower_hint = operator.index(lower_hint)
+    if lower_hint < 0:
+        raise ValueError(f"lower_hint must be non-negative, got {lower_hint}")
     if not dist.connected:
         return DimResult(None, None)
     n = dist.n
     if factors is not None and factors.vertex_count != n:
         raise ValueError("factor sizes do not match the vertex count")
-    if lower_hint < 0:
-        raise ValueError(f"lower_hint must be non-negative, got {lower_hint}")
     hint: list[int] | None = None
     if upper_hint is not None:
         hint = check_vertex_set(n, upper_hint)
@@ -441,16 +450,21 @@ def exact_metric_dimension(
     cand_mask = ((1 << n) - 1) & ~forced_mask
     # Masks missing the forced vertices lie inside cand_mask already.
     unhit = [m for m in table.masks.tolist() if m & forced_mask == 0]
-    # The greedy seed counts every pair (on products of cliques it is
-    # smaller that way); the kernel needs each mask once.
-    greedy = _greedy_completion(unhit, cand_mask)  # [] when nothing is pending
-    pending = list(dict.fromkeys(unhit))
-    rest_upper = len(greedy)
+    # The upper seed: the hint when given, else a greedy completion, which
+    # counts every pair (on products of cliques it is smaller that way).
+    # seed is its part outside the forced vertices, as a mask.
     if hint is not None:
-        rest_upper = min(rest_upper, len(hint) - len(forced))
-    if lower_hint > len(forced) + rest_upper:
-        raise ValueError(f"lower_hint {lower_hint} exceeds the size "
-                         f"{len(forced) + rest_upper} of a resolving set already found")
+        seed = _mask(hint) & ~forced_mask
+        rest_upper = len(hint) - len(forced)
+    else:
+        greedy = _greedy_completion(unhit, cand_mask)  # [] when nothing is pending
+        seed = _mask(greedy)
+        rest_upper = len(greedy)
+        if lower_hint > len(forced) + rest_upper:
+            raise ValueError(f"lower_hint {lower_hint} exceeds the size "
+                             f"{len(forced) + rest_upper} of a resolving set already found")
+    # The kernel needs each mask once.
+    pending = list(dict.fromkeys(unhit))
     if not pending:
         return DimResult(len(forced), tuple(forced) if certificate else None)
     rest_lower = max(0, lower_hint - len(forced))
@@ -467,12 +481,10 @@ def exact_metric_dimension(
                                                   upper=rest_upper, witness=witness)
         found = witness[0] if witness else None
     # A solution of size k_rest seeds the certificate loop: the search's own
-    # when it beat the seed, else the seed that set k_rest.
-    if found is None and len(greedy) == k_rest:
-        found = _mask(greedy)
-    if found is None and hint is not None:
-        rest_hint = _mask(hint) & ~forced_mask
-        found = rest_hint if rest_hint.bit_count() <= k_rest else None
+    # when it beat the seed, else the seed, which set k_rest unless it is a
+    # hint that leaves out a forced vertex.
+    if found is None and seed.bit_count() == k_rest:
+        found = seed
     dim = len(forced) + k_rest
     if not certificate:
         # The set that proves the size; a hint that leaves out a forced

@@ -182,8 +182,9 @@ def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
 
 
 def test_exact_product_passes_the_proven_hints(monkeypatch):
-    # Lower hint max(m_i) - 1 on every connected product, a factor of size
-    # 2 included; the construction as upper hint on two factors only.
+    # Lower hint: the larger of max(m_i) - 1 and the line bound on every
+    # connected product, a factor of size 2 included (6 and 11 on 2x3x4 and
+    # 3x3x7); the construction as upper hint on two factors only.
     hints = []
 
     def record(dist, *, lower_hint, upper_hint, factors, certificate):
@@ -191,8 +192,8 @@ def test_exact_product_passes_the_proven_hints(monkeypatch):
         return solver.DimResult(None, None)
 
     monkeypatch.setattr(cli, "exact_metric_dimension", record)
-    want = {(2, 5): (4, constructions._two_factor_hint(2, 5)), (2, 3, 4): (3, None),
-            (2, 2, 3): (0, None), (3, 3, 7): (6, None)}
+    want = {(2, 5): (4, constructions._two_factor_hint(2, 5)), (2, 3, 4): (6, None),
+            (2, 2, 3): (0, None), (3, 3, 7): (11, None)}
     for sizes, hint in want.items():
         hints.clear()
         cli._exact_product(CliqueFactors(sizes))
@@ -286,6 +287,7 @@ def test_construct_input_validation(capsys):
 def test_bounds_two_factors(capsys):
     report = run_json(capsys, "bounds", "--tensor", "3,4")
     assert report["bounds"]["largest_factor_lower"] == {"applicable": True, "value": 3}
+    assert report["bounds"]["line_lower"] == {"applicable": True, "value": 3}
     assert report["bounds"]["subproduct_lower"]["applicable"] is False
     assert report["bounds"]["construction_upper"]["applicable"] is False
     assert report["exact"] == {"computed": True, "dim": 4}
@@ -296,10 +298,13 @@ def test_bounds_small_factor_gates_everything(capsys):
     # disconnects the product and gates the largest-factor bound too.
     report = run_json(capsys, "bounds", "--tensor", "2,3,3")
     assert report["bounds"]["largest_factor_lower"] == {"applicable": True, "value": 2}
+    # The line bound skips the size-2 axis but still applies.
+    assert report["bounds"]["line_lower"] == {"applicable": True, "value": 4}
     for name in ("subproduct_lower", "construction_upper"):
         assert report["bounds"][name]["applicable"] is False
     report = run_json(capsys, "bounds", "--tensor", "2,2,3")
-    for name in ("largest_factor_lower", "subproduct_lower", "construction_upper"):
+    for name in ("largest_factor_lower", "line_lower", "subproduct_lower",
+                 "construction_upper"):
         assert report["bounds"][name]["applicable"] is False
 
 
@@ -308,6 +313,8 @@ def test_bounds_triple_product_band(capsys):
     bounds = report["bounds"]
     assert bounds["largest_factor_lower"]["value"] == 2
     assert bounds["subproduct_lower"]["value"] == 3
+    assert bounds["line_lower"]["value"] == 4
+    assert bounds["line_lower"]["value"] <= report["exact"]["dim"]
     assert bounds["construction_upper"]["value"] <= 18
     assert bounds["construction_upper"]["verified"] is True
     exact = report["exact"]

@@ -1,7 +1,9 @@
 """Closed-form values, explicit resolving-set builders, and bounds."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tensordim import (
@@ -13,9 +15,11 @@ from tensordim import (
     construct_resolving,
     dim_formula,
     exact_metric_dimension,
+    exhaustive_metric_dimension,
     formula_case,
     is_resolving,
     lower_bound_largest_factor,
+    lower_bound_lines,
     lower_bound_subproduct,
     projection,
     tensor_clique_distances,
@@ -166,6 +170,84 @@ def test_largest_factor_lower_bound():
     assert lower_bound_largest_factor(CliqueFactors((2, 3))) == 2
     with pytest.raises(ValueError):
         lower_bound_largest_factor(CliqueFactors((2, 2, 3)))
+
+
+def test_line_lower_bound_values():
+    f = CliqueFactors
+    assert lower_bound_lines(f((3, 3, 3))) == 4
+    assert lower_bound_lines(f((3, 3, 7))) == 11
+    assert lower_bound_lines(f((2, 3, 4))) == 6
+    assert lower_bound_lines(f((2, 3, 3, 3))) == 8
+    # One factor: ceil((m - 1) / 2), since a vertex sees the one line once.
+    assert lower_bound_lines(f((7,))) == 3
+    assert lower_bound_lines(f((2,))) == 0
+    with pytest.raises(ValueError):
+        lower_bound_lines(f((2, 2, 3)))
+
+
+def test_line_bound_equals_the_largest_factor_bound_on_two_factors():
+    for m in range(2, 30):
+        for n in range(max(m, 3), 30):
+            for sizes in ((m, n), (n, m)):
+                f = CliqueFactors(sizes)
+                assert lower_bound_lines(f) == lower_bound_largest_factor(f)
+
+
+def connected_orders(limit):
+    """Every connected product, factor order included, up to limit vertices."""
+    for t in range(1, limit.bit_length()):
+        for sizes in itertools.product(range(2, limit + 1), repeat=t):
+            if math.prod(sizes) <= limit and sizes.count(2) <= 1:
+                yield sizes
+
+
+def test_line_bound_never_exceeds_the_exact_dimension_up_to_12_vertices():
+    checked = 0
+    for sizes in connected_orders(12):
+        f = CliqueFactors(sizes)
+        dim = exhaustive_metric_dimension(tensor_clique_distances(f)).dim
+        assert lower_bound_lines(f) <= dim, sizes
+        checked += 1
+    assert checked == 22  # 11 cliques and 11 ordered pairs
+
+
+def line_pair_resolvers(sizes, axis):
+    """For each pair x < y of vertices differing only on `axis`: the vertices
+    that tell them apart by distance, and the set the line-counting argument
+    claims, x, y and the w with w_axis in {x_axis, y_axis} that differ from
+    both on every other axis."""
+    f = CliqueFactors(sizes)
+    d = tensor_clique_distances(f).values
+    coords = [f.coords_of(v) for v in range(f.vertex_count)]
+    for x, y in itertools.combinations(range(f.vertex_count), 2):
+        cx, cy = coords[x], coords[y]
+        if [j for j in range(f.t) if cx[j] != cy[j]] != [axis]:
+            continue
+        actual = set(np.flatnonzero(d[x] != d[y]).tolist())
+        claimed = {x, y} | {
+            w for w in range(f.vertex_count)
+            if coords[w][axis] in (cx[axis], cy[axis])
+            and all(coords[w][j] != cx[j] for j in range(f.t) if j != axis)}
+        yield actual, claimed
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 3), (2, 3, 4), (3, 4, 4)], ids=str)
+def test_line_pairs_are_resolved_only_by_the_vertices_that_see_the_line(sizes):
+    for axis, m in enumerate(sizes):
+        pairs = list(line_pair_resolvers(sizes, axis))
+        assert pairs
+        if m >= 3:
+            assert all(actual == claimed for actual, claimed in pairs)
+        else:
+            # The claim fails on the size-2 axis, which the bound skips.
+            assert any(actual != claimed for actual, claimed in pairs)
+
+
+def test_a_size_two_axis_pair_has_a_resolver_that_matches_the_line():
+    f = CliqueFactors((2, 3, 3))
+    d = tensor_clique_distances(f).values
+    w, x, y = (f.flat_index(c) for c in ((0, 0, 1), (0, 0, 0), (1, 0, 0)))
+    assert (d[w, x], d[w, y]) == (2, 3)
 
 
 def test_subproduct_lower_bound_values():

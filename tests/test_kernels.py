@@ -9,6 +9,7 @@ a kernel's size search.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,33 @@ def test_nothing_pending_yields_empty_set(kernel):
 def test_witness_must_be_a_list(kernel):
     with pytest.raises(TypeError):
         kernel.min_hitting_size([0b11], 0b11, 0, 2, witness=())
+
+
+@pytest.mark.parametrize("lower, upper, error", [
+    (2.0, 3, TypeError), (0, 3.0, TypeError), ("0", 3, TypeError), (0, None, TypeError),
+    (0, 2 ** 70, OverflowError), (-(2 ** 70), 3, OverflowError),
+    (0, 2 ** 31, OverflowError), (-(2 ** 31) - 1, 3, OverflowError),
+], ids=["lower-float", "upper-float", "lower-str", "upper-none", "upper-2^70",
+        "lower--2^70", "upper-2^31", "lower-below-int-min"])
+def test_bounds_outside_a_c_int_raise(kernel, lower, upper, error):
+    # `_bb` parses lower and upper as C ints; the pure kernel checks the same.
+    with pytest.raises(error):
+        kernel.min_hitting_size([3, 5], 7, lower, upper)
+    with pytest.raises(error):
+        kernel.min_hitting_size([3, 5], 7, lower=lower, upper=upper)
+
+
+def test_bounds_at_the_c_int_limits_and_index_types_are_accepted(kernel):
+    assert kernel.min_hitting_size([3, 5], 7, -(2 ** 31), 2 ** 31 - 1) == 1
+    assert kernel.min_hitting_size([3, 5], 7, np.int64(0), np.int32(3)) == 1
+    assert kernel.min_hitting_size([3, 5], 7, False, True) == 1  # lower >= upper
+    assert lex(kernel, [3, 5], 7, np.int64(1)) == [0]
+
+
+@pytest.mark.parametrize("budget, error", [(1.0, TypeError), (2 ** 31, OverflowError)])
+def test_lex_budget_outside_a_c_int_raises(kernel, budget, error):
+    with pytest.raises(error):
+        lex(kernel, [3, 5], 7, budget)
 
 
 def oracle_min_solutions(masks, nbits):

@@ -22,6 +22,7 @@ from tensordim import (
     tensor_of_cliques,
 )
 from tensordim import solver
+from tensordim.constructions import _two_factor_hint
 
 from conftest import (
     oracle_greedy,
@@ -429,15 +430,17 @@ def test_dimension_only_matches_the_certified_search(solver_kernel, rng):
 
 def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatch):
     # Leaves 1 and 2 are twins, so 1 is forced.  A minimum set holding 2
-    # instead, given as the hint, is the only set of the optimum size when
-    # the greedy seed is made worse than it.
-    g = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
-    dist = all_pairs_distances(g)
+    # instead, given as the hint, is the only set of the optimum size: a
+    # hint is the only upper seed, so no greedy seed is built.
+    dist = all_pairs_distances(twin_graph())
     want = exact_metric_dimension(dist)
     hint = next(c for c in itertools.combinations(range(6), want.dim)
                 if 1 not in c and is_resolving(dist, list(c)))
-    monkeypatch.setattr(solver, "_greedy_completion",
-                        lambda pending, cand_mask: solver._bb_py._bits_ascending(cand_mask))
+
+    def no_greedy(pending, cand_mask):
+        raise AssertionError("a hinted solve built a greedy seed")
+
+    monkeypatch.setattr(solver, "_greedy_completion", no_greedy)
     checked = []
     real_check = solver.is_resolving
     monkeypatch.setattr(solver, "is_resolving",
@@ -465,6 +468,52 @@ def test_hints_do_not_change_the_answer():
         dist, factors=f, lower_hint=3,
         upper_hint=[f.flat_index((0, j)) for j in range(4)] + [f.flat_index((1, 0))])
     assert base == hinted
+
+
+def twin_graph():
+    # Leaves 1 and 2 of vertex 0 are twins, so one of them is forced.
+    return Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+
+
+@pytest.mark.parametrize("sizes", [(2, 5), (3, 4), (4, 7), (5, 5), (6, 6), None],
+                         ids=["2x5", "3x4", "4x7", "5x5", "6x6", "twins"])
+def test_a_hinted_solve_equals_the_unhinted_one_without_a_greedy_seed(sizes, solver_kernel,
+                                                                      monkeypatch):
+    if sizes is None:
+        factors, dist = None, all_pairs_distances(twin_graph())
+        want = exact_metric_dimension(dist)
+        hints = [c for c in itertools.combinations(range(dist.n), want.dim)
+                 if is_resolving(dist, list(c))]
+    else:
+        factors = CliqueFactors(sizes)
+        dist = tensor_clique_distances(factors)
+        want = exact_metric_dimension(dist, factors=factors)
+        # The construction, and a resolving set one larger than the optimum.
+        hint = _two_factor_hint(*sizes)
+        hints = [hint, hint + [min(set(range(dist.n)) - set(hint))]]
+    assert len(hints) >= 2
+
+    def no_greedy(pending, cand_mask):
+        raise AssertionError("a hinted solve built a greedy seed")
+
+    monkeypatch.setattr(solver, "_greedy_completion", no_greedy)
+    for hint in hints:
+        for lower in (0, want.dim):
+            got = exact_metric_dimension(dist, factors=factors, lower_hint=lower,
+                                         upper_hint=hint)
+            assert got == want, hint
+            assert exact_metric_dimension(
+                dist, factors=factors, lower_hint=lower, upper_hint=hint,
+                certificate=False) == DimResult(want.dim, None)
+
+
+def test_lower_hint_must_be_an_integer(solver_kernel):
+    f = CliqueFactors((3, 4))
+    dist = tensor_clique_distances(f)
+    for hint in (2.5, 3.0, "3", None):
+        with pytest.raises(TypeError):
+            exact_metric_dimension(dist, lower_hint=hint, factors=f)
+    assert exact_metric_dimension(dist, lower_hint=np.int64(3), factors=f).dim == 4
 
 
 def test_bad_upper_hint_rejected():
