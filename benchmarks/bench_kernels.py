@@ -4,10 +4,10 @@ Runs the same searches on both kernels and prints wall times, the
 speedup, the number of kernel calls on each kernel and the number of
 certificate queries answered by symmetry instead.  A product of cliques
 runs the solver's route, as `dim --tensor ... --exact` does:
-`cli._exact_product` (orbital branching in the size search, then the
-certificate loop with the solver's symmetry `solver._value_swaps`), with
-`solver._default_kernel` set to the kernel under test; the distance table
-is built once, outside the timing.  A random instance runs the plain size
+`solver.exact_metric_dimension(dist, factors=...)` (orbital branching in
+the size search, then the certificate loop with the solver's symmetry
+`solver._value_swaps`), with `solver._default_kernel` set to the kernel
+under test; the distance table is built once, outside the timing.  A random instance runs the plain size
 search, then the certificate loop `_bb_py.lex_min_hitting_set` driven by
 that kernel and seeded with the solution the size search found.  Times
 are best of `--repeats`; the counts come from one further, untimed run.
@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from tensordim import _bb_py, cli, solver
+from tensordim import _bb_py, solver
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
 
 try:
@@ -46,7 +46,7 @@ def product_instance(sizes):
         saved = solver._default_kernel, solver._value_swaps
         solver._default_kernel, solver._value_swaps = kernel, swaps
         try:
-            return cli._exact_product(factors, dist)
+            return solver.exact_metric_dimension(dist, factors=factors)
         finally:
             solver._default_kernel, solver._value_swaps = saved
 

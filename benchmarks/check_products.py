@@ -2,13 +2,13 @@
 
 `data/clique_products.json` holds the dimension and the lexicographically
 least minimum resolving set of all 103 connected products of two or more
-cliques with at most 64 vertices.  This script recomputes each one through
-`cli._exact_product`, the route of `dim --tensor ... --exact`, once with
-the certificate and once without (the route of `bounds` and `table`), and
-compares the `DimResult`s with the file.  It prints the best time of each
-over `--repeats` runs, and the totals for the two-factor products and for
-all of them.  It exits 1 on any difference, or when the file does not list
-exactly the 103 products.
+cliques with at most 64 vertices.  This script recomputes each one with
+`solver.exact_metric_dimension(dist, factors=...)`, the route of
+`dim --tensor ... --exact`, once with the certificate and once without
+(the route of `bounds` and `table`), and compares the `DimResult`s with
+the file.  It prints the best time of each over `--repeats` runs, and the
+totals for the two-factor products and for all of them.  It exits 1 on
+any difference, or when the file does not list exactly the 103 products.
 
 The compiled kernel is used when a built `tensordim._bb` is importable;
 otherwise it is compiled into a temporary directory with the test suite's
@@ -29,7 +29,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from tensordim import cli, solver
+from tensordim import solver
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,9 +76,11 @@ def check(repeats: int) -> int:
     for row in rows:
         factors = CliqueFactors(row["sizes"])
         dist = tensor_clique_distances(factors)
-        t_cert, with_cert = best_time(lambda: cli._exact_product(factors, dist), repeats)
+        t_cert, with_cert = best_time(
+            lambda: solver.exact_metric_dimension(dist, factors=factors), repeats)
         t_dim, dim_only = best_time(
-            lambda: cli._exact_product(factors, dist, certificate=False), repeats)
+            lambda: solver.exact_metric_dimension(dist, factors=factors, certificate=False),
+            repeats)
         want = solver.DimResult(row["dim"], tuple(row["certificate"]))
         name = "x".join(map(str, factors.sizes))
         if with_cert != want or dim_only != solver.DimResult(row["dim"], None):

@@ -39,6 +39,7 @@ from .graphs import (
     write_edge_list,
 )
 from .metric import (
+    DimResult,
     UnresolvedPair,
     check_vertex_set,
     is_resolving,
@@ -47,8 +48,6 @@ from .metric import (
     swap_witness,
 )
 from .solver import (
-    DimResult,
-    PairResolutionTable,
     build_pair_table,
     exact_metric_dimension,
     exhaustive_metric_dimension,
@@ -67,7 +66,6 @@ __all__ = [
     "EdgeListError",
     "FormulaCase",
     "Graph",
-    "PairResolutionTable",
     "UnresolvedPair",
     "all_pairs_distances",
     "build_bipartite_minus_matching",

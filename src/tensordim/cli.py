@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .constructions import (
-    _two_factor_hint,
     _two_factor_set,
     dim_formula,
     formula_case,
@@ -25,7 +24,6 @@ from .constructions import (
 )
 from .graphs import (
     CliqueFactors,
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     build_bipartite_minus_matching,
@@ -36,7 +34,7 @@ from .graphs import (
     write_edge_list,
 )
 from .metric import is_resolving
-from .solver import MAX_EXACT_VERTICES, DimResult, exact_metric_dimension, greedy_resolving_set
+from .solver import MAX_EXACT_VERTICES, exact_metric_dimension, greedy_resolving_set
 
 
 class UsageError(ValueError):
@@ -71,26 +69,6 @@ def _check_exact_size(space: Graph | CliqueFactors) -> None:
     n = space.n
     if n > MAX_EXACT_VERTICES and space.connected:
         raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
-
-
-def _exact_product(factors: CliqueFactors, dist: DistanceMatrix | None = None, *,
-                   certificate: bool = True) -> DimResult:
-    """Exact dimension of a product of cliques, searched between the hints
-    its bounds give on a connected product: the larger of max(m_i) - 1 and
-    the line-counting bound below, and for two factors the construction
-    above.  With `certificate=False` only the dimension is computed."""
-    if dist is None:
-        _check_exact_size(factors)
-        dist = tensor_clique_distances(factors)
-    lower_hint = 0
-    if factors.connected:
-        lower_hint = max(lower_bound_largest_factor(factors), lower_bound_lines(factors))
-    upper_hint = None
-    if factors.t == 2 and factors.connected:
-        # The solver checks the hint, so the construction's own check is skipped.
-        upper_hint = _two_factor_hint(*factors.sizes)
-    return exact_metric_dimension(dist, lower_hint=lower_hint, upper_hint=upper_hint,
-                                  factors=factors, certificate=certificate)
 
 
 def _set_report(ids, factors: CliqueFactors | None) -> dict:
@@ -169,10 +147,7 @@ def _cmd_dim(args) -> int:
         _emit(report, args.out)
         return 0
 
-    if factors is not None:
-        result = _exact_product(factors, dist)
-    else:
-        result = exact_metric_dimension(dist)
+    result = exact_metric_dimension(dist, factors=factors)
     # exact_metric_dimension has checked the certificate.
     report["dim"] = result.dim
     report.update(_set_report(result.certificate, factors))
@@ -274,7 +249,9 @@ def _cmd_bounds(args) -> int:
         bounds["construction_upper"] = {"applicable": False, "reason": reason}
     report["bounds"] = bounds
     if factors.vertex_count <= args.exact_up_to:
-        result = _exact_product(factors, certificate=False)
+        _check_exact_size(factors)
+        result = exact_metric_dimension(tensor_clique_distances(factors), factors=factors,
+                                        certificate=False)
         exact: dict = {"computed": True, "dim": result.dim}
         if result.disconnected:
             exact["disconnected"] = True
@@ -297,17 +274,18 @@ def build_table_rows(max_m: int, max_n: int, exact_up_to: int) -> list[dict]:
     for m in range(2, max_m + 1):
         for n in range(m, max_n + 1):
             formula = dim_formula(m, n).dim
+            factors = CliqueFactors((m, n))
             row: dict = {"m": m, "n": n, "formula": formula,
                          "construction_size": None, "verified": None, "exact": None}
             if formula is not None:
                 wset = _two_factor_set(m, n)
-                factors = CliqueFactors((m, n))
                 row["construction_size"] = len(wset)
                 row["verified"] = bool(is_resolving(factors, wset))
             exact_known = m * n <= exact_up_to
             if exact_known:
                 # None: disconnected
-                row["exact"] = _exact_product(CliqueFactors((m, n)), certificate=False).dim
+                row["exact"] = exact_metric_dimension(tensor_clique_distances(factors),
+                                                      factors=factors, certificate=False).dim
             if formula is None:
                 row["agree"] = (not exact_known) or row["exact"] is None
             else:

@@ -44,8 +44,8 @@ the exact value for n = 5..10.
 
 Every constructor machine-checks its output before returning it and raises
 ConstructionFailed otherwise; a failure is a bug, never silently repaired.
-The one unchecked builder, `_two_factor_hint`, feeds the exact solver,
-which checks its `upper_hint` itself.
+The one unchecked builder, `_two_factor_hint`, is the exact solver's
+upper seed on two factors, and the solver checks it itself.
 Coordinates below are 0-based; sets are returned as flat vertex ids in
 block order.
 """
@@ -56,8 +56,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import CliqueFactors
-from .metric import is_resolving
-from .solver import DimResult
+from .metric import DimResult, is_resolving
 
 
 class ConstructionFailed(Exception):
@@ -217,7 +216,11 @@ def lower_bound_largest_factor(factors: CliqueFactors) -> int:
 def lower_bound_lines(factors: CliqueFactors) -> int:
     """The line-counting bound of the module docstring, the largest over
     the axes of size >= 3 (0 when there is none).  Needs a connected
-    product."""
+    product.
+
+    With t >= 2 factors it is at least `lower_bound_largest_factor`: a
+    largest axis i has m_i >= 3, and n / m_i = prod_{j != i} m_j >=
+    1 + prod_{j != i} (m_j - 1), so that axis alone gives m_i - 1."""
     if not factors.connected:
         raise ValueError("bound requires a connected product")
     n = factors.vertex_count
@@ -249,7 +252,7 @@ def _two_factor_set(a: int, b: int) -> list[int]:
 
 def _two_factor_hint(a: int, b: int) -> list[int]:
     """_two_factor_set without its resolving check, for a caller that
-    checks the set itself (the exact solver checks its `upper_hint`)."""
+    checks the set itself: the exact solver, whose upper seed it is."""
     return _oriented(_resolving_set(CliqueFactors((min(a, b), max(a, b)))), a, b)
 
 

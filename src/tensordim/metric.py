@@ -1,5 +1,5 @@
-"""Resolving-set primitives: representations, the resolving check, and
-coordinate projections."""
+"""Resolving-set primitives: representations, the resolving check,
+coordinate projections, and the `DimResult` of the solvers and the closed form."""
 
 from __future__ import annotations
 
@@ -10,6 +10,19 @@ from operator import index
 import numpy as np
 
 from .graphs import CliqueFactors, DistanceMatrix, clique_distance_columns
+
+
+@dataclass(frozen=True)
+class DimResult:
+    """Metric dimension plus certificate; dim None means disconnected.  The
+    certificate is also None when only the dimension was asked for."""
+
+    dim: int | None
+    certificate: tuple[int, ...] | None
+
+    @property
+    def disconnected(self) -> bool:
+        return self.dim is None
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
 leaves unhit.  No minimum set extends the prefix with a smaller member, so
 the result is the lexicographically least minimum certificate.  The loop
 starts from a solution of size k that the solver already holds: the size
-search's witness when it beat the upper seed, else that seed when it holds
-the forced vertices (below).  The upper seed is the caller's hint when one
-is given (on a product of two cliques the CLI passes the paper's
-construction, which is optimal), and a greedy completion only when none
-is.  A query that such a
+search's witness when it beat the upper seed, else that seed.  The upper
+seed is the paper's construction on a product of two cliques, which is
+optimal, and otherwise the forced vertices (below) plus a greedy
+completion.  A query that such a
 solution answers is skipped (the `_bb_py` docstring gives the argument),
 so the certificate is unchanged.  Every instance handed to the kernel (the
 root, each symmetric branch, each certificate query) has its masks
@@ -36,7 +35,9 @@ axis they agree), so a vertex z with z_a = u_a and those values elsewhere
 has d(v, z) = 1 and d(u, z) in {2, 3}.  Their automorphisms include
 S_{m_1} x ... x S_{m_t} acting on the coordinates, which is transitive on
 the vertices, so the size search breaks symmetry by orbital branching
-(Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011):
+(Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011).  It searches
+up from `constructions.lower_bound_lines`, which is at least max(m_i) - 1
+on these products (its docstring has the one-line proof):
 
 - Some minimum resolving set contains vertex 0 (map any member to 0), so
   the search starts from the forced set F = {0}.
@@ -100,16 +101,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import os
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _bb_py
+from .constructions import _two_factor_hint, lower_bound_lines
 from .graphs import CliqueFactors, DistanceMatrix
-from .metric import check_vertex_set, is_resolving
+from .metric import DimResult, is_resolving
 
 try:
     from . import _bb as _default_kernel
@@ -131,40 +130,10 @@ def kernel_name() -> str:
     return "python" if _default_kernel is _bb_py else "compiled"
 
 
-@dataclass(frozen=True)
-class DimResult:
-    """Metric dimension plus certificate; dim None means disconnected.  The
-    certificate is also None when only the dimension was asked for."""
-
-    dim: int | None
-    certificate: tuple[int, ...] | None
-
-    @property
-    def disconnected(self) -> bool:
-        return self.dim is None
-
-
-@dataclass(frozen=True)
-class PairResolutionTable:
-    """Per-pair resolver bitsets over the vertices.
-
-    pairs[k] is the k-th unordered pair (x, y) with x < y in lexicographic
-    order; masks[k] has bit w set when vertex w tells x and y apart.
-    """
-
-    n: int
-    masks: np.ndarray
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(itertools.combinations(range(self.n), 2))
-
-    def resolvers(self, k: int) -> list[int]:
-        return _bb_py._bits_ascending(int(self.masks[k]))
-
-
-def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
-    """Resolver bitsets for every vertex pair (needs at most 64 vertices)."""
+def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
+    """Resolver bitsets for every vertex pair (needs at most 64 vertices), as
+    `uint64` masks: mask k has bit w set when vertex w tells apart the k-th
+    pair x < y of `itertools.combinations(range(n), 2)`."""
     n = dist.n
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"pair table supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
@@ -175,8 +144,7 @@ def build_pair_table(dist: DistanceMatrix) -> PairResolutionTable:
     bits = np.packbits(d[xs] != d[ys], axis=1, bitorder="little")
     words = np.zeros((len(xs), 8), dtype=np.uint8)
     words[:, : bits.shape[1]] = bits
-    masks = words.view("<u8").ravel().astype(np.uint64)
-    return PairResolutionTable(n, masks)
+    return words.view("<u8").ravel().astype(np.uint64)
 
 
 def _twin_classes(dist: DistanceMatrix) -> list[list[int]]:
@@ -394,52 +362,36 @@ def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
 def exact_metric_dimension(
     dist: DistanceMatrix,
     *,
-    lower_hint: int = 0,
-    upper_hint: Sequence[int] | None = None,
     factors: CliqueFactors | None = None,
     certificate: bool = True,
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
 
-    `lower_hint` must be a valid lower bound and `upper_hint` a resolving
-    set when given; a result equal to `lower_hint` trusts the hint, since
-    the search stops as soon as it meets it.  `lower_hint` is read as an
-    integer first: a float or other non-integer raises TypeError and a
-    negative value ValueError, before any other check.  The upper seed of
-    the search is the hint when given, and only otherwise the twin-forced
-    vertices plus a greedy completion.  A `lower_hint` above the size of
-    that seed raises ValueError.
     `factors` asserts that `dist` is the product of those cliques with
     vertex ids in the mixed-radix codec (only the vertex count is checked).
-    On a connected product of two or more factors it enables the symmetric
-    size search and the certificate loop's symmetry and skips the twin
-    scan; `factors=None` is the plain search.  `exhaustive_metric_dimension`
-    is the subset scan kept as a reference.  With `certificate=False` only
-    the dimension is computed, and the result's certificate is None: the
-    certificate loop is skipped, and the resolving check runs on the set
-    that proves the size (the forced vertices plus the size search's
-    solution or the seed that set the size).  The dimension does not depend
-    on `factors` or `certificate`.
+    On a connected product of two or more factors it skips the twin scan,
+    enables the symmetric size search and the certificate loop's symmetry,
+    and brings the proven bounds: the search runs up from
+    `lower_bound_lines`, and on two factors the upper seed is the paper's
+    construction, which must pass `is_resolving` (ValueError otherwise).
+    Elsewhere the search runs up from 0, and the upper seed is a greedy
+    completion (after the twin-forced vertices when there are no
+    `factors`); `factors=None` is the plain search.
+    `exhaustive_metric_dimension` is the subset scan kept as a reference.
+    With `certificate=False` only the dimension is computed, and the
+    result's certificate is None: the certificate loop is skipped, and the
+    resolving check runs on the set that proves the size (the forced
+    vertices plus the size search's solution or the seed that set the
+    size).  The dimension does not depend on `factors` or `certificate`.
     """
-    lower_hint = operator.index(lower_hint)
-    if lower_hint < 0:
-        raise ValueError(f"lower_hint must be non-negative, got {lower_hint}")
     if not dist.connected:
         return DimResult(None, None)
     n = dist.n
     if factors is not None and factors.vertex_count != n:
         raise ValueError("factor sizes do not match the vertex count")
-    hint: list[int] | None = None
-    if upper_hint is not None:
-        hint = check_vertex_set(n, upper_hint)
-        if not is_resolving(dist, hint):
-            raise ValueError("upper_hint is not a resolving set")
-        if lower_hint > len(hint):
-            raise ValueError(f"lower_hint {lower_hint} exceeds the upper_hint size {len(hint)}")
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
-    table = build_pair_table(dist)
     clique_product = factors is not None and factors.t >= 2
     forced: list[int] = []
     if not clique_product:
@@ -449,48 +401,42 @@ def exact_metric_dimension(
     forced_mask = _mask(forced)
     cand_mask = ((1 << n) - 1) & ~forced_mask
     # Masks missing the forced vertices lie inside cand_mask already.
-    unhit = [m for m in table.masks.tolist() if m & forced_mask == 0]
-    # The upper seed: the hint when given, else a greedy completion, which
-    # counts every pair (on products of cliques it is smaller that way).
-    # seed is its part outside the forced vertices, as a mask.
-    if hint is not None:
-        seed = _mask(hint) & ~forced_mask
-        rest_upper = len(hint) - len(forced)
+    unhit = [m for m in build_pair_table(dist).tolist() if m & forced_mask == 0]
+    # The upper seed, outside the forced vertices, as a mask: the construction
+    # on two factors, else a greedy completion, which counts every pair (on
+    # products of cliques it is smaller that way).
+    if clique_product and factors.t == 2:
+        construction = _two_factor_hint(*factors.sizes)
+        if not is_resolving(dist, construction):
+            raise ValueError(f"the construction for factors {factors.sizes} does not "
+                             "resolve the graph")
+        seed = _mask(construction)
     else:
-        greedy = _greedy_completion(unhit, cand_mask)  # [] when nothing is pending
-        seed = _mask(greedy)
-        rest_upper = len(greedy)
-        if lower_hint > len(forced) + rest_upper:
-            raise ValueError(f"lower_hint {lower_hint} exceeds the size "
-                             f"{len(forced) + rest_upper} of a resolving set already found")
+        seed = _mask(_greedy_completion(unhit, cand_mask))  # 0 when nothing is pending
     # The kernel needs each mask once.
     pending = list(dict.fromkeys(unhit))
     if not pending:
         return DimResult(len(forced), tuple(forced) if certificate else None)
-    rest_lower = max(0, lower_hint - len(forced))
     if clique_product:
         value_masks = _value_masks(factors)
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
-                                        [{0} for _ in factors.sizes], rest_lower, rest_upper,
-                                        factors, value_masks)
+                                        [{0} for _ in factors.sizes], lower_bound_lines(factors),
+                                        seed.bit_count(), factors, value_masks)
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
-        k_rest = _default_kernel.min_hitting_size(pending, cand_mask, lower=rest_lower,
-                                                  upper=rest_upper, witness=witness)
+        k_rest = _default_kernel.min_hitting_size(pending, cand_mask, lower=0,
+                                                  upper=seed.bit_count(), witness=witness)
         found = witness[0] if witness else None
     # A solution of size k_rest seeds the certificate loop: the search's own
-    # when it beat the seed, else the seed, which set k_rest unless it is a
-    # hint that leaves out a forced vertex.
-    if found is None and seed.bit_count() == k_rest:
+    # when it beat the seed, else the seed, which set k_rest.
+    if found is None:
         found = seed
     dim = len(forced) + k_rest
     if not certificate:
-        # The set that proves the size; a hint that leaves out a forced
-        # vertex is the one case without a found solution.
-        proof = forced + _bb_py._bits_ascending(found) if found is not None else hint
-        if proof is None or len(proof) != dim or not is_resolving(dist, proof):
+        proof = forced + _bb_py._bits_ascending(found)
+        if len(proof) != dim or not is_resolving(dist, proof):
             raise AssertionError("the set behind the exact dimension failed the resolving check")
         return DimResult(dim, None)
     symmetry = _value_swaps(factors, value_masks) if clique_product else None

@@ -41,7 +41,7 @@ def report(name, ok, detail):
 
 def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
     # Every K_m x K_n with 2 <= m <= n and mn <= 64, the exact search's
-    # limit, searched above the proven bound max(m, n) - 1.
+    # limit, which the solver searches up from the proven bound max(m, n) - 1.
     t0 = time.perf_counter()
     pinned = {(3, 3): 3, (3, 4): 4, (3, 5): 4, (4, 4): 4, (4, 5): 5,
               (4, 6): 6, (5, 6): 6, (6, 6): 7}
@@ -52,8 +52,7 @@ def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
             if (m, n) == (2, 2):
                 continue
             f = CliqueFactors((m, n))
-            res = exact_metric_dimension(tensor_clique_distances(f), factors=f,
-                                         lower_hint=lower_bound_largest_factor(f))
+            res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
             want = dim_formula(m, n).dim
             if m == 2:
                 ok &= want == n - 1
@@ -192,7 +191,7 @@ def test_7_three_factor_bound_sandwich():
         lo_sub = lower_bound_subproduct(f)
         upper_set = upper_bound_construction(f)
         ok &= bool(is_resolving(dist, upper_set))
-        res = exact_metric_dimension(dist, lower_hint=lo_sub, factors=f)
+        res = exact_metric_dimension(dist, factors=f)
         elapsed = time.perf_counter() - t0
         ok &= lo_corner <= lo_sub <= res.dim <= len(upper_set)
         ok &= elapsed < 120

@@ -181,25 +181,6 @@ def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
     assert len(checked) == 2 and len(set(checked)) == 2
 
 
-def test_exact_product_passes_the_proven_hints(monkeypatch):
-    # Lower hint: the larger of max(m_i) - 1 and the line bound on every
-    # connected product, a factor of size 2 included (6 and 11 on 2x3x4 and
-    # 3x3x7); the construction as upper hint on two factors only.
-    hints = []
-
-    def record(dist, *, lower_hint, upper_hint, factors, certificate):
-        hints.append((lower_hint, upper_hint))
-        return solver.DimResult(None, None)
-
-    monkeypatch.setattr(cli, "exact_metric_dimension", record)
-    want = {(2, 5): (4, constructions._two_factor_hint(2, 5)), (2, 3, 4): (6, None),
-            (2, 2, 3): (0, None), (3, 3, 7): (11, None)}
-    for sizes, hint in want.items():
-        hints.clear()
-        cli._exact_product(CliqueFactors(sizes))
-        assert hints == [hint], sizes
-
-
 def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeypatch, capsys):
     def no_table(g):
         raise AssertionError(f"built a distance table for {g.n} vertices")

@@ -191,6 +191,18 @@ def test_line_bound_equals_the_largest_factor_bound_on_two_factors():
             for sizes in ((m, n), (n, m)):
                 f = CliqueFactors(sizes)
                 assert lower_bound_lines(f) == lower_bound_largest_factor(f)
+    # With t >= 2 factors it is never smaller, so the solver needs only the
+    # line bound: every connected product up to 400 vertices, sizes ascending.
+    checked = 0
+    stack = [(m,) for m in range(2, 201)]
+    while stack:
+        sizes = stack.pop()
+        if len(sizes) >= 2 and sizes.count(2) <= 1:
+            f = CliqueFactors(sizes)
+            assert lower_bound_lines(f) >= lower_bound_largest_factor(f), sizes
+            checked += 1
+        stack += [sizes + (m,) for m in range(sizes[-1], 400 // math.prod(sizes) + 1)]
+    assert checked == 1475
 
 
 def connected_orders(limit):

@@ -1,6 +1,8 @@
 """Exact solver, greedy heuristic, pair table, and determinism contracts."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from tensordim import (
     tensor_of_cliques,
 )
 from tensordim import solver
-from tensordim.constructions import _two_factor_hint
 
 from conftest import (
     oracle_greedy,
@@ -53,11 +54,11 @@ def test_pair_table_masks_encode_resolvers(rng):
         all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.1))),
     ]
     for dist in graphs:
-        table = build_pair_table(dist)
-        assert table.masks.dtype == np.uint64
-        assert table.pairs == tuple(itertools.combinations(range(dist.n), 2))
-        for idx, (x, y) in enumerate(table.pairs):
-            resolvers = table.resolvers(idx)
+        masks = build_pair_table(dist)
+        assert masks.dtype == np.uint64
+        assert len(masks) == dist.n * (dist.n - 1) // 2
+        for mask, (x, y) in zip(masks.tolist(), itertools.combinations(range(dist.n), 2)):
+            resolvers = [w for w in range(dist.n) if mask >> w & 1]
             assert resolvers == [v for v in range(dist.n) if dist.d(x, v) != dist.d(y, v)]
             # each endpoint always separates its own pair
             assert x in resolvers and y in resolvers
@@ -73,13 +74,13 @@ def test_resolving_iff_all_pair_masks_hit(rng):
     for _ in range(20):
         n = rng.randrange(2, 10)
         dist = all_pairs_distances(Graph(n, random_connected_edges(rng, n, 0.3)))
-        table = build_pair_table(dist)
+        masks = build_pair_table(dist)
         for _ in range(8):
             w = rng.sample(range(n), rng.randrange(0, n + 1))
             chosen = 0
             for v in w:
                 chosen |= 1 << v
-            hits_all = all(int(m) & chosen for m in table.masks)
+            hits_all = all(int(m) & chosen for m in masks)
             assert hits_all == bool(is_resolving(dist, w))
 
 
@@ -345,7 +346,7 @@ def test_value_swaps_keep_the_certificates(monkeypatch):
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         got = exact_metric_dimension(dist, factors=f)
-        plain = solver._bb_py.lex_min_hitting_set(build_pair_table(dist).masks.tolist(),
+        plain = solver._bb_py.lex_min_hitting_set(build_pair_table(dist).tolist(),
                                                   (1 << f.vertex_count) - 1, got.dim)
         assert got.certificate == tuple(plain), sizes
 
@@ -428,137 +429,57 @@ def test_dimension_only_matches_the_certified_search(solver_kernel, rng):
     assert disconnected == 5
 
 
-def test_dimension_only_checks_a_hint_that_leaves_out_a_forced_vertex(monkeypatch):
-    # Leaves 1 and 2 are twins, so 1 is forced.  A minimum set holding 2
-    # instead, given as the hint, is the only set of the optimum size: a
-    # hint is the only upper seed, so no greedy seed is built.
-    dist = all_pairs_distances(twin_graph())
-    want = exact_metric_dimension(dist)
-    hint = next(c for c in itertools.combinations(range(6), want.dim)
-                if 1 not in c and is_resolving(dist, list(c)))
+PRODUCTS = {tuple(p["sizes"]): DimResult(p["dim"], tuple(p["certificate"])) for p in json.loads(
+    (Path(__file__).resolve().parents[1] / "data" / "clique_products.json").read_text())["products"]}
 
+
+@pytest.mark.parametrize("sizes", [(2, 5), (3, 4), (4, 7), (5, 5), (6, 6)],
+                         ids=["2x5", "3x4", "4x7", "5x5", "6x6"])
+def test_two_factor_products_build_no_greedy_seed(sizes, solver_kernel, monkeypatch):
+    # The construction is the upper seed on two factors.
     def no_greedy(pending, cand_mask):
-        raise AssertionError("a hinted solve built a greedy seed")
+        raise AssertionError("a two-factor solve built a greedy seed")
 
     monkeypatch.setattr(solver, "_greedy_completion", no_greedy)
-    checked = []
-    real_check = solver.is_resolving
-    monkeypatch.setattr(solver, "is_resolving",
-                        lambda d, w: checked.append(sorted(w)) or real_check(d, w))
-    got = exact_metric_dimension(dist, upper_hint=hint, certificate=False)
-    assert got == DimResult(want.dim, None)
-    assert checked == [list(hint), list(hint)]
-
-
-@pytest.mark.parametrize("sizes", [(7, 8), (7, 9), (8, 8)], ids=["7x8", "7x9", "8x8"])
-def test_exact_matches_formula_up_to_sixty_four_vertices(sizes, compiled_kernel, monkeypatch):
-    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
     f = CliqueFactors(sizes)
     dist = tensor_clique_distances(f)
-    res = exact_metric_dimension(dist, factors=f)
-    assert res.dim == dim_formula(*sizes).dim
-    assert is_resolving(dist, list(res.certificate))
+    assert exact_metric_dimension(dist, factors=f) == PRODUCTS[sizes]
+    assert exact_metric_dimension(dist, factors=f, certificate=False) == DimResult(
+        PRODUCTS[sizes].dim, None)
 
 
-def test_hints_do_not_change_the_answer():
-    f = CliqueFactors((3, 4))
-    dist = tensor_clique_distances(f)
-    base = exact_metric_dimension(dist, factors=f)
-    hinted = exact_metric_dimension(
-        dist, factors=f, lower_hint=3,
-        upper_hint=[f.flat_index((0, j)) for j in range(4)] + [f.flat_index((1, 0))])
-    assert base == hinted
+def test_products_search_between_their_proven_bounds(monkeypatch):
+    # The root call of the symmetric size search gets the line bound as its
+    # lower bound on every connected product, a factor of size 2 included
+    # (6 and 11 on 2x3x4 and 3x3x7), and the construction's size as its
+    # upper bound on two factors.  A disconnected product makes no call.
+    # The spy skips the search: nothing beats the seed, which is checked.
+    roots = []
+
+    def spy(masks, cand, forced, used, lower, upper, factors, value_masks):
+        roots.append((lower, upper))
+        return upper, None
+
+    monkeypatch.setattr(solver, "_orbit_min_size", spy)
+    for sizes, lower, upper in [((2, 5), 4, 4), ((2, 3, 4), 6, None), ((3, 3, 7), 11, None),
+                                ((2, 2, 3), None, None)]:
+        roots.clear()
+        f = CliqueFactors(sizes)
+        exact_metric_dimension(tensor_clique_distances(f), factors=f, certificate=False)
+        if lower is None:
+            assert roots == [], sizes
+        else:
+            assert len(roots) == 1 and roots[0][0] == lower, sizes
+            assert upper is None or roots[0][1] == upper, sizes
 
 
-def twin_graph():
-    # Leaves 1 and 2 of vertex 0 are twins, so one of them is forced.
-    return Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
-
-
-@pytest.mark.parametrize("sizes", [(2, 5), (3, 4), (4, 7), (5, 5), (6, 6), None],
-                         ids=["2x5", "3x4", "4x7", "5x5", "6x6", "twins"])
-def test_a_hinted_solve_equals_the_unhinted_one_without_a_greedy_seed(sizes, solver_kernel,
-                                                                      monkeypatch):
-    if sizes is None:
-        factors, dist = None, all_pairs_distances(twin_graph())
-        want = exact_metric_dimension(dist)
-        hints = [c for c in itertools.combinations(range(dist.n), want.dim)
-                 if is_resolving(dist, list(c))]
-    else:
-        factors = CliqueFactors(sizes)
-        dist = tensor_clique_distances(factors)
-        want = exact_metric_dimension(dist, factors=factors)
-        # The construction, and a resolving set one larger than the optimum.
-        hint = _two_factor_hint(*sizes)
-        hints = [hint, hint + [min(set(range(dist.n)) - set(hint))]]
-    assert len(hints) >= 2
-
-    def no_greedy(pending, cand_mask):
-        raise AssertionError("a hinted solve built a greedy seed")
-
-    monkeypatch.setattr(solver, "_greedy_completion", no_greedy)
-    for hint in hints:
-        for lower in (0, want.dim):
-            got = exact_metric_dimension(dist, factors=factors, lower_hint=lower,
-                                         upper_hint=hint)
-            assert got == want, hint
-            assert exact_metric_dimension(
-                dist, factors=factors, lower_hint=lower, upper_hint=hint,
-                certificate=False) == DimResult(want.dim, None)
-
-
-def test_lower_hint_must_be_an_integer(solver_kernel):
-    f = CliqueFactors((3, 4))
-    dist = tensor_clique_distances(f)
-    for hint in (2.5, 3.0, "3", None):
-        with pytest.raises(TypeError):
-            exact_metric_dimension(dist, lower_hint=hint, factors=f)
-    assert exact_metric_dimension(dist, lower_hint=np.int64(3), factors=f).dim == 4
-
-
-def test_bad_upper_hint_rejected():
-    f = CliqueFactors((3, 3))
-    dist = tensor_clique_distances(f)
-    with pytest.raises(ValueError):
-        exact_metric_dimension(dist, factors=f, upper_hint=[0, 4])
-
-
-def test_negative_lower_hint_rejected():
-    f = CliqueFactors((3, 4))
-    with pytest.raises(ValueError, match="lower_hint"):
-        exact_metric_dimension(tensor_clique_distances(f), factors=f, lower_hint=-1)
-
-
-def test_lower_hint_above_upper_hint_rejected():
-    f = CliqueFactors((3, 4))
-    upper = [f.flat_index((0, j)) for j in range(4)] + [f.flat_index((1, 0))]
-    with pytest.raises(ValueError, match="lower_hint"):
-        exact_metric_dimension(tensor_clique_distances(f), factors=f,
-                               lower_hint=6, upper_hint=upper)
-
-
-@pytest.mark.parametrize("hint", [4, 5, 10])
-def test_lower_hint_above_a_known_resolving_set_rejected(hint):
-    # dim(K_3 x K_3) = 3: the greedy seed holds a set of size 3.
-    f = CliqueFactors((3, 3))
-    dist = tensor_clique_distances(f)
-    for factors in [None, f]:
-        with pytest.raises(ValueError, match="lower_hint"):
-            exact_metric_dimension(dist, factors=factors, lower_hint=hint)
-    assert exact_metric_dimension(dist, factors=f, lower_hint=3).dim == 3
-
-
-def test_lower_hint_rejected_when_nothing_is_pending():
+def test_nothing_pending_returns_the_forced_vertices():
     # Every vertex of K_5 is a twin of every other: four are forced and no
     # pair is left pending.  A single vertex has no pair at all.
     dist = all_pairs_distances(build_clique(5))
-    assert exact_metric_dimension(dist, lower_hint=4).certificate == (0, 1, 2, 3)
-    with pytest.raises(ValueError, match="lower_hint"):
-        exact_metric_dimension(dist, lower_hint=5)
+    assert exact_metric_dimension(dist).certificate == (0, 1, 2, 3)
     single = all_pairs_distances(Graph(1))
     assert exact_metric_dimension(single).certificate == ()
-    with pytest.raises(ValueError, match="lower_hint"):
-        exact_metric_dimension(single, lower_hint=1)
 
 
 def test_exact_rejects_more_than_64_vertices():
