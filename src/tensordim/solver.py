@@ -25,7 +25,9 @@ in lexicographic order and therefore returns the same certificate.
 
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
-smallest ids are forced into the solution before the search starts.
+smallest ids are forced into the solution before the search starts.  The
+classes are read off the pair table, built once for the search: two
+vertices are twins when nothing but themselves resolves their pair.
 
 Connected products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 (at most
 one m_i is 2) take a different route.  They have no twins.  Take u != v
@@ -94,7 +96,7 @@ A caller that needs only the dimension (`certificate=False`) runs the same
 forcing, seeds and size search and skips the certificate loop.  The size
 is still machine-checked: the forced vertices plus the size search's
 solution, or the seed that set the size, must be a resolving set of that
-size.
+size.  The construction seed is checked once, when it is taken.
 """
 
 from __future__ import annotations
@@ -147,28 +149,31 @@ def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
     return words.view("<u8").ravel().astype(np.uint64)
 
 
-def _twin_classes(dist: DistanceMatrix) -> list[list[int]]:
-    """Maximal classes of mutually twin vertices, ids ascending.
+def _twin_classes(n: int, pair_masks: np.ndarray) -> list[list[int]]:
+    """Maximal classes of mutually twin vertices, ids ascending, read off
+    the pair table of `build_pair_table`.
 
-    Twins are an equivalence relation (Hernando, Mora, Pelayo, Seara and
-    Wood, 2010), so each class is the twins of its least vertex.
+    x < y each tell their own pair apart, so they are twins exactly when
+    the pair's mask holds no other bit.  Twins are an equivalence relation
+    (Hernando, Mora, Pelayo, Seara and Wood, 2010), so each class is the
+    twins of its least vertex: the least x in a twin pair with y names
+    y's class.
     """
-    d = dist.values
-    n = dist.n
-    # differ[x, y, z]: z tells x and y apart; x and y themselves do not count.
-    differ = d[:, None, :] != d[None, :, :]
-    ids = np.arange(n)
-    differ[ids, :, ids] = False
-    differ[:, ids, ids] = False
-    twin = ~differ.any(axis=2)
-    classes: list[list[int]] = []
-    assigned = np.zeros(n, dtype=bool)
-    for x in range(n):
-        if not assigned[x]:
-            cls = np.flatnonzero(twin[x] & ~assigned)
-            assigned[cls] = True
-            classes.append(cls.tolist())
-    return classes
+    one = np.uint64(1)
+    # Clearing the two lowest bits, x and y, leaves nothing on a twin pair.
+    rest = pair_masks & (pair_masks - one)
+    rest &= rest - one
+    twins = np.flatnonzero(rest == 0)
+    least = list(range(n))
+    # Most inputs have no twins; the pair indices cost more than the scan.
+    if twins.size:
+        xs, ys = np.triu_indices(n, k=1)
+        for x, y in zip(xs[twins].tolist(), ys[twins].tolist()):
+            least[y] = min(least[y], x)
+    classes: dict[int, list[int]] = {}
+    for v, x in enumerate(least):
+        classes.setdefault(x, []).append(v)
+    return list(classes.values())
 
 
 def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
@@ -382,7 +387,8 @@ def exact_metric_dimension(
     result's certificate is None: the certificate loop is skipped, and the
     resolving check runs on the set that proves the size (the forced
     vertices plus the size search's solution or the seed that set the
-    size).  The dimension does not depend on `factors` or `certificate`.
+    size), unless that set is the construction, already checked.  The
+    dimension does not depend on `factors` or `certificate`.
     """
     if not dist.connected:
         return DimResult(None, None)
@@ -393,24 +399,26 @@ def exact_metric_dimension(
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
 
     clique_product = factors is not None and factors.t >= 2
+    pair_masks = build_pair_table(dist)
     forced: list[int] = []
     if not clique_product:
-        for cls in _twin_classes(dist):
+        for cls in _twin_classes(n, pair_masks):
             forced.extend(cls[:-1])
         forced.sort()
     forced_mask = _mask(forced)
     cand_mask = ((1 << n) - 1) & ~forced_mask
     # Masks missing the forced vertices lie inside cand_mask already.
-    unhit = [m for m in build_pair_table(dist).tolist() if m & forced_mask == 0]
+    unhit = [m for m in pair_masks.tolist() if m & forced_mask == 0]
     # The upper seed, outside the forced vertices, as a mask: the construction
     # on two factors, else a greedy completion, which counts every pair (on
     # products of cliques it is smaller that way).
+    checked_seed = None
     if clique_product and factors.t == 2:
         construction = _two_factor_hint(*factors.sizes)
         if not is_resolving(dist, construction):
             raise ValueError(f"the construction for factors {factors.sizes} does not "
                              "resolve the graph")
-        seed = _mask(construction)
+        seed = checked_seed = _mask(construction)
     else:
         seed = _mask(_greedy_completion(unhit, cand_mask))  # 0 when nothing is pending
     # The kernel needs each mask once.
@@ -435,8 +443,10 @@ def exact_metric_dimension(
         found = seed
     dim = len(forced) + k_rest
     if not certificate:
+        # The construction passed is_resolving above; nothing is forced on
+        # its route, so when it set the size it is the set behind it.
         proof = forced + _bb_py._bits_ascending(found)
-        if len(proof) != dim or not is_resolving(dist, proof):
+        if len(proof) != dim or found != checked_seed and not is_resolving(dist, proof):
             raise AssertionError("the set behind the exact dimension failed the resolving check")
         return DimResult(dim, None)
     symmetry = _value_swaps(factors, value_masks) if clique_product else None

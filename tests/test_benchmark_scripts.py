@@ -1,14 +1,14 @@
 """The scripts under `benchmarks/` call package internals by name, so a
 renamed or removed one breaks them long before anyone runs them by hand.
-This loads `check_products.py` and `bench_kernels.py` from source, never
-writing bytecode there, and runs a small part of each.
+This loads `check_products.py`, `bench_kernels.py` and `bench_layers.py`
+from source, never writing bytecode there, and runs a small part of each.
 """
 
 import importlib.util
 import json
 import sys
 
-from tensordim import DimResult, _bb_py, solver
+from tensordim import DimResult, Graph, _bb_py, all_pairs_distances, solver
 
 from conftest import ROOT
 
@@ -37,3 +37,23 @@ def test_bench_kernels_runs_a_product_on_the_pure_kernel(monkeypatch):
     want = next(p for p in PRODUCTS if p["sizes"] == [3, 4])
     assert run(_bb_py) == DimResult(want["dim"], tuple(want["certificate"])), name
     assert solver._default_kernel is kernel
+
+
+def test_bench_layers_records_the_greedy_seeds(monkeypatch):
+    # bench_layers imports tdbench's `workloads` (and with it `checks`) by
+    # bare name from a path it prepends; both are undone afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        bench_layers = load_script(monkeypatch, "bench_layers")
+    finally:
+        for name in ("workloads", "checks"):
+            sys.modules.pop(name, None)
+    completion = solver._greedy_completion
+    path = all_pairs_distances(Graph(6, [(v, v + 1) for v in range(5)]))
+    star = all_pairs_distances(Graph(5, [(0, v) for v in range(1, 5)]))
+    inputs = bench_layers.seed_inputs([path, star])
+    assert solver._greedy_completion is completion
+    # One upper seed per exact solve.  The path's end vertex 0 resolves it.
+    # The star's four leaves are twins: the three forced resolve every pair.
+    assert [sorted(completion(*args)) for args in inputs] == [[0], []]
+    assert inputs[1] == ([], 0b10001)

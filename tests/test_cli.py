@@ -181,6 +181,24 @@ def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
     assert len(checked) == 2 and len(set(checked)) == 2
 
 
+def test_bounds_checks_the_construction_once(monkeypatch, capsys):
+    # Dimension only: the construction sets the size, and its one check, as
+    # the solver's upper seed, also proves it.
+    checked = []
+    original = metric.is_resolving
+
+    def counting(space, wset):
+        checked.append(tuple(wset))
+        return original(space, wset)
+
+    for module in (metric, constructions, solver, cli):
+        if getattr(module, "is_resolving", None) is original:
+            monkeypatch.setattr(module, "is_resolving", counting)
+    report = run_json(capsys, "bounds", "--tensor", "4,7")
+    assert report["exact"]["computed"] is True and report["exact"]["dim"] == 6
+    assert len(checked) == 1
+
+
 def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeypatch, capsys):
     def no_table(g):
         raise AssertionError(f"built a distance table for {g.n} vertices")

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tensordim import (
@@ -26,6 +26,7 @@ from tensordim import (
     tensor_product,
     write_edge_list,
 )
+from tensordim.graphs import BFS_FOLD_BYTES
 
 from conftest import oracle_bfs
 
@@ -174,6 +175,28 @@ def test_bfs_distances_match_oracle(case):
     assert np.array_equal(dist.values == INF, ref == -1)
     assert np.array_equal(dist.values[ref != -1], ref[ref != -1])
     assert dist.connected == bool((ref != -1).all())
+
+
+def path_edges(first, last):
+    return [(v, v + 1) for v in range(first, last)]
+
+
+@pytest.mark.parametrize("n,edges", [
+    (300, path_edges(0, 299)),
+    (301, path_edges(0, 300) + [(300, 0)]),
+    # Two long components and an isolated vertex.
+    (321, path_edges(0, 199) + path_edges(200, 319)),
+    (0, []),
+    (1, []),
+], ids=["path300", "cycle301", "two-paths-and-a-point", "empty", "single"])
+def test_bfs_distances_match_oracle_past_the_fold(n, edges):
+    # The BFS holds one n x n layer for each round from 0 to the largest
+    # distance, and folds them before they unpack past BFS_FOLD_BYTES.
+    dist = all_pairs_distances(Graph(n, edges))
+    ref = np.array(oracle_bfs(n, edges), dtype=np.int64).reshape(n, n)
+    assert np.array_equal(dist.values, np.where(ref == -1, INF, ref))
+    if n > 1:
+        assert (ref.max() + 1) * n * n > BFS_FOLD_BYTES
 
 
 def test_distance_table_is_a_metric(rng):
@@ -332,6 +355,17 @@ def test_edge_list_roundtrip(tmp_path, rng):
         assert read_edge_list(path) == g
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_sets())
+def test_edge_list_round_trip_property(tmp_path, case):
+    # Any simple graph on 0..40 vertices, isolated vertices included.
+    g = Graph(*case)
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path)
+    assert read_edge_list(path) == g
+
+
 def test_edge_list_is_lf_terminated(tmp_path):
     path = tmp_path / "g.txt"
     write_edge_list(build_clique(3), path)
@@ -361,6 +395,81 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     with pytest.raises(EdgeListError) as err:
         parse_edge_list(text)
     assert err.value.line == lineno
+
+
+# Tokens for arbitrary edge-list text: counts, endpoints (in range or not),
+# bad integers and comments.
+TOKENS = st.sampled_from(["0", "1", "2", "3", "9", "-1", "00", "x", "1.5", "0x1", "#", "# 1 2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=8))
+def test_parse_fails_only_with_an_edge_list_error(lines):
+    text = "\n".join(lines)
+    try:
+        g = parse_edge_list(text)
+    except EdgeListError as err:
+        assert 1 <= err.line <= len(text.splitlines()) + 1
+    else:
+        assert isinstance(g, Graph)
+
+
+@st.composite
+def broken_edge_lists(draw):
+    """(text, line): a valid edge list with one fault, and the 1-based line
+    that must report it (one past the last line for a missing line)."""
+    n, edges = draw(edge_sets().filter(lambda case: case[0] >= 2))
+    g = Graph(n, edges)
+    m = g.edge_count()
+    body = [f"{u} {v}" for u, v in g.edges()]
+    kinds = ["token", "range", "loop", "missing-line", "no-header"]
+    if m:
+        kinds += ["duplicate", "extra-line"]
+    kind = draw(st.sampled_from(kinds))
+    lines = [f"{n} {m}"] + body
+    if kind == "token":
+        bad = draw(st.integers(0, len(lines) - 1))
+        lines[bad] = draw(st.sampled_from(["a b", "1", "1 2 3", "0x1 2", "1.0 2", "1 -"]))
+    elif kind == "range":
+        bad = draw(st.integers(1, len(lines)))
+        lines.insert(bad, draw(st.sampled_from([f"{n} 0", f"0 {n + 3}", "-1 1"])))
+        lines[0] = f"{n} {m + 1}"
+    elif kind == "loop":
+        bad = draw(st.integers(1, len(lines)))
+        v = draw(st.integers(0, n - 1))
+        lines.insert(bad, f"{v} {v}")
+        lines[0] = f"{n} {m + 1}"
+    elif kind == "duplicate":
+        first = draw(st.integers(1, m))
+        bad = draw(st.integers(first + 1, len(lines)))
+        u, v = lines[first].split()
+        lines.insert(bad, draw(st.sampled_from([f"{u} {v}", f"{v} {u}"])))
+        lines[0] = f"{n} {m + 1}"
+    elif kind == "missing-line":
+        lines[0] = f"{n} {m + 1}"
+        bad = None
+    elif kind == "extra-line":
+        lines[0] = f"{n} {m - 1}"
+        bad = len(lines) - 1
+    else:
+        lines = []
+        bad = None
+    # Comment and blank lines anywhere shift the line numbers only.
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["", "# note", "   "])))
+        if bad is not None and at <= bad:
+            bad += 1
+    return "".join(line + "\n" for line in lines), (len(lines) + 1 if bad is None else bad + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken_edge_lists())
+def test_parse_reports_each_fault_on_its_line(case):
+    text, line = case
+    with pytest.raises(EdgeListError) as err:
+        parse_edge_list(text)
+    assert err.value.line == line
 
 
 def test_graph_equality_ignores_edge_order():

@@ -183,7 +183,7 @@ def twin_classes_checked(dist):
     def twins(x, y):
         return all(table[x][z] == table[y][z] for z in range(n) if z not in (x, y))
 
-    classes = solver._twin_classes(dist)
+    classes = solver._twin_classes(n, solver.build_pair_table(dist))
     assert sorted(v for cls in classes for v in cls) == list(range(n))
     assert all(cls == sorted(cls) for cls in classes)
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
@@ -200,6 +200,8 @@ def test_products_of_cliques_with_factors_of_three_have_no_twins(rng):
         assert all(len(cls) == 1 for cls in classes), sizes
     # The leaves of sparse graphs are twins.
     twin_classes_checked(all_pairs_distances(Graph(9, [(0, v) for v in range(1, 9)])))
+    # All six vertices of K_6 are mutually twin: one class, five forced.
+    assert twin_classes_checked(all_pairs_distances(build_clique(6))) == [list(range(6))]
     for _ in range(30):
         n = rng.randrange(8, 25)
         p = rng.choice([0.0, 0.05, 0.2, 0.7])
@@ -446,6 +448,17 @@ def test_two_factor_products_build_no_greedy_seed(sizes, solver_kernel, monkeypa
     assert exact_metric_dimension(dist, factors=f) == PRODUCTS[sizes]
     assert exact_metric_dimension(dist, factors=f, certificate=False) == DimResult(
         PRODUCTS[sizes].dim, None)
+
+
+@pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "dim-only"])
+def test_a_construction_that_does_not_resolve_is_refused(certificate, monkeypatch):
+    # The construction is checked before it seeds the search: one member
+    # short (5 of the 6 a minimum set of 4x7 needs), it raises.
+    construction = solver._two_factor_hint
+    monkeypatch.setattr(solver, "_two_factor_hint", lambda m, n: construction(m, n)[1:])
+    f = CliqueFactors((4, 7))
+    with pytest.raises(ValueError, match="does not resolve"):
+        exact_metric_dimension(tensor_clique_distances(f), factors=f, certificate=certificate)
 
 
 def test_products_search_between_their_proven_bounds(monkeypatch):
