@@ -47,9 +47,19 @@ a caller's `witness` list receives a solution of the returned size.
 within a budget from size queries to a kernel's `min_hitting_size`: it
 appends the least candidate v above the members so far whose unhit masks
 the candidates above v can still hit within the budget.  It skips a v that
-hits no pending mask, which no minimum solution contains.  So at budget ==
+hits no pending mask, which no minimum solution contains: the scan runs
+over the candidates in the OR of the pending masks.  So at budget ==
 optimum no minimum solution extends the prefix with a smaller member, and
 the result is the lexicographically least minimum solution.
+
+The last two members are settled in place, with no query.  With one
+member left, the query at v succeeds exactly when v lies in every pending
+mask, so the loop takes the least candidate of their AND, or returns None
+when the AND is empty.  With two left, the query at v is a last-pick node
+(above): it succeeds exactly when v misses no pending mask, or when the
+masks v misses share a candidate above v.  The loop takes the first such
+v and, when v misses a mask, the least shared candidate.  A query is
+therefore asked only with two or more members left to place after v.
 
 Many of those queries are answered before they are asked.  The loop keeps
 a completion `comp`: a set inside the candidates, with at most budget
@@ -58,11 +68,15 @@ caller may pass one (the solution its size search found), and every
 successful query's witness becomes the next.  When the scan reaches
 v = min(comp), comp - v lies above v, fits the smaller budget and hits
 every mask v leaves unhit, so the query would succeed: v is taken without
-it.  A v below min(comp) is queried as before, and a skipped v that hits
-nothing pending leaves comp, which still hits every pending mask.  Every
-step therefore takes the same v as the plain loop.  Each completion is
-checked before it is trusted, so a kernel that returns a wrong witness
-raises AssertionError instead of yielding a set that is not the least.
+it.  A v below min(comp) is queried as before; the members of comp below
+the scan hit nothing pending, so dropping them leaves a completion.  Every
+step therefore takes the same v as the plain loop.  The completion move
+and the failure carry (below) are tried first, and a query's instance (the
+masks v misses, restricted to the candidates above v and de-duplicated)
+is built only when the query is asked.  Each step ends by checking the
+completion it hands on against the masks still pending, so a kernel that
+returns a wrong witness raises AssertionError instead of yielding a set
+that is not the least.
 
 A caller that knows symmetries of the instance may answer more queries
 without asking them (isomorphism pruning, Margot, Math. Prog. 94, 2002).
@@ -89,7 +103,8 @@ Both keep the v of every step, so the result is unchanged.
 
 from __future__ import annotations
 
-from operator import index
+from functools import reduce
+from operator import and_, index, or_
 
 
 def _bits_ascending(mask: int) -> list[int]:
@@ -245,7 +260,7 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
 def _checked_completion(comp: int, pending: list[int], cand_mask: int, size: int) -> int:
     """comp, after checking that it is a completion: inside cand_mask, at
     most size members, and hitting every pending mask."""
-    if comp & ~cand_mask or comp.bit_count() > size or not all(m & comp for m in pending):
+    if comp & ~cand_mask or comp.bit_count() > size or not all(map(comp.__and__, pending)):
         raise AssertionError(f"{comp:#x} is not a completion within {size} candidates")
     return comp
 
@@ -258,6 +273,10 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     result is the lexicographically least minimum solution.  Returns [] when
     no mask is pending and None when no solution fits the budget.
     `min_size` answers the queries: `min_hitting_size` of either kernel.
+    It is asked only with two or more members left to place after v, for a
+    v that neither the completion nor the symmetry answers, on that query's
+    restricted, de-duplicated instance; the last two members are settled in
+    place.
     `completion`, when given, is a mask of candidates, at most `budget` of
     them, hitting every mask (a solution the size search found); it spares
     the queries it already answers and never changes the result.
@@ -270,7 +289,9 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     """
     budget = _c_int(budget)
     cand_mask = _word(cand_mask)
-    pending = list(dict.fromkeys(m & cand_mask for m in _words(masks)))
+    # Pending masks stay as given: only a query's instance is restricted
+    # and de-duplicated.
+    pending = _words(masks)
     # comp: inside cand_mask, at most budget - len(prefix) members, hitting
     # every pending mask; 0 while no such set is known.
     comp = 0
@@ -282,38 +303,62 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
         need = budget - len(prefix) - 1
         if need < 0:
             return None
+        if need == 0:
+            # One member left: the least candidate in every pending mask.
+            common = reduce(and_, pending, cand_mask)
+            if not common:
+                return None
+            prefix.append((common & -common).bit_length() - 1)
+            return prefix
+        # A v outside every pending mask hits nothing pending, and no
+        # minimum solution holds it: the scan passes it by.
+        scan = cand_mask & reduce(or_, pending)
+        if need == 1:
+            # Two members left: the first v whose missed masks share a
+            # candidate above v, or that misses none (the last-pick rule).
+            while scan:
+                vb = scan & -scan
+                scan ^= vb
+                missed = [m for m in pending if not m & vb]
+                common = reduce(and_, missed, cand_mask & -(vb << 1))
+                if common or not missed:
+                    prefix.append(vb.bit_length() - 1)
+                    if missed:
+                        prefix.append((common & -common).bit_length() - 1)
+                    return prefix
+            return None
         failed: list[int] = []  # queries known to fail at this prefix
-        for v in _bits_ascending(cand_mask):
-            vb = 1 << v
-            rest = [m for m in pending if m & vb == 0]
-            if len(rest) == len(pending):
-                comp &= ~vb  # hits nothing pending, so no minimum solution holds v
-                continue
-            later = cand_mask >> (v + 1) << (v + 1)
-            rest = list(dict.fromkeys(m & later for m in rest))
+        while scan:
+            vb = scan & -scan
+            scan ^= vb
+            v = vb.bit_length() - 1
+            comp &= -vb  # members below v hit nothing pending
             if vb == comp & -comp:
                 comp ^= vb  # comp - v lies above v and fits: the query succeeds
                 break
+            later = cand_mask & -(vb << 1)
             if symmetry is not None:
                 sigma = symmetry(taken, v, (comp & -comp).bit_length() - 1) if comp else None
-                if sigma is not None:  # the completion move
-                    comp = _checked_completion(sigma(comp) ^ vb, rest, later, need)
+                if sigma is not None:  # the completion move, checked below
+                    comp = sigma(comp) ^ vb
                     break
                 if any(symmetry(taken, u, v) is not None for u in failed):
                     failed.append(v)  # the failure carry
                     continue
+            rest = list(dict.fromkeys(m & later for m in pending if not m & vb))
             # lower and upper go by keyword: tdbench/tracing.py reads them by name.
             witness: list[int] = []
             if min_size(rest, later, lower=need, upper=need + 1, witness=witness) <= need:
                 if not witness:
                     raise AssertionError("a size query succeeded without a witness")
-                comp = _checked_completion(witness[0], rest, later, need)
+                comp = witness[0]
                 break
             failed.append(v)
         else:
             return None
         prefix.append(v)
         taken |= vb
-        pending = rest
-        cand_mask = later
+        cand_mask &= -(vb << 1)
+        pending = [m for m in pending if not m & vb]
+        comp = _checked_completion(comp, pending, cand_mask, need)
     return prefix

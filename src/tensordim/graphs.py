@@ -10,6 +10,7 @@ fastest.  Every module and the command line speak this codec.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,16 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
+
+    @classmethod
+    def _from_sets(cls, n: int, neighbours: Iterable[Iterable[int]]) -> Graph:
+        """The graph whose vertex v has the v-th of `neighbours` as its
+        neighbours, taken as checked: n of them, symmetric, in range and
+        loop-free."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(map(frozenset, neighbours))
+        return g
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -363,48 +374,49 @@ def parse_edge_list(lines: str | Iterable[str]) -> Graph:
 
     The first data line holds "<n> <m>"; the next m data lines hold one
     "u v" edge each.  Blank lines and text after "#" are ignored.  Accepts
-    a whole document as one string or any iterable of lines.
+    a whole document as one string or any iterable of lines.  One pass adds
+    each edge to the neighbour sets, where an edge already present is a
+    duplicate, in either order of its ends.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    last_line = 0
+    # Sets are made as their vertex first appears, so a header's count
+    # allocates nothing before the edges are read.
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    count = 0
+    lineno = 0
     for lineno, raw in enumerate(lines, start=1):
-        last_line = lineno
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+        text = raw.partition("#")[0]
         parts = text.split()
-        if len(parts) != 2:
-            raise EdgeListError(lineno, f"expected two integers, got {text!r}")
+        if not parts:
+            continue
         try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(lineno, f"expected two integers, got {text!r}") from None
+            a, b = map(int, parts)
+        except ValueError:  # a bad integer, or not two fields
+            raise EdgeListError(lineno, f"expected two integers, got {text.strip()!r}") from None
         if header is None:
             if a < 0 or b < 0:
                 raise EdgeListError(lineno, "vertex and edge counts must be nonnegative")
-            header = (a, b)
+            header = n, m = a, b
             continue
-        n, m = header
-        if len(edges) == m:
+        if count == m:
             raise EdgeListError(lineno, f"more than the declared {m} edges")
         if not (0 <= a < n and 0 <= b < n):
             raise EdgeListError(lineno, f"edge ({a}, {b}) out of range for {n} vertices")
         if a == b:
             raise EdgeListError(lineno, f"loop at vertex {a}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
+        near = adj[a]
+        if b in near:
             raise EdgeListError(lineno, f"duplicate edge ({a}, {b})")
-        seen.add(key)
-        edges.append(key)
+        near.add(b)
+        adj[b].add(a)
+        count += 1
     if header is None:
-        raise EdgeListError(last_line + 1, "missing header line")
-    if len(edges) != header[1]:
-        raise EdgeListError(last_line + 1, f"expected {header[1]} edges, got {len(edges)}")
-    return Graph(header[0], edges)
+        raise EdgeListError(lineno + 1, "missing header line")
+    if count != m:
+        raise EdgeListError(lineno + 1, f"expected {m} edges, got {count}")
+    return Graph._from_sets(n, (adj.pop(v, ()) for v in range(n)))
 
 
 def read_edge_list(path: str | Path) -> Graph:

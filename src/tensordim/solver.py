@@ -204,7 +204,12 @@ def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
         tied = pairs - run_start.sum(axis=1)
         best_v = int(np.argmin(tied))
         chosen.append(best_v)
-        labels = np.unique(labels * span + dt[best_v], return_inverse=True)[1].astype(key_type)
+        # Renumber the classes by ranking the keys present, as np.unique's
+        # inverse would, with a presence table over all n * span keys.
+        split = labels * span + dt[best_v]
+        present = np.zeros(n * span, dtype=key_type)
+        present[split] = 1
+        labels = np.cumsum(present, dtype=key_type)[split] - 1
         current = int(tied[best_v])
     chosen.sort()
     if not is_resolving(dist, chosen):

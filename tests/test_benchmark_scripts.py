@@ -9,6 +9,7 @@ import json
 import sys
 
 from tensordim import DimResult, Graph, _bb_py, all_pairs_distances, solver
+from tensordim.graphs import CliqueFactors, read_edge_list, tensor_of_cliques
 
 from conftest import ROOT
 
@@ -39,15 +40,26 @@ def test_bench_kernels_runs_a_product_on_the_pure_kernel(monkeypatch):
     assert solver._default_kernel is kernel
 
 
-def test_bench_layers_records_the_greedy_seeds(monkeypatch):
+def load_bench_layers(monkeypatch):
     # bench_layers imports tdbench's `workloads` (and with it `checks`) by
     # bare name from a path it prepends; both are undone afterwards.
     monkeypatch.setattr(sys, "path", list(sys.path))
     try:
-        bench_layers = load_script(monkeypatch, "bench_layers")
+        return load_script(monkeypatch, "bench_layers")
     finally:
         for name in ("workloads", "checks"):
             sys.modules.pop(name, None)
+
+
+def test_bench_layers_writes_the_product_edge_list(monkeypatch, tmp_path):
+    bench_layers = load_bench_layers(monkeypatch)
+    path = bench_layers.product_edge_list(tmp_path, (3, 4))
+    assert path.parent == tmp_path
+    assert read_edge_list(path) == tensor_of_cliques(CliqueFactors((3, 4)))
+
+
+def test_bench_layers_records_the_greedy_seeds(monkeypatch):
+    bench_layers = load_bench_layers(monkeypatch)
     completion = solver._greedy_completion
     path = all_pairs_distances(Graph(6, [(v, v + 1) for v in range(5)]))
     star = all_pairs_distances(Graph(5, [(0, v) for v in range(1, 5)]))

@@ -377,6 +377,15 @@ def test_edge_list_is_lf_terminated(tmp_path):
 def test_parse_accepts_comments_and_blank_lines():
     text = "# triangle\n3 3\n\n0 1\n1 2\n# done soon\n0 2\n"
     assert parse_edge_list(text) == build_clique(3)
+    # A comment right after a number.
+    assert parse_edge_list("3 2# header\n0 1#c\n1 2#\n") == Graph(3, [(0, 1), (1, 2)])
+
+
+def test_parse_accepts_tabs_and_crlf_line_ends(tmp_path):
+    text = "3\t2\r\n0\t1\r\n\r\n 1 \t 2 \r\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    assert parse_edge_list(text) == read_edge_list(path) == Graph(3, [(0, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("text,lineno", [
@@ -386,6 +395,9 @@ def test_parse_accepts_comments_and_blank_lines():
     ("3 1\n0 5\n", 2),                      # endpoint out of range
     ("3 1\n1 1\n", 2),                      # self loop
     ("3 2\n0 1\n0 1\n", 3),                 # duplicate edge
+    ("3 2\n0 1\n# swapped\n1 0\n", 4),      # duplicate edge, ends swapped
+    ("3 2\r\n0\t1\r\n0\t1\r\n", 3),         # duplicate edge, tabs and CRLF
+    ("3 1\n0#1\n", 2),                      # "#" cuts the second endpoint
     ("3 1\n0 1 2\n", 2),                    # extra field
     ("3 2\n0 1\n", 3),                      # fewer edges than declared
     ("3 1\n0 1\n1 2\n", 3),                 # more edges than declared

@@ -253,20 +253,73 @@ def test_a_completion_that_is_no_solution_raises(kernel, masks, cand, budget, co
 
 def test_a_wrong_witness_raises():
     # A size query whose witness does not hit the masks it was asked about.
+    # Budget 3: the first step still queries (two members to place after it).
     def lying(masks, cand_mask, lower, upper, witness):
         witness.append(0)
         return lower
 
     with pytest.raises(AssertionError):
-        _bb_py.lex_min_hitting_set([0b011, 0b110], 0b111, 2, min_size=lying)
+        _bb_py.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3, min_size=lying)
 
 
 def test_a_completion_move_off_the_contract_raises(kernel):
     # The identity does not send 1, the completion's least member, to 0, so
-    # the moved completion holds 0 and fails the check.
+    # the moved completion holds 0 and fails the check.  Budget 3: the move
+    # is tried at the first step, with two members to place after it.
     with pytest.raises(AssertionError):
-        _bb_py.lex_min_hitting_set([0b011, 0b110], 0b111, 1, min_size=kernel.min_hitting_size,
-                                   completion=0b010, symmetry=lambda prefix, u, v: lambda m: m)
+        _bb_py.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
+                                   min_size=kernel.min_hitting_size, completion=0b101010,
+                                   symmetry=lambda prefix, u, v: lambda m: m)
+
+
+def plain_lex(masks, cand, budget):
+    """The certificate loop with every step answered by the exhaustive
+    oracle: the least candidate v above the members so far that hits a
+    pending mask and leaves masks that budget - members - 1 candidates
+    above v can hit."""
+    prefix = []
+    pending = list(masks)
+    while pending:
+        need = budget - len(prefix) - 1
+        for v in range(cand.bit_length()):
+            if not cand >> v & 1 or all(m >> v & 1 == 0 for m in pending):
+                continue
+            above = cand >> (v + 1) << (v + 1)
+            rest = [m & above for m in pending if m >> v & 1 == 0]
+            found = oracle_min_hitting(rest, cand.bit_length()) if need >= 0 else None
+            if found is not None and found[0] <= need:
+                break
+        else:
+            return None
+        prefix.append(v)
+        pending = rest
+        cand = above
+    return prefix
+
+
+def test_the_last_two_members_are_settled_without_a_query(kernel):
+    # At every budget, a query is asked only with two or more members left
+    # to place after v (lower >= 2), and the result is that of the loop
+    # with every step answered exhaustively: the lexicographically least
+    # minimum solution at the optimum, None below it.
+    rng = random.Random(17)
+    lowers = []
+
+    def query(*args, lower, **kwargs):
+        lowers.append(lower)
+        return kernel.min_hitting_size(*args, lower=lower, **kwargs)
+
+    for _ in range(80):
+        nbits = rng.randrange(3, 11)
+        masks = random_instance(rng, nbits, rng.randrange(1, 10))
+        cand = (1 << nbits) - 1
+        size, _ = oracle_min_hitting(masks, nbits)
+        for budget in range(nbits + 1):
+            got = _bb_py.lex_min_hitting_set(masks, cand, budget, min_size=query)
+            assert got == plain_lex(masks, cand, budget)
+            if budget <= size:
+                assert got == oracle_lex_min(masks, nbits, budget)
+    assert lowers and min(lowers) >= 2
 
 
 def test_restricted_candidate_mask_respected(kernel):
