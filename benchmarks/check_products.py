@@ -6,9 +6,11 @@ cliques with at most 64 vertices.  This script recomputes each one with
 `solver.exact_metric_dimension(dist, factors=...)`, the route of
 `dim --tensor ... --exact`, once with the certificate and once without
 (the route of `bounds` and `table`), and compares the `DimResult`s with
-the file.  It prints the best time of each over `--repeats` runs, and the
-totals for the two-factor products and for all of them.  It exits 1 on
-any difference, or when the file does not list exactly the 103 products.
+the file.  It prints the best time of each over `--repeats` runs, the
+number of kernel queries the certificate loop asked (the same on either
+kernel), and the totals for the two-factor products and for all of them.
+It exits 1 on any difference, or when the file does not list exactly the
+103 products.
 
 The compiled kernel is used when a built `tensordim._bb` is importable;
 otherwise it is compiled into a temporary directory with the test suite's
@@ -62,6 +64,40 @@ def best_time(run, repeats: int):
     return best, result
 
 
+def counting_queries(run):
+    """run(), with the kernel queries its certificate loops ask counted:
+    returns (result, queries)."""
+    real = solver._bb_py.lex_min_hitting_set
+    queries = 0
+
+    def counted(*args, min_size, **kwargs):
+        def query(*q_args, **q_kwargs):
+            nonlocal queries
+            queries += 1
+            return min_size(*q_args, **q_kwargs)
+
+        return real(*args, min_size=query, **kwargs)
+
+    solver._bb_py.lex_min_hitting_set = counted
+    try:
+        return run(), queries
+    finally:
+        solver._bb_py.lex_min_hitting_set = real
+
+
+def measure(factors: CliqueFactors, repeats: int):
+    """The best times of the solve with the certificate and of the
+    dimension-only solve, their results, and the kernel queries the
+    certificate loop asked: (t_cert, with_cert, queries, t_dim, dim_only)."""
+    dist = tensor_clique_distances(factors)
+    t_cert, (with_cert, queries) = best_time(
+        lambda: counting_queries(lambda: solver.exact_metric_dimension(dist, factors=factors)),
+        repeats)
+    t_dim, dim_only = best_time(
+        lambda: solver.exact_metric_dimension(dist, factors=factors, certificate=False), repeats)
+    return t_cert, with_cert, queries, t_dim, dim_only
+
+
 def check(repeats: int) -> int:
     rows = json.loads(DATA.read_text(encoding="utf-8"))["products"]
     listed = [tuple(row["sizes"]) for row in rows]
@@ -70,17 +106,12 @@ def check(repeats: int) -> int:
               file=sys.stderr)
         return 1
     print(f"kernel: {solver.kernel_name()}")
-    print(f"{'product':<10}  {'dim':>3}  {'cert s':>8}  {'dim only s':>10}")
+    print(f"{'product':<10}  {'dim':>3}  {'cert s':>8}  {'dim only s':>10}  {'queries':>7}")
     totals = {"two-factor": [0.0, 0.0], "all": [0.0, 0.0]}
     bad = 0
     for row in rows:
         factors = CliqueFactors(row["sizes"])
-        dist = tensor_clique_distances(factors)
-        t_cert, with_cert = best_time(
-            lambda: solver.exact_metric_dimension(dist, factors=factors), repeats)
-        t_dim, dim_only = best_time(
-            lambda: solver.exact_metric_dimension(dist, factors=factors, certificate=False),
-            repeats)
+        t_cert, with_cert, queries, t_dim, dim_only = measure(factors, repeats)
         want = solver.DimResult(row["dim"], tuple(row["certificate"]))
         name = "x".join(map(str, factors.sizes))
         if with_cert != want or dim_only != solver.DimResult(row["dim"], None):
@@ -89,7 +120,8 @@ def check(repeats: int) -> int:
         for key in ("two-factor", "all") if factors.t == 2 else ("all",):
             totals[key][0] += t_cert
             totals[key][1] += t_dim
-        print(f"{name:<10}  {row['dim']:>3}  {t_cert:>8.4f}  {t_dim:>10.4f}", flush=True)
+        print(f"{name:<10}  {row['dim']:>3}  {t_cert:>8.4f}  {t_dim:>10.4f}  {queries:>7}",
+              flush=True)
     for key, (t_cert, t_dim) in totals.items():
         print(f"total {key:<10}  cert {t_cert:.3f} s  dim only {t_dim:.3f} s")
     print(f"{len(rows) - bad} of {len(rows)} products match {DATA.name}")

@@ -83,10 +83,12 @@ without asking them (isomorphism pruning, Margot, Math. Prog. 94, 2002).
 It passes `symmetry(prefix, u, v)`, with prefix the mask of the members so
 far and u < v candidates, which returns a map of masks sigma or None.  A
 sigma must be a permutation of the ids that maps cand_mask and the family
-of masks (restricted to cand_mask) onto themselves, fixes every prefix
-member, sends v to u and sends every id above v to an id above u.  Such a
-sigma fixes the prefix, so it maps the sets that complete the prefix onto
-each other.  It gives two implications:
+of masks (restricted to cand_mask) onto themselves, maps the prefix onto
+itself (as a set: it may permute the members), sends v to u and sends
+every id above v to an id above u.  A set completes the prefix exactly
+when its image under sigma does, since sigma(prefix + C) = prefix +
+sigma(C), so sigma maps the sets that complete the prefix onto each
+other.  It gives two implications:
 
 - Completion move.  The scan reaches v below c = min(comp).  If sigma
   sends c to v, sigma(comp) holds v, lies above v with that one exception,
@@ -145,7 +147,7 @@ def _packing_bound(pending: list[int], avail: int) -> int:
     """Count pairwise-disjoint restricted masks; each needs its own pick."""
     union = 0
     count = 0
-    for r in sorted((m & avail for m in pending), key=int.bit_count):
+    for r in sorted([m & avail for m in pending], key=int.bit_count):
         if r & union == 0:
             union |= r
             count += 1
@@ -219,8 +221,10 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
         excluded = 0
         if count + 3 >= best:
             # Two picks left: each child w is a last-pick node, settled here.
-            for w in _bits_ascending(branch_mask):
-                wb = 1 << w
+            rest = branch_mask
+            while rest:
+                wb = rest & -rest
+                rest ^= wb
                 # Once best is count + 2, only a w in every mask improves.
                 common = avail & ~excluded & ~wb if count + 2 < best else 0
                 missed = False
@@ -243,8 +247,10 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
             return
         if count + _packing_bound(pending, avail) >= best:
             return
-        for w in _bits_ascending(branch_mask):
-            wb = 1 << w
+        rest = branch_mask
+        while rest:
+            wb = rest & -rest
+            rest ^= wb
             dfs(count + 1, chosen | wb, avail & ~excluded & ~wb,
                 [m for m in pending if m & wb == 0])
             if best <= lower:
@@ -281,8 +287,10 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     them, hitting every mask (a solution the size search found); it spares
     the queries it already answers and never changes the result.
     `symmetry(prefix, u, v)`, when given, returns a map of masks sigma or
-    None, under the contract of the module docstring; it spares the queries
-    that sigma answers and never changes the result either.
+    None, under the contract of the module docstring (sigma maps the
+    prefix onto itself, sends v to u and keeps the ids above v above u);
+    it spares the queries that sigma answers and never changes the result
+    either.
     Masks and `budget` are checked as there (`budget` as `upper`); a
     completion or a query's witness that is not a solution raises
     AssertionError.

@@ -416,7 +416,10 @@ def parse_edge_list(lines: str | Iterable[str]) -> Graph:
         raise EdgeListError(lineno + 1, "missing header line")
     if count != m:
         raise EdgeListError(lineno + 1, f"expected {m} edges, got {count}")
-    return Graph._from_sets(n, (adj.pop(v, ()) for v in range(n)))
+    # Vertices no edge names share one empty set, so a large declared count
+    # costs one pointer per vertex.
+    empty: frozenset[int] = frozenset()
+    return Graph._from_sets(n, (adj.pop(v, empty) for v in range(n)))
 
 
 def read_edge_list(path: str | Path) -> Graph:

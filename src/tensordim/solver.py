@@ -78,19 +78,21 @@ The certificate queries run on the full instance, without forcing vertex
 0, so the certificate is the least one in sorted order either way.  The
 symmetry answers some of them without asking (`_bb_py` gives the two
 implications, the completion move and the failure carry).  For a prefix P
-and candidates u < v, the loop needs an automorphism sigma that fixes P,
-sends v to u and sends every id above v to an id above u.  `_value_swaps`
-gives one when u_i <= v_i on every axis and no member of P uses u_i or
-v_i on an axis where they differ: the product of the value transpositions
-(u_i v_i) on those axes.  It fixes P, since P avoids every swapped value,
-and sends v to u.  Take x > v and the first axis k where x and v differ,
-so x_k > v_k >= u_k.  On the axes before k, x agrees with v and so
-sigma(x) agrees with u.  On axis k, x_k is neither u_k nor v_k, so sigma
-leaves it, and sigma(x)_k = x_k > u_k: in the mixed-radix codec, sigma(x)
-> u.  A transposition with u_i > v_i on some axis cannot serve: it sends
-the ids that agree with v before axis i and have value u_i there, which
-lie above v, below u.  Each transposition is two shifts of `_value_masks`
-runs, so no step runs per vertex.
+and candidates u < v, the loop needs an automorphism sigma that maps P
+onto itself, sends v to u and sends every id above v to an id above u.
+`_value_swaps` gives one when u_i <= v_i on every axis and the product of
+the value transpositions (u_i v_i) on the axes where they differ maps P
+onto itself: sigma is that product.  It may swap members of P: on 4x10
+with P = the vertices (0, 0)..(0, 4), the swap of columns 0 and 1 maps P
+onto itself and sends (1, 1) to (1, 0), so the failed query at (1, 0)
+settles the one at (1, 1).  Take x > v and the first axis k where x and
+v differ, so x_k > v_k >= u_k.  On the axes before k, x agrees with v
+and so sigma(x) agrees with u.  On axis k, x_k is neither u_k nor v_k,
+so sigma leaves it, and sigma(x)_k = x_k > u_k: in the mixed-radix codec,
+sigma(x) > u.  A transposition with u_i > v_i on some axis cannot serve:
+it sends the ids that agree with v before axis i and have value u_i
+there, which lie above v, below u.  Each transposition is two shifts of
+`_value_masks` runs, so no step runs per vertex.
 
 A caller that needs only the dimension (`certificate=False`) runs the same
 forcing, seeds and size search and skips the certificate loop.  The size
@@ -347,8 +349,8 @@ def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
     """The certificate loop's `symmetry` on a product of cliques (see the
     module docstring): symmetry(prefix, u, v) maps masks by the value
     transpositions (u_i v_i) on the axes where u and v differ, or is None
-    unless u_i < v_i on each such axis and no vertex of the `prefix` mask
-    uses u_i or v_i there."""
+    unless u_i < v_i on each such axis and the transpositions map the
+    `prefix` mask onto itself."""
     axes = []
     stride = factors.vertex_count
     for m, masks in zip(factors.sizes, value_masks):
@@ -359,11 +361,12 @@ def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
         swaps = []
         for stride, m, masks in axes:
             a, b = u // stride % m, v // stride % m
-            if a != b:
-                low, high = masks[a], masks[b]
-                if a > b or prefix & (low | high):
-                    return None
-                swaps.append((low, high, (b - a) * stride))
+            if a > b:
+                return None
+            if a < b:
+                swaps.append((masks[a], masks[b], (b - a) * stride))
+        if _swap_values(swaps, prefix) != prefix:
+            return None
         return functools.partial(_swap_values, swaps)
 
     return symmetry

@@ -29,6 +29,17 @@ def load_script(monkeypatch, name):
 def test_check_products_lists_the_data_files_products(monkeypatch):
     check_products = load_script(monkeypatch, "check_products")
     assert check_products.connected_products() == [tuple(p["sizes"]) for p in PRODUCTS]
+    # Its queries column, on the pure kernel: the certificate loop's kernel
+    # queries, while both solves still give the file's results.
+    monkeypatch.setattr(solver, "_default_kernel", _bb_py)
+    lex_min = _bb_py.lex_min_hitting_set
+    for sizes, asked in [((4, 7), 2), ((3, 3, 3), 6)]:
+        want = next(p for p in PRODUCTS if tuple(p["sizes"]) == sizes)
+        _, with_cert, queries, _, dim_only = check_products.measure(CliqueFactors(sizes), 2)
+        assert with_cert == DimResult(want["dim"], tuple(want["certificate"])), sizes
+        assert dim_only == DimResult(want["dim"], None), sizes
+        assert queries == asked, sizes
+    assert _bb_py.lex_min_hitting_set is lex_min
 
 
 def test_bench_kernels_runs_a_product_on_the_pure_kernel(monkeypatch):

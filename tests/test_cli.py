@@ -1,6 +1,8 @@
 """End-to-end behavior of the command-line interface."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -214,6 +216,30 @@ def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeyp
     split.write_text("65 63\n" + "".join(f"{v} {v + 1}\n" for v in range(63)))
     report = run_json(capsys, "dim", str(split), "--exact")
     assert (report["n"], report["dim"], report["disconnected"]) == (65, None, True)
+
+
+def test_a_large_declared_vertex_count_parses_small_and_fast(tmp_path, capsys):
+    # "200000 0" declares 200,000 vertices and no edge.  They share one
+    # empty neighbour set, so the header costs a pointer per vertex, and
+    # dim reports the graph disconnected without building a table.
+    text = "200000 0\n"
+    t0 = time.perf_counter()
+    g = graphs.parse_edge_list(text)
+    elapsed = time.perf_counter() - t0
+    assert (g.n, g.edge_count()) == (200000, 0)
+    del g
+    assert graphs.parse_edge_list("4 1\n1 2\n") == Graph(4, [(1, 2)])
+    tracemalloc.start()
+    try:
+        graphs.parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.2 and peak < 5_000_000, (elapsed, peak)
+    path = tmp_path / "isolated.txt"
+    path.write_text(text)
+    report = run_json(capsys, "dim", str(path), "--greedy")
+    assert (report["n"], report["dim"], report["disconnected"]) == (200000, None, True)
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):

@@ -1,7 +1,10 @@
 """Exact solver, greedy heuristic, pair table, and determinism contracts."""
 
+import functools
 import itertools
 import json
+import operator
+import random
 from pathlib import Path
 
 import numpy as np
@@ -300,42 +303,95 @@ PRODUCTS_TO_FORTY = [(m, n) for m in range(3, 14) for n in range(m, 14) if m * n
 
 def test_value_swaps_are_the_automorphisms_the_certificate_loop_needs():
     # Every prefix of size 0-2 below u, as in the loop, and every u < v.
-    # The map exists exactly when u_i <= v_i on every axis and no prefix
-    # member uses u_i or v_i on an axis where u and v differ; it is then a
-    # distance-preserving permutation that fixes the prefix, sends v to u
-    # and sends every id above v to an id above u.
+    # The map exists exactly when u_i <= v_i on every axis and the value
+    # transpositions (u_i v_i) on the axes where u and v differ map the
+    # prefix onto itself; it is then that product of transpositions, a
+    # distance-preserving permutation that permutes the prefix members,
+    # sends v to u and sends every id above v to an id above u.
+    moved_members = 0
     for sizes in [(3, 3), (3, 4), (4, 5), (3, 3, 3), (3, 3, 4), (2, 4), (3, 2, 3)]:
         f = CliqueFactors(sizes)
         n = f.vertex_count
         d = tensor_clique_distances(f).values
-        coords = f.coordinates()
-        on_axis = [[sum(1 << int(x) for x in np.flatnonzero(coords[:, i] == a)) for a in range(m)]
-                   for i, m in enumerate(sizes)]
+        coords = [tuple(c) for c in f.coordinates().tolist()]
+        ids = {c: x for x, c in enumerate(coords)}
         symmetry = solver._value_swaps(f, solver._value_masks(f))
         preserves = {}
         for u, v in itertools.combinations(range(n), 2):
-            ordered = bool((coords[u] <= coords[v]).all())
-            swapped = 0
-            for i in np.flatnonzero(coords[u] != coords[v]):
-                swapped |= on_axis[i][coords[u][i]] | on_axis[i][coords[v][i]]
+            cu, cv = coords[u], coords[v]
+            ordered = all(a <= b for a, b in zip(cu, cv))
+            swapped = tuple(ids[tuple(b if x == a else a if x == b else x
+                                      for x, a, b in zip(c, cu, cv))] for c in coords)
             for k in range(3):
                 for members in itertools.combinations(range(u), k):
                     prefix = sum(1 << p for p in members)
+                    kept = sorted(swapped[p] for p in members) == list(members)
                     sigma = symmetry(prefix, u, v)
-                    assert (sigma is not None) == (ordered and not prefix & swapped), (
-                        sizes, members, u, v)
+                    assert (sigma is not None) == (ordered and kept), (sizes, members, u, v)
                     if sigma is None:
                         continue
                     images = [sigma(1 << x) for x in range(n)]
                     assert all(image.bit_count() == 1 for image in images)
                     perm = tuple(image.bit_length() - 1 for image in images)
-                    assert sorted(perm) == list(range(n))
+                    assert perm == swapped, (sizes, u, v)
                     if perm not in preserves:
                         preserves[perm] = bool((d[np.ix_(perm, perm)] == d).all())
                     assert preserves[perm], (sizes, u, v)
-                    assert all(perm[p] == p for p in members)
+                    assert sigma(prefix) == prefix
+                    moved_members += any(perm[p] != p for p in members)
                     assert perm[v] == u
                     assert min(perm[v + 1:], default=n) > u
+    # The maps that swap prefix members are in use, not only those that
+    # fix every member.
+    assert moved_members
+
+
+def test_value_swaps_carry_completions_from_v_to_u():
+    # Brute force: for every prefix P of up to 2 members, every u < v above
+    # it with a map, and every budget k up to the dimension, if P + v is
+    # completed by at most k ids above v, then P + u is completed by at
+    # most k ids above u.  This is the implication both the failure carry
+    # and the completion move use; the converse need not hold (on 3x3,
+    # with P empty, (0, 0) completes with fewer ids above it than (2, 0)).
+    # The oracle is plain subset enumeration over pair masks read off the
+    # distance table.
+    for sizes, dim, sample in [((3, 3), 3, None), ((3, 4), 4, None), ((4, 4), 4, None),
+                               ((3, 3, 3), 6, 120)]:
+        f = CliqueFactors(sizes)
+        n = f.vertex_count
+        d = tensor_clique_distances(f).values.tolist()
+        masks = [sum(1 << w for w in range(n) if d[x][w] != d[y][w])
+                 for x, y in itertools.combinations(range(n), 2)]
+        symmetry = solver._value_swaps(f, solver._value_masks(f))
+        least = {}
+
+        def least_completion(members, x):
+            # The fewest ids above x completing members + x, or dim + 1.
+            if (members, x) not in least:
+                chosen = sum(1 << p for p in members) | 1 << x
+                pending = [m for m in masks if not m & chosen]
+                # hits[w]: the pending masks id w hits, as bits.
+                hits = [sum(1 << i for i, m in enumerate(pending) if m >> w & 1)
+                        for w in range(x + 1, n)]
+                full = (1 << len(pending)) - 1
+                least[members, x] = next(
+                    (k for k in range(dim + 1) for combo in itertools.combinations(hits, k)
+                     if functools.reduce(operator.or_, combo, 0) == full), dim + 1)
+            return least[members, x]
+
+        prefixes = [p for k in range(3) for p in itertools.combinations(range(n), k)]
+        if sample:
+            prefixes = random.Random(0).sample(prefixes, sample)
+        pairs = 0
+        for members in prefixes:
+            prefix = sum(1 << p for p in members)
+            start = members[-1] + 1 if members else 0
+            for u, v in itertools.combinations(range(start, n), 2):
+                if symmetry(prefix, u, v) is not None:
+                    pairs += 1
+                    assert least_completion(members, u) <= least_completion(members, v), (
+                        sizes, members, u, v)
+        assert pairs, sizes
 
 
 def test_value_swaps_keep_the_certificates(monkeypatch):
@@ -353,12 +409,11 @@ def test_value_swaps_keep_the_certificates(monkeypatch):
         assert got.certificate == tuple(plain), sizes
 
 
-def test_value_swaps_answer_certificate_queries(monkeypatch):
-    # Without the symmetry 3x3x4 asks 25 queries and 4x7 asks 15; with the
-    # failure carry alone 21 and 9, with the completion move alone 24 and 14.
-    # The loop consults the symmetry only where the test above checks it:
-    # u < v, both above every member of the current prefix.
-    monkeypatch.setattr(solver, "_default_kernel", solver._bb_py)
+def test_value_swaps_answer_certificate_queries(compiled_kernel, monkeypatch):
+    # The kernel queries the certificate loop asks, the same on both
+    # kernels.  Without the symmetry 3x3x4 asks 25 queries and 4x7 asks
+    # 15.  The loop consults the symmetry only where the tests above check
+    # it: u < v, both above every member of the current prefix.
     real = solver._bb_py.lex_min_hitting_set
     queries = []
     consulted = []
@@ -375,13 +430,16 @@ def test_value_swaps_answer_certificate_queries(monkeypatch):
         return real(*args, min_size=query, symmetry=symmetry and rule, **kwargs)
 
     monkeypatch.setattr(solver._bb_py, "lex_min_hitting_set", counted)
-    for sizes, most in [((3, 3, 4), 20), ((4, 7), 8)]:
-        f = CliqueFactors(sizes)
-        queries.clear()
-        consulted.clear()
-        exact_metric_dimension(tensor_clique_distances(f), factors=f)
-        assert len(queries) <= most, sizes
-        assert consulted and all(prefix >> u == 0 and u < v for prefix, u, v in consulted), sizes
+    for kernel in (solver._bb_py, compiled_kernel):
+        monkeypatch.setattr(solver, "_default_kernel", kernel)
+        for sizes, asked in [((3, 3, 4), 10), ((3, 3, 3), 6), ((4, 7), 2), ((4, 10), 2),
+                             ((5, 8), 3), ((6, 6), 6)]:
+            f = CliqueFactors(sizes)
+            queries.clear()
+            consulted.clear()
+            exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            assert len(queries) == asked, (kernel.__name__, sizes)
+            assert consulted and all(prefix >> u == 0 and u < v for prefix, u, v in consulted)
 
 
 def test_stabilizer_orbits_partition_the_candidates():
