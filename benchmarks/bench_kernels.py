@@ -1,18 +1,18 @@
 """Benchmark the compiled search kernel against the pure-Python reference.
 
-Runs the same searches on both kernels and prints wall times, the
-speedup, the number of kernel calls on each kernel and the number of
-certificate queries answered by symmetry instead.  A product of cliques
-runs the solver's route, as `dim --tensor ... --exact` does:
-`solver.exact_metric_dimension(dist, factors=...)` (orbital branching in
-the size search, then the certificate loop with the solver's symmetry
-`solver._value_swaps`), with `solver._default_kernel` set to the kernel
-under test; the distance table is built once, outside the timing.  A random instance runs the plain size
-search, then the certificate loop `_bb_py.lex_min_hitting_set` driven by
-that kernel and seeded with the solution the size search found.  Times
-are best of `--repeats`; the counts come from one further, untimed run.
-When no built `tensordim._bb` is importable, the kernel is compiled into
-a temporary directory with the test suite's recipe (setup.py).  Usage:
+Runs the same searches on both kernels and prints, per kernel, the wall
+time of the solve with the certificate, the time of the dimension alone
+and the kernel queries the certificate loop asked, then the speedup of
+the certified solve.  It exits 1 if the kernels give different results
+or queries.  A product of cliques is timed by `check_products.measure`,
+the route of `dim --tensor ... --exact` with and without the certificate,
+with `solver._default_kernel` set to the kernel under test.  A random
+instance runs the plain size search, then the certificate loop
+`_bb_py.lex_min_hitting_set` driven by that kernel and seeded with the
+size search's witness; it has no dimension-only time.  Times are best of
+`--repeats`.  The compiled kernel comes from
+`check_products.compiled_kernel`: the built `tensordim._bb`, else one
+compiled into a temporary directory.  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -20,41 +20,23 @@ a temporary directory with the test suite's recipe (setup.py).  Usage:
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
-import tempfile
-import time
 from pathlib import Path
-from types import SimpleNamespace
 
 from tensordim import _bb_py, solver
-from tensordim.graphs import CliqueFactors, tensor_clique_distances
+from tensordim.graphs import CliqueFactors
 
-try:
-    from tensordim import _bb
-except ImportError:
-    _bb = None
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import check_products  # noqa: E402
 
-
-def product_instance(sizes):
-    """The solver's route on K_{m_1} x ... x K_{m_t}: a callable taking a
-    kernel and the wrapper `solver._value_swaps` to use."""
-    factors = CliqueFactors(sizes)
-    dist = tensor_clique_distances(factors)
-
-    def run(kernel, swaps=solver._value_swaps):
-        saved = solver._default_kernel, solver._value_swaps
-        solver._default_kernel, solver._value_swaps = kernel, swaps
-        try:
-            return solver.exact_metric_dimension(dist, factors=factors)
-        finally:
-            solver._default_kernel, solver._value_swaps = saved
-
-    return f"product {'x'.join(map(str, sizes))}", run
+PRODUCTS = [(4, 4), (5, 5), (6, 6), (3, 3, 4), (8, 8), (4, 4, 4), (3, 4, 5), (2, 28), (2, 4, 6)]
+RANDOM = [(1, 20, 60), (2, 24, 80), (3, 28, 100)]
 
 
-def random_instance(seed, nbits, nmasks):
-    """The plain size search and certificate loop on random masks."""
+def random_masks(seed, nbits, nmasks):
+    """nmasks masks on nbits bits, each bit set with probability 1/4, none empty."""
     rng = random.Random(seed)
     masks = []
     for _ in range(nmasks):
@@ -63,9 +45,15 @@ def random_instance(seed, nbits, nmasks):
             if rng.random() < 0.25:
                 m |= 1 << b
         masks.append(m or 1 << rng.randrange(nbits))
+    return masks
+
+
+def random_instance(seed, nbits, nmasks):
+    """The plain size search and certificate loop on random masks."""
+    masks = random_masks(seed, nbits, nmasks)
     cand = (1 << nbits) - 1
 
-    def run(kernel, swaps=None):
+    def run(kernel):
         witness = []
         size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
         sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
@@ -76,69 +64,48 @@ def random_instance(seed, nbits, nmasks):
 
 
 def counted(run, kernel):
-    """(result, kernel calls, certificate queries answered by symmetry)."""
-    calls = answered = 0
-    value_swaps_of = solver._value_swaps
-
-    def min_hitting_size(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return kernel.min_hitting_size(*args, **kwargs)
-
-    def value_swaps(*args):
-        symmetry = value_swaps_of(*args)
-
-        def rule(prefix, u, v):
-            # The loop stops consulting at a map, so each map answers one query.
-            nonlocal answered
-            sigma = symmetry(prefix, u, v)
-            answered += sigma is not None
-            return sigma
-
-        return rule
-
-    result = run(SimpleNamespace(min_hitting_size=min_hitting_size), value_swaps)
-    return result, calls, answered
+    """run(kernel) and the kernel queries of its certificate loop: (result, queries)."""
+    return check_products.counting_queries(lambda: run(kernel))
 
 
-def best_time(run, kernel, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run(kernel)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def product_row(sizes, kernel, repeats):
+    """`check_products.measure` on the product, with `kernel` as the solver's."""
+    saved = solver._default_kernel
+    solver._default_kernel = kernel
+    try:
+        return check_products.measure(CliqueFactors(sizes), repeats)
+    finally:
+        solver._default_kernel = saved
+
+
+def random_row(run, kernel, repeats):
+    """A random instance in the shape of `product_row`, without the dimension-only solve."""
+    t_cert, (result, queries) = check_products.best_time(lambda: counted(run, kernel), repeats)
+    return t_cert, result, queries, None, None
+
+
+def seconds(t):
+    return f"{'-':>9}" if t is None else f"{t:>8.4f}s"
 
 
 def compare(compiled, repeats: int) -> int:
-    instances = [
-        product_instance((4, 4)),
-        product_instance((5, 5)),
-        product_instance((6, 6)),
-        product_instance((3, 3, 4)),
-        product_instance((8, 8)),
-        product_instance((4, 4, 4)),
-        product_instance((3, 4, 5)),
-        product_instance((2, 28)),
-        product_instance((2, 4, 6)),
-        random_instance(1, 20, 60),
-        random_instance(2, 24, 80),
-        random_instance(3, 28, 100),
-    ]
+    rows = [(f"product {'x'.join(map(str, sizes))}", functools.partial(product_row, sizes))
+            for sizes in PRODUCTS]
+    for name, run in (random_instance(*args) for args in RANDOM):
+        rows.append((name, functools.partial(random_row, run)))
 
-    width = max(len(name) for name, _ in instances)
-    print(f"{'instance':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}"
-          f"  {'calls py/c':>10}  {'by symmetry':>11}")
-    for name, run in instances:
-        t_py = best_time(run, _bb_py, repeats)
-        t_c = best_time(run, compiled, repeats)
-        r_py, r_c = counted(run, _bb_py), counted(run, compiled)
-        if r_py != r_c:
-            print(f"{name}: KERNEL MISMATCH {r_py} vs {r_c}", file=sys.stderr)
+    width = max(len(name) for name, _ in rows)
+    print(f"{'instance':<{width}}  {'cert py':>9}  {'dim py':>9}  {'cert c':>9}  {'dim c':>9}"
+          f"  {'speedup':>8}  {'queries py/c':>12}")
+    for name, row in rows:
+        t_py, cert_py, q_py, d_py, dim_py = row(_bb_py, repeats)
+        t_c, cert_c, q_c, d_c, dim_c = row(compiled, repeats)
+        if (cert_py, q_py, dim_py) != (cert_c, q_c, dim_c):
+            print(f"{name}: KERNEL MISMATCH {(cert_py, q_py, dim_py)} vs "
+                  f"{(cert_c, q_c, dim_c)}", file=sys.stderr)
             return 1
-        calls = f"{r_py[1]}/{r_c[1]}"
-        print(f"{name:<{width}}  {t_py:>9.4f}s  {t_c:>9.4f}s  {t_py / t_c:>7.1f}x  {calls:>10}"
-              f"  {r_py[2]:>11}", flush=True)
+        print(f"{name:<{width}}  {seconds(t_py)}  {seconds(d_py)}  {seconds(t_c)}  {seconds(d_c)}"
+              f"  {t_py / t_c:>7.1f}x  {f'{q_py}/{q_c}':>12}", flush=True)
     return 0
 
 
@@ -147,13 +114,7 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3)
     opts = parser.parse_args()
 
-    if _bb is not None:
-        return compare(_bb, opts.repeats)
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-    from conftest import build_kernel
-
-    with tempfile.TemporaryDirectory() as tmp:
-        compiled = build_kernel(Path(tmp))
+    with check_products.compiled_kernel() as compiled:
         if compiled is None:
             print("no built kernel and no C compiler; nothing to compare", file=sys.stderr)
             return 1

@@ -23,6 +23,7 @@ runs instead, which takes minutes.  Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -128,6 +129,23 @@ def check(repeats: int) -> int:
     return 1 if bad else 0
 
 
+@contextlib.contextmanager
+def compiled_kernel():
+    """The compiled kernel while the block runs: the built `tensordim._bb`
+    when importable, else one compiled into a temporary directory with the
+    test suite's recipe (setup.py), or None when there is no C compiler."""
+    try:
+        from tensordim import _bb
+    except ImportError:
+        sys.path.insert(0, str(ROOT / "tests"))
+        from conftest import build_kernel
+
+        with tempfile.TemporaryDirectory() as tmp:
+            yield build_kernel(Path(tmp))
+    else:
+        yield _bb
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -138,11 +156,7 @@ def main() -> int:
 
     if solver.kernel_name() == "compiled" or os.environ.get("TENSORDIM_PURE"):
         return check(opts.repeats)
-    sys.path.insert(0, str(ROOT / "tests"))
-    from conftest import build_kernel
-
-    with tempfile.TemporaryDirectory() as tmp:
-        compiled = build_kernel(Path(tmp))
+    with compiled_kernel() as compiled:
         if compiled is None:
             print("no built kernel and no C compiler; set TENSORDIM_PURE=1 to run "
                   "the pure kernel", file=sys.stderr)

@@ -95,10 +95,12 @@ there, which lie above v, below u.  Each transposition is two shifts of
 `_value_masks` runs, so no step runs per vertex.
 
 A caller that needs only the dimension (`certificate=False`) runs the same
-forcing, seeds and size search and skips the certificate loop.  The size
-is still machine-checked: the forced vertices plus the size search's
-solution, or the seed that set the size, must be a resolving set of that
-size.  The construction seed is checked once, when it is taken.
+forcing, seeds and size search and skips the certificate loop.  Either
+way the search ends with one resolving check: the forced vertices plus
+the solution behind the size (the certificate's members, else the size
+search's solution or the seed that set the size) must be a resolving set
+of that size.  The construction seed is checked once, when it is taken,
+and not again when it is that solution.
 """
 
 from __future__ import annotations
@@ -273,18 +275,17 @@ def _value_masks(factors: CliqueFactors) -> list[list[int]]:
     return masks
 
 
-def _stabilizer_orbits(value_masks: list[list[int]], used: list[set[int]], cand: int) -> list[int]:
-    """Orbits on the candidates of the pointwise stabilizer of the forced
-    vertices, as masks, largest first and then by least id.  `used[i]`
-    holds the values the forced vertices take on axis i.
+def _stabilizer_orbits(value_masks: list[list[int]], forced: int, cand: int) -> list[int]:
+    """Orbits on the candidates of the pointwise stabilizer of the `forced`
+    mask, as masks, largest first and then by least id.
 
-    An orbit takes one class per axis: a used value's vertices, or the
-    vertices of all the other values.  The classes come whole from
-    `_value_masks`, so no step runs per vertex.
+    An orbit takes one class per axis: the vertices of a value the forced
+    vertices use, or the vertices of all the other values.  The classes
+    come whole from `_value_masks`, so no step runs per vertex.
     """
     classes = []
-    for masks, values in zip(value_masks, used):
-        held = [masks[a] for a in values]
+    for masks in value_masks:
+        held = [m for m in masks if m & forced]
         other = cand
         for m in held:
             other &= ~m
@@ -300,19 +301,17 @@ def _stabilizer_orbits(value_masks: list[list[int]], used: list[set[int]], cand:
     return orbits
 
 
-def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int]], lower: int,
-                    upper: int, factors: CliqueFactors,
+def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
                     value_masks: list[list[int]]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
-    and candidates in `cand`; `masks` are those `forced` leaves unhit and
-    `used[i]` holds the values the forced vertices take on axis i.
+    and candidates in `cand`; `masks` are those `forced` leaves unhit.
     Branches on the orbits of the pointwise stabilizer of `forced` at the
     root and at nodes that pass the ORBIT_MIN_* rule, else hands the node
     to the kernel (see the module docstring).  Returns the size and such a
     set as a mask, or (upper, None) when none is smaller."""
     k = forced.bit_count()
     root = k == 1
-    orbits = (_stabilizer_orbits(value_masks, used, cand)
+    orbits = (_stabilizer_orbits(value_masks, forced, cand)
               if masks and (root or upper - k >= ORBIT_MIN_BUDGET) else [])
     if not orbits or not root and orbits[0].bit_count() < ORBIT_MIN_CANDIDATES:
         witness: list[int] = []
@@ -327,10 +326,8 @@ def _orbit_min_size(masks: list[int], cand: int, forced: int, used: list[set[int
         if best <= lower or k + 1 >= best:
             break
         rep = orbit & -orbit
-        coords = factors.coords_of(rep.bit_length() - 1)
         size, found = _orbit_min_size([m for m in masks if not m & rep], cand & ~rep,
-                                      forced | rep, [u | {c} for u, c in zip(used, coords)],
-                                      lower, best, factors, value_masks)
+                                      forced | rep, lower, best, value_masks)
         if found is not None:
             best, best_set = size, found
         cand &= ~orbit
@@ -345,17 +342,15 @@ def _swap_values(swaps: list[tuple[int, int, int]], mask: int) -> int:
     return mask
 
 
-def _value_swaps(factors: CliqueFactors, value_masks: list[list[int]]):
+def _value_swaps(value_masks: list[list[int]]):
     """The certificate loop's `symmetry` on a product of cliques (see the
     module docstring): symmetry(prefix, u, v) maps masks by the value
     transpositions (u_i v_i) on the axes where u and v differ, or is None
     unless u_i < v_i on each such axis and the transpositions map the
-    `prefix` mask onto itself."""
-    axes = []
-    stride = factors.vertex_count
-    for m, masks in zip(factors.sizes, value_masks):
-        stride //= m
-        axes.append((stride, m, masks))
+    `prefix` mask onto itself.  An axis's stride is the least id with
+    value 1 there."""
+    axes = [((masks[1] & -masks[1]).bit_length() - 1, len(masks), masks)
+            for masks in value_masks]
 
     def symmetry(prefix: int, u: int, v: int):
         swaps = []
@@ -392,11 +387,12 @@ def exact_metric_dimension(
     `factors`); `factors=None` is the plain search.
     `exhaustive_metric_dimension` is the subset scan kept as a reference.
     With `certificate=False` only the dimension is computed, and the
-    result's certificate is None: the certificate loop is skipped, and the
-    resolving check runs on the set that proves the size (the forced
-    vertices plus the size search's solution or the seed that set the
-    size), unless that set is the construction, already checked.  The
-    dimension does not depend on `factors` or `certificate`.
+    result's certificate is None: the certificate loop is skipped.  Either
+    way the resolving check runs once, on the set that proves the size
+    (the certificate, else the forced vertices plus the size search's
+    solution or the seed that set the size), unless that set is the
+    construction, already checked.  The dimension does not depend on
+    `factors` or `certificate`.
     """
     if not dist.connected:
         return DimResult(None, None)
@@ -437,8 +433,8 @@ def exact_metric_dimension(
         value_masks = _value_masks(factors)
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
-                                        [{0} for _ in factors.sizes], lower_bound_lines(factors),
-                                        seed.bit_count(), factors, value_masks)
+                                        lower_bound_lines(factors), seed.bit_count(),
+                                        value_masks)
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
@@ -450,20 +446,18 @@ def exact_metric_dimension(
     if found is None:
         found = seed
     dim = len(forced) + k_rest
-    if not certificate:
-        # The construction passed is_resolving above; nothing is forced on
-        # its route, so when it set the size it is the set behind it.
-        proof = forced + _bb_py._bits_ascending(found)
-        if len(proof) != dim or found != checked_seed and not is_resolving(dist, proof):
-            raise AssertionError("the set behind the exact dimension failed the resolving check")
-        return DimResult(dim, None)
-    symmetry = _value_swaps(factors, value_masks) if clique_product else None
-    rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
-                                      min_size=_default_kernel.min_hitting_size,
-                                      completion=found, symmetry=symmetry)
-    if rest is None or len(rest) != k_rest:
-        raise AssertionError("certificate search disagrees with the size search")
-    cert = tuple(sorted(forced + rest))
-    if not is_resolving(dist, cert):
-        raise AssertionError("exact certificate failed the resolving check")
-    return DimResult(dim, cert)
+    if certificate:
+        symmetry = _value_swaps(value_masks) if clique_product else None
+        rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
+                                          min_size=_default_kernel.min_hitting_size,
+                                          completion=found, symmetry=symmetry)
+        if rest is None or len(rest) != k_rest:
+            raise AssertionError("certificate search disagrees with the size search")
+        # The certificate is a solution of size k_rest too, and the one returned.
+        found = _mask(rest)
+    # The construction passed is_resolving above; nothing is forced on its
+    # route, so when it is the solution behind the size it is the whole set.
+    proof = tuple(sorted(forced + _bb_py._bits_ascending(found)))
+    if len(proof) != dim or found != checked_seed and not is_resolving(dist, proof):
+        raise AssertionError("the set behind the exact dimension failed the resolving check")
+    return DimResult(dim, proof if certificate else None)

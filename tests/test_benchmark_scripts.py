@@ -11,7 +11,7 @@ import sys
 from tensordim import DimResult, Graph, _bb_py, all_pairs_distances, solver
 from tensordim.graphs import CliqueFactors, read_edge_list, tensor_of_cliques
 
-from conftest import ROOT
+from conftest import ROOT, oracle_min_hitting
 
 PRODUCTS = json.loads((ROOT / "data" / "clique_products.json").read_text(encoding="utf-8"))[
     "products"]
@@ -42,35 +42,46 @@ def test_check_products_lists_the_data_files_products(monkeypatch):
     assert _bb_py.lex_min_hitting_set is lex_min
 
 
-def test_bench_kernels_runs_a_product_on_the_pure_kernel(monkeypatch):
-    bench_kernels = load_script(monkeypatch, "bench_kernels")
+def load_with_bare_imports(monkeypatch, name, *imported):
+    # bench_kernels imports `check_products`, and bench_layers tdbench's
+    # `workloads` (and with it `checks`), by bare name from a path the
+    # script prepends; both are undone afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        return load_script(monkeypatch, name)
+    finally:
+        for module in imported:
+            sys.modules.pop(module, None)
+
+
+def test_bench_kernels_times_a_product_row_on_the_pure_kernel(monkeypatch):
+    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
     kernel = solver._default_kernel
-    name, run = bench_kernels.product_instance((3, 4))
     want = next(p for p in PRODUCTS if p["sizes"] == [3, 4])
-    assert run(_bb_py) == DimResult(want["dim"], tuple(want["certificate"])), name
+    _, with_cert, _, _, dim_only = bench_kernels.product_row((3, 4), _bb_py, 1)
+    assert with_cert == DimResult(want["dim"], tuple(want["certificate"]))
+    assert dim_only == DimResult(want["dim"], None)
     assert solver._default_kernel is kernel
 
 
-def load_bench_layers(monkeypatch):
-    # bench_layers imports tdbench's `workloads` (and with it `checks`) by
-    # bare name from a path it prepends; both are undone afterwards.
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    try:
-        return load_script(monkeypatch, "bench_layers")
-    finally:
-        for name in ("workloads", "checks"):
-            sys.modules.pop(name, None)
+def test_bench_kernels_random_rows_find_the_least_hitting_set(monkeypatch):
+    # The plain size search and the certificate loop on the pure kernel give
+    # the size, and the first set in sorted order, of the exhaustive scan.
+    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
+    _, run = bench_kernels.random_instance(5, 12, 16)
+    (size, sol), _ = bench_kernels.counted(run, _bb_py)
+    assert (size, tuple(sol)) == oracle_min_hitting(bench_kernels.random_masks(5, 12, 16), 12)
 
 
 def test_bench_layers_writes_the_product_edge_list(monkeypatch, tmp_path):
-    bench_layers = load_bench_layers(monkeypatch)
+    bench_layers = load_with_bare_imports(monkeypatch, "bench_layers", "workloads", "checks")
     path = bench_layers.product_edge_list(tmp_path, (3, 4))
     assert path.parent == tmp_path
     assert read_edge_list(path) == tensor_of_cliques(CliqueFactors((3, 4)))
 
 
 def test_bench_layers_records_the_greedy_seeds(monkeypatch):
-    bench_layers = load_bench_layers(monkeypatch)
+    bench_layers = load_with_bare_imports(monkeypatch, "bench_layers", "workloads", "checks")
     completion = solver._greedy_completion
     path = all_pairs_distances(Graph(6, [(v, v + 1) for v in range(5)]))
     star = all_pairs_distances(Graph(5, [(0, v) for v in range(1, 5)]))

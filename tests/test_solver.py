@@ -236,10 +236,10 @@ def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
     routed = []
     orbit_min_size = solver._orbit_min_size
 
-    def spy(masks, cand, forced, used, lower, upper, factors, value_masks):
+    def spy(masks, cand, forced, lower, upper, value_masks):
         if forced == 1:
-            routed.append(factors.sizes)
-        return orbit_min_size(masks, cand, forced, used, lower, upper, factors, value_masks)
+            routed.append(tuple(len(m) for m in value_masks))
+        return orbit_min_size(masks, cand, forced, lower, upper, value_masks)
 
     monkeypatch.setattr(solver, "_orbit_min_size", spy)
     for sizes in SYMMETRIC_SIZES:
@@ -295,6 +295,10 @@ def test_rook_graph_has_the_same_resolving_sets(solver_kernel):
                                  if u // n == v // n or u % n == v % n])
             want = exact_metric_dimension(tensor_clique_distances(f), factors=f)
             assert exact_metric_dimension(all_pairs_distances(rook)) == want, (m, n)
+            # Caceres et al. (SIAM J. Discrete Math. 21, 2007), as recalled
+            # here: dim(K_m [] K_n) = floor(2(m + n - 1) / 3) for n <= 2m - 1.
+            if n <= 2 * m - 1:
+                assert want.dim == 2 * (m + n - 1) // 3, (m, n)
 
 
 PRODUCTS_TO_FORTY = [(m, n) for m in range(3, 14) for n in range(m, 14) if m * n <= 40] + [
@@ -315,7 +319,7 @@ def test_value_swaps_are_the_automorphisms_the_certificate_loop_needs():
         d = tensor_clique_distances(f).values
         coords = [tuple(c) for c in f.coordinates().tolist()]
         ids = {c: x for x, c in enumerate(coords)}
-        symmetry = solver._value_swaps(f, solver._value_masks(f))
+        symmetry = solver._value_swaps(solver._value_masks(f))
         preserves = {}
         for u, v in itertools.combinations(range(n), 2):
             cu, cv = coords[u], coords[v]
@@ -362,7 +366,7 @@ def test_value_swaps_carry_completions_from_v_to_u():
         d = tensor_clique_distances(f).values.tolist()
         masks = [sum(1 << w for w in range(n) if d[x][w] != d[y][w])
                  for x, y in itertools.combinations(range(n), 2)]
-        symmetry = solver._value_swaps(f, solver._value_masks(f))
+        symmetry = solver._value_swaps(solver._value_masks(f))
         least = {}
 
         def least_completion(members, x):
@@ -453,9 +457,8 @@ def test_stabilizer_orbits_partition_the_candidates():
             assert value_masks[i][a] == sum(1 << u for u in range(f.vertex_count)
                                             if coords[u][i] == a)
     v = f.flat_index((1, 1, 0))
-    used = [{0, c} for c in coords[v]]
     cand = ((1 << f.vertex_count) - 1) & ~1 & ~(1 << v) & ~(1 << 7)
-    got = solver._stabilizer_orbits(value_masks, used, cand)
+    got = solver._stabilizer_orbits(value_masks, 1 | 1 << v, cand)
 
     def key(u):
         return tuple(c if c in (coords[0][i], coords[v][i]) else None
@@ -527,7 +530,7 @@ def test_products_search_between_their_proven_bounds(monkeypatch):
     # The spy skips the search: nothing beats the seed, which is checked.
     roots = []
 
-    def spy(masks, cand, forced, used, lower, upper, factors, value_masks):
+    def spy(masks, cand, forced, lower, upper, value_masks):
         roots.append((lower, upper))
         return upper, None
 
