@@ -7,12 +7,13 @@ the certified solve.  It exits 1 if the kernels give different results
 or queries.  A product of cliques is timed by `check_products.measure`,
 the route of `dim --tensor ... --exact` with and without the certificate,
 with `solver._default_kernel` set to the kernel under test.  A random
-instance runs the plain size search, then the certificate loop
-`_bb_py.lex_min_hitting_set` driven by that kernel and seeded with the
-size search's witness; it has no dimension-only time.  Times are best of
-`--repeats`.  The compiled kernel comes from
-`check_products.compiled_kernel`: the built `tensordim._bb`, else one
-compiled into a temporary directory.  Usage:
+instance runs the plain size search, then that kernel's certificate loop
+(`lex_min_hitting_set`, the one `_bb_py` defines) seeded with the size
+search's witness; it has no dimension-only time.  Times are best of
+`--repeats`.  The compiled kernel comes from `tensordim._loader`, which
+builds it once per `_bb.c` in a source checkout, also under
+TENSORDIM_PURE; the first output line names its file, or says why there
+is none, and a failed build raises with the compiler's output.  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -25,7 +26,7 @@ import random
 import sys
 from pathlib import Path
 
-from tensordim import _bb_py, solver
+from tensordim import _bb_py, _loader, solver
 from tensordim.graphs import CliqueFactors
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -56,7 +57,7 @@ def random_instance(seed, nbits, nmasks):
     def run(kernel):
         witness = []
         size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
-        sol = _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
+        sol = kernel.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
                                          completion=witness[0] if witness else None)
         return size, sol
 
@@ -65,7 +66,7 @@ def random_instance(seed, nbits, nmasks):
 
 def counted(run, kernel):
     """run(kernel) and the kernel queries of its certificate loop: (result, queries)."""
-    return check_products.counting_queries(lambda: run(kernel))
+    return check_products.counting_queries(lambda: run(kernel), kernel)
 
 
 def product_row(sizes, kernel, repeats):
@@ -114,11 +115,12 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3)
     opts = parser.parse_args()
 
-    with check_products.compiled_kernel() as compiled:
-        if compiled is None:
-            print("no built kernel and no C compiler; nothing to compare", file=sys.stderr)
-            return 1
-        return compare(compiled, opts.repeats)
+    compiled = _loader.load(strict=True)
+    if compiled is None:
+        print(f"compiled kernel: none ({_loader.why_pure}); nothing to compare", file=sys.stderr)
+        return 1
+    print(f"compiled kernel: {compiled.__file__}")
+    return compare(compiled, opts.repeats)
 
 
 if __name__ == "__main__":

@@ -12,10 +12,13 @@ kernel), and the totals for the two-factor products and for all of them.
 It exits 1 on any difference, or when the file does not list exactly the
 103 products.
 
-The compiled kernel is used when a built `tensordim._bb` is importable;
-otherwise it is compiled into a temporary directory with the test suite's
-recipe (setup.py).  With TENSORDIM_PURE=1 the solver's pure-Python kernel
-runs instead, which takes minutes.  Usage:
+It runs on the kernel the solver picked at import: the compiled one,
+which `tensordim._loader` builds on first import in a source checkout,
+or with TENSORDIM_PURE=1 the pure-Python one, which takes minutes.  The
+first output line names the kernel and, for the pure one, why.  When the
+import fell back to the pure kernel without TENSORDIM_PURE, the script
+asks the loader again and raises with the compiler's output if the build
+fails, or exits 1 when there is no C compiler.  Usage:
 
     PYTHONPATH=src python benchmarks/check_products.py [--repeats N]
 """
@@ -23,16 +26,14 @@ runs instead, which takes minutes.  Usage:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from tensordim import solver
+from tensordim import _loader, solver
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,10 +66,11 @@ def best_time(run, repeats: int):
     return best, result
 
 
-def counting_queries(run):
-    """run(), with the kernel queries its certificate loops ask counted:
-    returns (result, queries)."""
-    real = solver._bb_py.lex_min_hitting_set
+def counting_queries(run, kernel=None):
+    """run(), with the kernel queries counted that the certificate loops of
+    `kernel` (the solver's by default) ask: returns (result, queries)."""
+    kernel = solver._default_kernel if kernel is None else kernel
+    real = kernel.lex_min_hitting_set
     queries = 0
 
     def counted(*args, min_size, **kwargs):
@@ -79,11 +81,11 @@ def counting_queries(run):
 
         return real(*args, min_size=query, **kwargs)
 
-    solver._bb_py.lex_min_hitting_set = counted
+    kernel.lex_min_hitting_set = counted
     try:
         return run(), queries
     finally:
-        solver._bb_py.lex_min_hitting_set = real
+        kernel.lex_min_hitting_set = real
 
 
 def measure(factors: CliqueFactors, repeats: int):
@@ -99,6 +101,14 @@ def measure(factors: CliqueFactors, repeats: int):
     return t_cert, with_cert, queries, t_dim, dim_only
 
 
+def kernel_line() -> str:
+    """The kernel the solver runs and, when it is the pure one, why."""
+    name = solver.kernel_name()
+    if name == "python" and _loader.why_pure:
+        return f"kernel: {name} ({_loader.why_pure})"
+    return f"kernel: {name}"
+
+
 def check(repeats: int) -> int:
     rows = json.loads(DATA.read_text(encoding="utf-8"))["products"]
     listed = [tuple(row["sizes"]) for row in rows]
@@ -106,7 +116,7 @@ def check(repeats: int) -> int:
         print(f"{DATA.name} does not list the {len(connected_products())} products in order",
               file=sys.stderr)
         return 1
-    print(f"kernel: {solver.kernel_name()}")
+    print(kernel_line())
     print(f"{'product':<10}  {'dim':>3}  {'cert s':>8}  {'dim only s':>10}  {'queries':>7}")
     totals = {"two-factor": [0.0, 0.0], "all": [0.0, 0.0]}
     bad = 0
@@ -129,23 +139,6 @@ def check(repeats: int) -> int:
     return 1 if bad else 0
 
 
-@contextlib.contextmanager
-def compiled_kernel():
-    """The compiled kernel while the block runs: the built `tensordim._bb`
-    when importable, else one compiled into a temporary directory with the
-    test suite's recipe (setup.py), or None when there is no C compiler."""
-    try:
-        from tensordim import _bb
-    except ImportError:
-        sys.path.insert(0, str(ROOT / "tests"))
-        from conftest import build_kernel
-
-        with tempfile.TemporaryDirectory() as tmp:
-            yield build_kernel(Path(tmp))
-    else:
-        yield _bb
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -154,15 +147,16 @@ def main() -> int:
     if opts.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    if solver.kernel_name() == "compiled" or os.environ.get("TENSORDIM_PURE"):
-        return check(opts.repeats)
-    with compiled_kernel() as compiled:
+    if solver.kernel_name() == "python" and not os.environ.get("TENSORDIM_PURE"):
+        # The import falls back quietly; asked again, the loader raises with
+        # the compiler's output when the build fails.
+        compiled = _loader.load(strict=True)
         if compiled is None:
-            print("no built kernel and no C compiler; set TENSORDIM_PURE=1 to run "
-                  "the pure kernel", file=sys.stderr)
+            print(f"{kernel_line()}; set TENSORDIM_PURE=1 to run the pure kernel",
+                  file=sys.stderr)
             return 1
         solver._default_kernel = compiled
-        return check(opts.repeats)
+    return check(opts.repeats)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 The exact search reduces the problem to minimum hitting set: a probe set
 resolves the graph exactly when, for every pair of distinct vertices, it
 contains a vertex whose distances to the two differ.  A branch-and-bound
-kernel (compiled when available, pure Python otherwise) finds the optimum
-size k.  The certificate is then built from size queries to the same kernel
-(`_bb_py.lex_min_hitting_set`): each step appends the least vertex v above
+kernel finds the optimum size k: the compiled `_bb` when `_loader` finds
+one (in a source checkout it builds one at import), else the pure-Python
+`_bb_py`, which TENSORDIM_PURE forces.  The certificate is then built by
+the kernel's `lex_min_hitting_set`, the one loop `_bb_py` defines, from
+size queries to the same kernel: each step appends the least vertex v above
 the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
 leaves unhit.  No minimum set extends the prefix with a smaller member, so
 the result is the lexicographically least minimum certificate.  The loop
@@ -107,22 +109,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 
 import numpy as np
 
-from . import _bb_py
+from . import _bb_py, _loader
 from .constructions import _two_factor_hint, lower_bound_lines
 from .graphs import CliqueFactors, DistanceMatrix
 from .metric import DimResult, is_resolving
 
-try:
-    from . import _bb as _default_kernel
-except ImportError:  # pragma: no cover - depends on the build environment
-    _default_kernel = _bb_py
-
-if os.environ.get("TENSORDIM_PURE"):
-    _default_kernel = _bb_py
+_default_kernel = _loader.solver_kernel()
 
 MAX_EXACT_VERTICES = 64
 # Orbit branching below the root (see the module docstring) needs a largest
@@ -448,9 +443,9 @@ def exact_metric_dimension(
     dim = len(forced) + k_rest
     if certificate:
         symmetry = _value_swaps(value_masks) if clique_product else None
-        rest = _bb_py.lex_min_hitting_set(pending, cand_mask, k_rest,
-                                          min_size=_default_kernel.min_hitting_size,
-                                          completion=found, symmetry=symmetry)
+        rest = _default_kernel.lex_min_hitting_set(pending, cand_mask, k_rest,
+                                                   min_size=_default_kernel.min_hitting_size,
+                                                   completion=found, symmetry=symmetry)
         if rest is None or len(rest) != k_rest:
             raise AssertionError("certificate search disagrees with the size search")
         # The certificate is a solution of size k_rest too, and the one returned.

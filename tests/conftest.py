@@ -5,21 +5,16 @@ purpose: plain adjacency dicts, list-based BFS, exhaustive subset scans,
 and the greedy heuristics as per-vertex loops.  Tests compare package
 output against these slow references.
 
-`build_kernel` compiles the C search kernel through `setup.py`, the one
-build definition, so the kernel tests run without an installed build.
-`solver_kernel` runs a solver-level test once on each kernel.
+`compiled_kernel` is the C search kernel as the package's loader finds or
+builds it, so the kernel tests run without an install step, also under
+TENSORDIM_PURE.  `solver_kernel` runs a solver-level test once on each
+kernel.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
-import os
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -156,34 +151,17 @@ def rng():
     return random.Random(0xD1ACE)
 
 
-def build_kernel(dest: Path):
-    """Compile `tensordim._bb` into dest with setup.py and load it.
-
-    Returns None when no C compiler is found.  The module is not entered in
-    sys.modules, so the kernel the solver picked at import stays in use.
-    """
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(cc.split()[0]) is None:
-        return None
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(dest), "--build-temp", str(dest / "tmp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"kernel build failed:\n{proc.stdout}{proc.stderr}")
-    path = dest / "tensordim" / ("_bb" + sysconfig.get_config_var("EXT_SUFFIX"))
-    spec = importlib.util.spec_from_file_location("tensordim._bb", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    module = build_kernel(tmp_path_factory.mktemp("kernel"))
+def compiled_kernel():
+    """The compiled kernel from `tensordim._loader`, which builds it once per
+    `_bb.c` and reuses the build; loading it does not change the kernel the
+    solver picked at import.  Skips without a C compiler; a failed build
+    raises with the compiler's output."""
+    from tensordim import _loader
+
+    module = _loader.load(strict=True)
     if module is None:
-        pytest.skip("no C compiler to build the compiled kernel")
+        pytest.skip(f"no compiled kernel: {_loader.why_pure}")
     return module
 
 

@@ -8,7 +8,7 @@ import importlib.util
 import json
 import sys
 
-from tensordim import DimResult, Graph, _bb_py, all_pairs_distances, solver
+from tensordim import DimResult, Graph, _bb_py, _loader, all_pairs_distances, solver
 from tensordim.graphs import CliqueFactors, read_edge_list, tensor_of_cliques
 
 from conftest import ROOT, oracle_min_hitting
@@ -42,6 +42,15 @@ def test_check_products_lists_the_data_files_products(monkeypatch):
     assert _bb_py.lex_min_hitting_set is lex_min
 
 
+def test_check_products_names_the_kernel_and_why_it_is_pure(monkeypatch, compiled_kernel):
+    check_products = load_script(monkeypatch, "check_products")
+    monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
+    assert check_products.kernel_line() == "kernel: compiled"
+    monkeypatch.setattr(solver, "_default_kernel", _bb_py)
+    monkeypatch.setattr(_loader, "why_pure", "no C compiler")
+    assert check_products.kernel_line() == "kernel: python (no C compiler)"
+
+
 def load_with_bare_imports(monkeypatch, name, *imported):
     # bench_kernels imports `check_products`, and bench_layers tdbench's
     # `workloads` (and with it `checks`), by bare name from a path the
@@ -71,6 +80,16 @@ def test_bench_kernels_random_rows_find_the_least_hitting_set(monkeypatch):
     _, run = bench_kernels.random_instance(5, 12, 16)
     (size, sol), _ = bench_kernels.counted(run, _bb_py)
     assert (size, tuple(sol)) == oracle_min_hitting(bench_kernels.random_masks(5, 12, 16), 12)
+
+
+def test_bench_kernels_counts_the_queries_of_each_kernel(monkeypatch, compiled_kernel):
+    # Each kernel's own certificate loop is counted, and both ask the same
+    # queries for the same set.
+    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
+    _, run = bench_kernels.random_instance(1, 20, 60)
+    rows = [bench_kernels.counted(run, kernel) for kernel in (_bb_py, compiled_kernel)]
+    assert rows[0] == rows[1] and rows[0][1] > 0
+    assert compiled_kernel.lex_min_hitting_set is _bb_py.lex_min_hitting_set
 
 
 def test_bench_layers_writes_the_product_edge_list(monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
-from tensordim import _bb_py, cli, constructions, graphs, metric, solver
+from tensordim import cli, constructions, graphs, metric, solver
 from tensordim.cli import main
 
 
@@ -155,7 +155,7 @@ def test_bounds_and_table_build_no_certificate(monkeypatch, capsys):
     def no_certificate(*args, **kwargs):
         raise AssertionError("ran the certificate loop")
 
-    monkeypatch.setattr(_bb_py, "lex_min_hitting_set", no_certificate)
+    monkeypatch.setattr(solver._default_kernel, "lex_min_hitting_set", no_certificate)
     for sizes in ("3,3,3", "3,4", "2,3,4", "2,2,3"):
         report = run_json(capsys, "bounds", "--tensor", sizes, "--exact-up-to", "64")
         assert report["exact"]["computed"] is True

@@ -1,7 +1,8 @@
 """The compiled search kernel must match the pure-Python reference exactly.
 
-The compiled kernel comes from the `compiled_kernel` fixture, which builds
-it from source; the solver's own kernel choice is not affected.  The
+The compiled kernel comes from the `compiled_kernel` fixture, which takes
+it from the package's loader (built from source once per `_bb.c`); the
+solver's own kernel choice is not affected.  The
 certificate loop `_bb_py.lex_min_hitting_set` exists once; `lex` runs it on
 a kernel's size search.
 """

@@ -433,8 +433,8 @@ def test_value_swaps_answer_certificate_queries(compiled_kernel, monkeypatch):
 
         return real(*args, min_size=query, symmetry=symmetry and rule, **kwargs)
 
-    monkeypatch.setattr(solver._bb_py, "lex_min_hitting_set", counted)
     for kernel in (solver._bb_py, compiled_kernel):
+        monkeypatch.setattr(kernel, "lex_min_hitting_set", counted)
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         for sizes, asked in [((3, 3, 4), 10), ((3, 3, 3), 6), ((4, 7), 2), ((4, 10), 2),
                              ((5, 8), 3), ((6, 6), 6)]:
