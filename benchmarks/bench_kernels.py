@@ -7,13 +7,15 @@ the certified solve.  It exits 1 if the kernels give different results
 or queries.  A product of cliques is timed by `check_products.measure`,
 the route of `dim --tensor ... --exact` with and without the certificate,
 with `solver._default_kernel` set to the kernel under test.  A random
-instance runs the plain size search, then that kernel's certificate loop
-(`lex_min_hitting_set`, the one `_bb_py` defines) seeded with the size
-search's witness; it has no dimension-only time.  Times are best of
-`--repeats`.  The compiled kernel comes from `tensordim._loader`, which
-builds it once per `_bb.c` in a source checkout, also under
-TENSORDIM_PURE; the first output line names its file, or says why there
-is none, and a failed build raises with the compiler's output.  Usage:
+instance runs the plain size search, then that kernel's own certificate
+loop (`lex_min_hitting_set`) seeded with the size search's witness; it
+has no dimension-only time.  Times are best of `--repeats`, and the
+queries are counted in one more run, untimed, since counting calls back
+into Python for each query the compiled loop otherwise answers in place.
+The compiled kernel comes from `tensordim._loader`, which builds it once
+per `_bb.c` in a source checkout, also under TENSORDIM_PURE; the first
+output line names its file, or says why there is none, and a failed
+build raises with the compiler's output.  Usage:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeats N]
 """
@@ -80,8 +82,10 @@ def product_row(sizes, kernel, repeats):
 
 
 def random_row(run, kernel, repeats):
-    """A random instance in the shape of `product_row`, without the dimension-only solve."""
-    t_cert, (result, queries) = check_products.best_time(lambda: counted(run, kernel), repeats)
+    """A random instance in the shape of `product_row`, without the
+    dimension-only solve; its queries are counted in one more run, untimed."""
+    t_cert, result = check_products.best_time(lambda: run(kernel), repeats)
+    _, queries = counted(run, kernel)
     return t_cert, result, queries, None, None
 
 

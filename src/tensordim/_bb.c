@@ -1,16 +1,24 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports one entry point,
- * min_hitting_size(masks, cand_mask, lower, upper, witness=None): the least
- * number of cand_mask bits hitting every mask, or upper when nothing below
- * it exists, stopping early once lower is met.  When witness is a list and
- * the result is below upper, one solution of that size is appended to it
- * as an int mask.  It mirrors `_bb_py.min_hitting_size` rule for rule: same
- * contract, same branching order, same forced picks, packing bound, last-pick
- * and two-pick rules, same results and witnesses, and the same
- * OverflowError for a mask outside 64 bits.  See that module for the
- * algorithm description and the argument for each rule, and for the
- * certificate loop built on this entry point.
+ * Exports the two entry points of `_bb_py` and mirrors each step for step.
+ * min_hitting_size(masks, cand_mask, lower, upper, witness=None) is the
+ * least number of cand_mask bits hitting every mask, or upper when nothing
+ * below it exists, stopping early once lower is met.  When witness is a
+ * list and the result is below upper, one solution of that size is
+ * appended to it as an int mask.  It follows `_bb_py.min_hitting_size` rule
+ * for rule: same contract, same branching order, same forced picks, packing
+ * bound, last-pick and two-pick rules, same results and witnesses, and the
+ * same OverflowError for a mask outside 64 bits.
+ * lex_min_hitting_set(masks, cand_mask, budget, min_size=None,
+ * completion=None, symmetry=None) is the certificate loop: the same
+ * one- and two-member settles, completion take, completion move, failure
+ * carry and per-step completion check, the same queries on the same
+ * restricted, de-duplicated instances, the same results and the same
+ * OverflowError, TypeError and AssertionError.  A min_size of None or this
+ * module's min_hitting_size is answered by the search below on a C array;
+ * any other min_size, and symmetry and its maps, are called as `_bb_py`
+ * calls them.  See that module for the algorithms and the argument for
+ * each rule.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace.
@@ -72,27 +80,20 @@ static void ws_free(Workspace *ws)
     PyMem_Free(ws->order);
 }
 
-/* Fill ws for one call: row 0 holds masks & cand.  -1 with an exception set
- * on failure, ws then freed. */
-static int ws_init(Workspace *ws, PyObject *masks, uint64_t cand, int depth_cap)
+/* Allocate ws for up to cap masks and searches up to depth_cap deep.  -1
+ * with an exception set on failure, ws then freed. */
+static int ws_alloc(Workspace *ws, Py_ssize_t cap, int depth_cap)
 {
     memset(ws, 0, sizeof(*ws));
-    uint64_t *root = read_u64s(masks, &ws->cap);
-    if (root == NULL)
-        return -1;
-    Py_ssize_t cap = ws->cap > 0 ? ws->cap : 1;
-    ws->rows = PyMem_Malloc(sizeof(uint64_t) * cap * (depth_cap + 1));
-    ws->restricted = PyMem_Malloc(sizeof(uint64_t) * cap);
-    ws->order = PyMem_Malloc(sizeof(Py_ssize_t) * cap);
+    ws->cap = cap > 0 ? cap : 1;
+    ws->rows = PyMem_Malloc(sizeof(uint64_t) * ws->cap * (depth_cap + 1));
+    ws->restricted = PyMem_Malloc(sizeof(uint64_t) * ws->cap);
+    ws->order = PyMem_Malloc(sizeof(Py_ssize_t) * ws->cap);
     if (ws->rows == NULL || ws->restricted == NULL || ws->order == NULL) {
-        PyMem_Free(root);
         ws_free(ws);
         PyErr_NoMemory();
         return -1;
     }
-    for (Py_ssize_t i = 0; i < ws->cap; i++)
-        ws->rows[i] = root[i] & cand;
-    PyMem_Free(root);
     return 0;
 }
 
@@ -135,7 +136,7 @@ static Py_ssize_t drop_hit(const uint64_t *pending, Py_ssize_t np, uint64_t bit,
 }
 
 typedef struct {
-    Workspace ws;
+    Workspace *ws;
     int best;
     uint64_t best_set; /* a solution of size best, once best < upper */
     int lower;
@@ -223,9 +224,9 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
         }
         return;
     }
-    if (count + packing_bound(&s->ws, pending, np, avail) >= s->best)
+    if (count + packing_bound(s->ws, pending, np, avail) >= s->best)
         return;
-    uint64_t *child = s->ws.rows + (Py_ssize_t)(depth + 1) * s->ws.cap;
+    uint64_t *child = s->ws->rows + (Py_ssize_t)(depth + 1) * s->ws->cap;
     for (uint64_t r = branch_mask; r; r &= r - 1) {
         uint64_t wb = r & -r;
         Py_ssize_t keep = drop_hit(pending, np, wb, child);
@@ -235,6 +236,25 @@ static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
             return;
         excluded |= wb;
     }
+}
+
+/* Each level picks one candidate bit, so a search below upper stays within
+ * min(upper, 64) levels. */
+static int depth_cap(int upper)
+{
+    return upper < MAX_BITS ? (upper > 0 ? upper : 0) : MAX_BITS;
+}
+
+/* The search of min_hitting_size on the n masks in ws's first row, already
+ * restricted to cand, for lower < upper, with ws depth_cap(upper) deep.
+ * When the result is below upper, *found is a solution of that size. */
+static int size_search(Workspace *ws, Py_ssize_t n, uint64_t cand, int lower, int upper,
+                       uint64_t *found)
+{
+    SizeSearch s = {.ws = ws, .best = upper, .lower = lower};
+    size_dfs(&s, 0, 0, cand, ws->rows, n, 0);
+    *found = s.best_set;
+    return s.best;
 }
 
 static char *size_kwlist[] = {"masks", "cand_mask", "lower", "upper", "witness", NULL};
@@ -255,22 +275,349 @@ static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwar
     }
     if (lower >= upper)
         return PyLong_FromLong(upper);
-    SizeSearch s = {.best = upper, .lower = lower};
-    /* each level picks one candidate bit, so depth <= min(upper, 64) */
-    int depth_cap = upper < MAX_BITS ? (upper > 0 ? upper : 0) : MAX_BITS;
-    if (ws_init(&s.ws, masks, cand, depth_cap) < 0)
+    Py_ssize_t n;
+    uint64_t *words = read_u64s(masks, &n);
+    if (words == NULL)
         return NULL;
-    size_dfs(&s, 0, 0, cand, s.ws.rows, s.ws.cap, 0);
-    ws_free(&s.ws);
-    if (witness != Py_None && s.best < upper) {
-        PyObject *set = PyLong_FromUnsignedLongLong(s.best_set);
+    Workspace ws;
+    if (ws_alloc(&ws, n, depth_cap(upper)) < 0) {
+        PyMem_Free(words);
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        ws.rows[i] = words[i] & cand;
+    PyMem_Free(words);
+    uint64_t found;
+    int best = size_search(&ws, n, cand, lower, upper, &found);
+    ws_free(&ws);
+    if (witness != Py_None && best < upper) {
+        PyObject *set = PyLong_FromUnsignedLongLong(found);
         if (set == NULL || PyList_Append(witness, set) < 0) {
             Py_XDECREF(set);
             return NULL;
         }
         Py_DECREF(set);
     }
-    return PyLong_FromLong(s.best);
+    return PyLong_FromLong(best);
+}
+
+/* The certificate loop's state: its pending masks, how it asks a query,
+ * and a hash set that de-duplicates each query's masks. */
+typedef struct {
+    uint64_t *pending;
+    Py_ssize_t np;
+    PyObject *min_size;  /* NULL: the search above, on ws */
+    PyObject *symmetry;  /* NULL: none */
+    Workspace ws;        /* the query's masks go to its first row */
+    uint64_t *keys;
+    uint32_t *stamps;    /* a slot is in use when its stamp is gen */
+    uint32_t gen;        /* one per query: at most 64 per step, 64 steps */
+    size_t slots;        /* a power of two above twice the pending count */
+    int shift;
+} Loop;
+
+static void loop_free(Loop *L)
+{
+    PyMem_Free(L->pending);
+    ws_free(&L->ws);
+    PyMem_Free(L->keys);
+    PyMem_Free(L->stamps);
+}
+
+/* Write the masks pending that miss vb, restricted to later and without
+ * repeats (first occurrence kept), to ws's first row; returns their count. */
+static Py_ssize_t query_masks(Loop *L, uint64_t vb, uint64_t later)
+{
+    uint32_t gen = ++L->gen;
+    uint64_t *out = L->ws.rows;
+    Py_ssize_t n = 0;
+    for (Py_ssize_t i = 0; i < L->np; i++) {
+        if (L->pending[i] & vb)
+            continue;
+        uint64_t m = L->pending[i] & later;
+        size_t h = (size_t)((m * 0x9E3779B97F4A7C15ull) >> L->shift);
+        while (L->stamps[h] == gen && L->keys[h] != m)
+            h = (h + 1) & (L->slots - 1);
+        if (L->stamps[h] != gen) {
+            L->stamps[h] = gen;
+            L->keys[h] = m;
+            out[n++] = m;
+        }
+    }
+    return n;
+}
+
+/* obj as a completion mask: TypeError for a non-integer, AssertionError
+ * outside 64 bits (no such mask lies inside the candidates). */
+static int read_completion(PyObject *obj, uint64_t *out)
+{
+    if (as_u64(obj, out) == 0)
+        return 0;
+    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_AssertionError, "a completion does not fit in 64 bits");
+    }
+    return -1;
+}
+
+/* 0 when comp lies inside cand, has at most size members and hits every
+ * pending mask; else -1 with AssertionError set. */
+static int check_completion(const Loop *L, uint64_t comp, uint64_t cand, long long size)
+{
+    int ok = (comp & ~cand) == 0 && popcount(comp) <= size;
+    for (Py_ssize_t i = 0; ok && i < L->np; i++)
+        ok = (L->pending[i] & comp) != 0;
+    if (ok)
+        return 0;
+    PyErr_Format(PyExc_AssertionError, "%llu is not a completion within %lld candidates",
+                 (unsigned long long)comp, size);
+    return -1;
+}
+
+/* The query at vb: can need candidates in later hit every pending mask
+ * that vb misses?  1 with a solution in *found, 0, or -1 on error.  The
+ * compiled search answers it in place; any other min_size is called as
+ * `_bb_py` calls it, on a list of the same masks. */
+static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
+{
+    Py_ssize_t n = query_masks(L, vb, later);
+    if (L->min_size == NULL) {
+        uint64_t witness;
+        if (size_search(&L->ws, n, later, need, need + 1, &witness) > need)
+            return 0;
+        *found = witness;
+        return 1;
+    }
+    PyObject *rest = PyList_New(n), *witness = NULL, *call = NULL, *kw = NULL, *size = NULL;
+    int answer = -1;
+    if (rest == NULL)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(L->ws.rows[i]);
+        if (m == NULL)
+            goto out;
+        PyList_SET_ITEM(rest, i, m);
+    }
+    /* lower and upper go by keyword: tdbench/tracing.py reads them by name. */
+    if ((witness = PyList_New(0)) == NULL
+        || (call = Py_BuildValue("(OK)", rest, (unsigned long long)later)) == NULL
+        || (kw = Py_BuildValue("{s:i,s:i,s:O}", "lower", need, "upper", need + 1,
+                               "witness", witness)) == NULL
+        || (size = PyObject_Call(L->min_size, call, kw)) == NULL)
+        goto out;
+    PyObject *need_obj = PyLong_FromLong(need);
+    if (need_obj == NULL)
+        goto out;
+    answer = PyObject_RichCompareBool(size, need_obj, Py_LE);
+    Py_DECREF(need_obj);
+    if (answer == 1) {
+        if (PyList_GET_SIZE(witness) == 0) {
+            PyErr_SetString(PyExc_AssertionError, "a size query succeeded without a witness");
+            answer = -1;
+        }
+        else if (read_completion(PyList_GET_ITEM(witness, 0), found) < 0)
+            answer = -1;
+    }
+out:
+    Py_DECREF(rest);
+    Py_XDECREF(witness);
+    Py_XDECREF(call);
+    Py_XDECREF(kw);
+    Py_XDECREF(size);
+    return answer;
+}
+
+/* The completion move at v: 1 when symmetry(taken, v, min(comp)) gives a
+ * sigma, *comp then sigma(comp) - v; 0 when it gives None; -1 on error. */
+static int move_completion(Loop *L, uint64_t taken, uint64_t vb, uint64_t *comp)
+{
+    PyObject *sigma = PyObject_CallFunction(L->symmetry, "Kii", (unsigned long long)taken,
+                                            __builtin_ctzll(vb), __builtin_ctzll(*comp));
+    if (sigma == NULL)
+        return -1;
+    if (sigma == Py_None) {
+        Py_DECREF(sigma);
+        return 0;
+    }
+    PyObject *moved = PyObject_CallFunction(sigma, "K", (unsigned long long)*comp);
+    Py_DECREF(sigma);
+    if (moved == NULL)
+        return -1;
+    int err = read_completion(moved, comp);
+    Py_DECREF(moved);
+    if (err < 0)
+        return -1;
+    *comp ^= vb;
+    return 1;
+}
+
+/* The failure carry at v: 1 when symmetry(taken, u, v) gives a sigma for
+ * some failed u (asked in order, up to the first), 0 when none, -1 on error. */
+static int carries_failure(Loop *L, uint64_t taken, const int *failed, int nfailed, int v)
+{
+    for (int k = 0; k < nfailed; k++) {
+        PyObject *sigma = PyObject_CallFunction(L->symmetry, "Kii", (unsigned long long)taken,
+                                                failed[k], v);
+        if (sigma == NULL)
+            return -1;
+        int found = sigma != Py_None;
+        Py_DECREF(sigma);
+        if (found)
+            return 1;
+    }
+    return 0;
+}
+
+static char *lex_kwlist[] = {"masks", "cand_mask", "budget", "min_size", "completion",
+                             "symmetry", NULL};
+
+static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *masks, *cand_obj, *min_size = Py_None, *completion = Py_None,
+             *symmetry = Py_None;
+    int budget;
+    uint64_t cand;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOi|OOO:lex_min_hitting_set", lex_kwlist,
+                                     &masks, &cand_obj, &budget, &min_size, &completion,
+                                     &symmetry))
+        return NULL;
+    if (as_u64(cand_obj, &cand) < 0)
+        return NULL;
+    Loop L = {0};
+    /* The module's own min_hitting_size is answered in place. */
+    int own = min_size == Py_None
+              || (PyCFunction_Check(min_size)
+                  && PyCFunction_GET_FUNCTION(min_size)
+                         == (PyCFunction)(void (*)(void))min_hitting_size);
+    L.min_size = own ? NULL : min_size;
+    L.symmetry = symmetry == Py_None ? NULL : symmetry;
+    if ((L.pending = read_u64s(masks, &L.np)) == NULL)
+        return NULL;
+    /* comp: inside cand, at most budget - members members, hitting every
+     * pending mask; 0 while no such set is known. */
+    uint64_t comp = 0;
+    if (completion != Py_None
+        && (read_completion(completion, &comp) < 0
+            || check_completion(&L, comp, cand, budget) < 0))
+        goto error;
+    for (L.shift = 64 - 4, L.slots = 16; L.slots < 2 * (size_t)L.np; L.slots *= 2)
+        L.shift--;
+    if (ws_alloc(&L.ws, L.np, own ? depth_cap(budget) : 0) < 0
+        || (L.keys = PyMem_Malloc(sizeof(uint64_t) * L.slots)) == NULL
+        || (L.stamps = PyMem_Calloc(L.slots, sizeof(uint32_t))) == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto error;
+    }
+    int prefix[MAX_BITS], members = 0, failed[MAX_BITS];
+    uint64_t taken = 0; /* the prefix as a mask */
+    while (L.np > 0) {
+        long long need = (long long)budget - members - 1;
+        if (need < 0)
+            goto none;
+        if (need == 0) {
+            /* One member left: the least candidate in every pending mask. */
+            uint64_t common = cand;
+            for (Py_ssize_t i = 0; i < L.np; i++)
+                common &= L.pending[i];
+            if (common == 0)
+                goto none;
+            prefix[members++] = __builtin_ctzll(common);
+            break;
+        }
+        /* A v outside every pending mask hits nothing pending, and no
+         * minimum solution holds it: the scan passes it by. */
+        uint64_t scan = 0;
+        for (Py_ssize_t i = 0; i < L.np; i++)
+            scan |= L.pending[i];
+        scan &= cand;
+        if (need == 1) {
+            /* Two members left: the first v whose missed masks share a
+             * candidate above v, or that misses none (the last-pick rule). */
+            for (; scan; scan &= scan - 1) {
+                uint64_t vb = scan & -scan;
+                uint64_t common = cand & -(vb << 1);
+                int missed = 0;
+                for (Py_ssize_t i = 0; i < L.np; i++) {
+                    if ((L.pending[i] & vb) == 0) {
+                        missed = 1;
+                        common &= L.pending[i];
+                        if (common == 0)
+                            break;
+                    }
+                }
+                if (common || !missed) {
+                    prefix[members++] = __builtin_ctzll(vb);
+                    if (missed)
+                        prefix[members++] = __builtin_ctzll(common);
+                    goto done;
+                }
+            }
+            goto none;
+        }
+        int nfailed = 0, found = 0; /* failed: queries known to fail at this prefix */
+        uint64_t vb = 0;
+        for (; scan; scan &= scan - 1) {
+            vb = scan & -scan;
+            int v = __builtin_ctzll(vb);
+            comp &= -vb; /* members below v hit nothing pending */
+            if (vb == (comp & -comp)) {
+                comp ^= vb; /* comp - v lies above v and fits: the query succeeds */
+                found = 1;
+                break;
+            }
+            uint64_t later = cand & -(vb << 1);
+            if (L.symmetry != NULL) {
+                /* the completion move, checked below */
+                found = comp ? move_completion(&L, taken, vb, &comp) : 0;
+                if (found != 0)
+                    break;
+                int carried = carries_failure(&L, taken, failed, nfailed, v);
+                if (carried < 0) {
+                    found = -1;
+                    break;
+                }
+                if (carried) {
+                    failed[nfailed++] = v; /* the failure carry */
+                    continue;
+                }
+            }
+            found = ask(&L, vb, later, (int)need, &comp);
+            if (found != 0)
+                break;
+            failed[nfailed++] = v;
+        }
+        if (found < 0)
+            goto error;
+        if (found == 0)
+            goto none;
+        prefix[members++] = __builtin_ctzll(vb);
+        taken |= vb;
+        cand &= -(vb << 1);
+        L.np = drop_hit(L.pending, L.np, vb, L.pending);
+        if (check_completion(&L, comp, cand, need) < 0)
+            goto error;
+    }
+done:
+    loop_free(&L);
+    PyObject *out = PyList_New(members);
+    if (out == NULL)
+        return NULL;
+    for (int i = 0; i < members; i++) {
+        PyObject *v = PyLong_FromLong(prefix[i]);
+        if (v == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, v);
+    }
+    return out;
+none:
+    loop_free(&L);
+    Py_RETURN_NONE;
+error:
+    loop_free(&L);
+    return NULL;
 }
 
 static PyMethodDef methods[] = {
@@ -278,12 +625,17 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Smallest number of candidate bits hitting every mask, capped at upper.\n\n"
      "Same contract as `_bb_py.min_hitting_size`."},
+    {"lex_min_hitting_set", (PyCFunction)(void (*)(void))lex_min_hitting_set,
+     METH_VARARGS | METH_KEYWORDS,
+     "Lexicographically least hitting set of size <= budget, from size queries.\n\n"
+     "Same contract and queries as `_bb_py.lex_min_hitting_set`; min_size None or\n"
+     "this module's min_hitting_size is answered without a Python call."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_bb",
-    "Hitting-set search kernel, compiled edition; mirrors `_bb_py.min_hitting_size`.",
+    "Hitting-set search kernel, compiled edition; mirrors `_bb_py`.",
     -1, methods,
 };
 

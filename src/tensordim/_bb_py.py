@@ -2,12 +2,14 @@
 
 Each pair of vertices that must be told apart contributes one mask of
 "resolver" bits; a solution is a set of vertex bits hitting every mask.
-All masks fit one machine word (at most 64 vertices).  `min_hitting_size`
-has the same contract as the compiled module `_bb` and stands in for it
-when the extension is unavailable.  It runs branch and bound: branch on the
-pending mask with the fewest resolvers (candidates in ascending id, with
-sibling exclusion so no subset is explored twice), propagate forced
-single-resolver picks, and bound with a greedy disjoint-mask packing.
+All masks fit one machine word (at most 64 vertices).  Both entry points,
+`min_hitting_size` and `lex_min_hitting_set`, are the reference that the
+compiled module `_bb` mirrors step for step, with the same contracts, and
+stand in for it when the extension is unavailable.  `min_hitting_size`
+runs branch and bound: branch on the pending mask with the fewest
+resolvers (candidates in ascending id, with sibling exclusion so no
+subset is explored twice), propagate forced single-resolver picks, and
+bound with a greedy disjoint-mask packing.
 
 Near the leaves, nodes are settled without branching, by two rules.
 
@@ -43,8 +45,8 @@ vertex of the last pick's AND, or chosen plus w and the least vertex of
 w's AND (the two-pick pass): the vertices branching would take first.  So
 a caller's `witness` list receives a solution of the returned size.
 
-`lex_min_hitting_set`, written once for both kernels, builds a solution
-within a budget from size queries to a kernel's `min_hitting_size`: it
+`lex_min_hitting_set`, the certificate loop, builds a solution within a
+budget from size queries to a kernel's `min_hitting_size`: it
 appends the least candidate v above the members so far whose unhit masks
 the candidates above v can still hit within the budget.  It skips a v that
 hits no pending mask, which no minimum solution contains: the scan runs
@@ -279,6 +281,8 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
     result is the lexicographically least minimum solution.  Returns [] when
     no mask is pending and None when no solution fits the budget.
     `min_size` answers the queries: `min_hitting_size` of either kernel.
+    (The compiled loop also takes None for its own search, which it then
+    runs without a Python call per query.)
     It is asked only with two or more members left to place after v, for a
     v that neither the completion nor the symmetry answers, on that query's
     restricted, de-duplicated instance; the last two members are settled in

@@ -16,11 +16,13 @@ the modules a build needs are imported only when it runs.
 `load()` never raises and writes nothing to stdout or stderr: on any
 failure (no C compiler, a compile error, a build running past
 BUILD_TIMEOUT_S, a directory it cannot write) it returns None and records
-why in `why_pure`.  `load(strict=True)` raises RuntimeError, with the
-compiler's output, for any failure but a missing compiler.  The certificate
-loop exists once, as `_bb_py.lex_min_hitting_set`; every compiled module
-loaded here gets it as its `lex_min_hitting_set`, so each kernel module
-offers both entry points.
+why in `why_pure`.  A build that fails leaves `_bb-<key>.failed`, holding
+its error, beside where the extension would go, and a later `load()` for
+the same `_bb.c` falls back at once instead of building again.
+`load(strict=True)` ignores that marker and builds, and raises
+RuntimeError, with the compiler's output, for any failure but a missing
+compiler.  The compiled module carries both kernel entry points,
+`min_hitting_size` and `lex_min_hitting_set`, as `_bb_py` does.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def load(strict: bool = False):
     if _compiled is not None:
         return _compiled
     try:
-        module = _find()
+        module = _find(strict)
     except _NoCompiler:
         why_pure = "no C compiler"
         return None
@@ -81,32 +83,34 @@ def load(strict: bool = False):
             raise RuntimeError(f"kernel build failed: {exc}") from exc
         why_pure = "the kernel build failed"
         return None
-    module.lex_min_hitting_set = _bb_py.lex_min_hitting_set
     _compiled = module
     return module
 
 
-def _find():
+def _find(strict: bool):
     if not (os.path.exists(SOURCE) and os.path.exists(os.path.join(ROOT, "setup.py"))):
         from . import _bb  # an installed package
 
         return _bb
     with open(SOURCE, "rb") as fh:
         key = zlib.crc32(fh.read())
-    path = os.path.join(CACHE_DIR, f"_bb-{key:08x}{EXTENSION_SUFFIXES[0]}")
+    stem = os.path.join(CACHE_DIR, f"_bb-{key:08x}")
+    path = stem + EXTENSION_SUFFIXES[0]
     if not os.path.exists(path):
-        _build(path)
+        if not strict and os.path.exists(stem + ".failed"):
+            raise RuntimeError(f"an earlier build failed; see {stem}.failed")
+        _build(path, stem + ".failed")
     spec = importlib.util.spec_from_file_location("tensordim._bb", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _build(path: str) -> None:
+def _build(path: str, failed: str) -> None:
     """Compile `_bb.c` with `setup.py build_ext` into a private directory
-    under CACHE_DIR and move the extension to `path`.  A build that runs
-    past BUILD_TIMEOUT_S is killed with its whole process group, so no
-    compiler outlives it."""
+    under CACHE_DIR and move the extension to `path`; a build that fails
+    writes its error to `failed`.  A build that runs past BUILD_TIMEOUT_S
+    is killed with its whole process group, so no compiler outlives it."""
     import shutil
     import sysconfig
 
@@ -135,5 +139,9 @@ def _build(path: str) -> None:
             raise RuntimeError(f"setup.py exited with {child.returncode}:\n{output}")
         os.replace(os.path.join(tmp, "tensordim", "_bb" + sysconfig.get_config_var("EXT_SUFFIX")),
                    path)
+    except Exception as exc:
+        with open(failed, "w", encoding="utf-8") as fh:
+            fh.write(f"{exc}\n")
+        raise
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

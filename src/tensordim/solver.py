@@ -6,10 +6,12 @@ contains a vertex whose distances to the two differ.  A branch-and-bound
 kernel finds the optimum size k: the compiled `_bb` when `_loader` finds
 one (in a source checkout it builds one at import), else the pure-Python
 `_bb_py`, which TENSORDIM_PURE forces.  The certificate is then built by
-the kernel's `lex_min_hitting_set`, the one loop `_bb_py` defines, from
-size queries to the same kernel: each step appends the least vertex v above
-the prefix such that k - |prefix| - 1 vertices above v can hit every mask v
-leaves unhit.  No minimum set extends the prefix with a smaller member, so
+the kernel's own `lex_min_hitting_set` (the compiled loop mirrors
+`_bb_py`'s step for step) from size queries to the same kernel's
+`min_hitting_size`, passed by keyword so that a tracer wrapping it sees
+every query.  Each step appends the least vertex v above the prefix such
+that k - |prefix| - 1 vertices above v can hit every mask v leaves
+unhit.  No minimum set extends the prefix with a smaller member, so
 the result is the lexicographically least minimum certificate.  The loop
 starts from a solution of size k that the solver already holds: the size
 search's witness when it beat the upper seed, else that seed.  The upper

@@ -2,24 +2,28 @@
 
 The compiled kernel comes from the `compiled_kernel` fixture, which takes
 it from the package's loader (built from source once per `_bb.c`); the
-solver's own kernel choice is not affected.  The
-certificate loop `_bb_py.lex_min_hitting_set` exists once; `lex` runs it on
-a kernel's size search.
+solver's own kernel choice is not affected.  Each kernel has its own
+certificate loop; `lex` runs a kernel's loop on its own size search, and
+the compiled loop must ask the reference loop's queries, in order.
 """
 
 import itertools
+import json
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tensordim import _bb_py
+from tensordim import _bb_py, solver
 from tensordim.graphs import CliqueFactors, tensor_clique_distances
+from tensordim.metric import DimResult
 from tensordim.solver import build_pair_table
 
-from conftest import oracle_min_hitting
+from conftest import ROOT, oracle_min_hitting
 
 
 @pytest.fixture(params=["_bb_py", "_bb"])
@@ -43,7 +47,7 @@ def random_instance(rng, nbits, nmasks):
 
 
 def lex(kernel, *args):
-    return _bb_py.lex_min_hitting_set(*args, min_size=kernel.min_hitting_size)
+    return kernel.lex_min_hitting_set(*args, min_size=kernel.min_hitting_size)
 
 
 def oracle_lex_min(masks, nbits, k):
@@ -236,7 +240,7 @@ def test_every_minimum_completion_gives_the_same_certificate(kernel):
         cand = (1 << nbits) - 1
         assert lex(kernel, masks, cand, size) == want
         for comp in solutions:
-            assert _bb_py.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
+            assert kernel.lex_min_hitting_set(masks, cand, size, min_size=kernel.min_hitting_size,
                                               completion=comp) == want
 
 
@@ -248,19 +252,26 @@ def test_every_minimum_completion_gives_the_same_certificate(kernel):
 ], ids=["misses-a-mask", "too-large", "outside-candidates", "empty-mask"])
 def test_a_completion_that_is_no_solution_raises(kernel, masks, cand, budget, comp):
     with pytest.raises(AssertionError):
-        _bb_py.lex_min_hitting_set(masks, cand, budget, min_size=kernel.min_hitting_size,
+        kernel.lex_min_hitting_set(masks, cand, budget, min_size=kernel.min_hitting_size,
                                    completion=comp)
 
 
-def test_a_wrong_witness_raises():
-    # A size query whose witness does not hit the masks it was asked about.
-    # Budget 3: the first step still queries (two members to place after it).
+def test_a_wrong_witness_raises(compiled_kernel):
+    # A size query whose witness does not hit the masks it was asked about,
+    # and one that succeeds with no witness, on each kernel's loop.  Budget
+    # 3: the first step still queries (two members to place after it).
     def lying(masks, cand_mask, lower, upper, witness):
         witness.append(0)
         return lower
 
-    with pytest.raises(AssertionError):
-        _bb_py.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3, min_size=lying)
+    def silent(masks, cand_mask, lower, upper, witness):
+        return lower
+
+    for kernel in (_bb_py, compiled_kernel):
+        for query in (lying, silent):
+            with pytest.raises(AssertionError):
+                kernel.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
+                                           min_size=query)
 
 
 def test_a_completion_move_off_the_contract_raises(kernel):
@@ -268,7 +279,7 @@ def test_a_completion_move_off_the_contract_raises(kernel):
     # the moved completion holds 0 and fails the check.  Budget 3: the move
     # is tried at the first step, with two members to place after it.
     with pytest.raises(AssertionError):
-        _bb_py.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
+        kernel.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
                                    min_size=kernel.min_hitting_size, completion=0b101010,
                                    symmetry=lambda prefix, u, v: lambda m: m)
 
@@ -316,7 +327,7 @@ def test_the_last_two_members_are_settled_without_a_query(kernel):
         cand = (1 << nbits) - 1
         size, _ = oracle_min_hitting(masks, nbits)
         for budget in range(nbits + 1):
-            got = _bb_py.lex_min_hitting_set(masks, cand, budget, min_size=query)
+            got = kernel.lex_min_hitting_set(masks, cand, budget, min_size=query)
             assert got == plain_lex(masks, cand, budget)
             if budget <= size:
                 assert got == oracle_lex_min(masks, nbits, budget)
@@ -369,3 +380,71 @@ def test_both_kernels_agree_on_random_instances(compiled_kernel):
             a_at = _bb_py.min_hitting_size(masks, cand, 0, upper, witness=found_a)
             b_at = compiled_kernel.min_hitting_size(masks, cand, 0, upper, witness=found_b)
             assert (a_at, found_a) == (b_at, found_b)
+
+
+def recording(min_size, log):
+    """min_size, logging each query as (masks, cand_mask, lower, upper)."""
+    def query(masks, cand_mask, lower, upper, witness=None):
+        log.append((list(masks), cand_mask, lower, upper))
+        return min_size(masks, cand_mask, lower=lower, upper=upper, witness=witness)
+
+    return query
+
+
+def test_both_loops_ask_the_same_queries(compiled_kernel):
+    # Both loops ask one search the same queries, in order, and return the
+    # same sets, at budgets around the optimum, with and without the size
+    # search's solution as the completion.  The compiled loop answers its
+    # own search's queries without calling back, with the same results.
+    rng = random.Random(18)
+    loops = (_bb_py.lex_min_hitting_set, compiled_kernel.lex_min_hitting_set)
+    asked = 0
+    for _ in range(1000):
+        nbits = rng.randrange(3, 21)
+        masks = random_instance(rng, nbits, rng.randrange(1, 30))
+        cand = (1 << nbits) - 1
+        if rng.random() < 0.2:
+            cand &= ~(1 << rng.randrange(nbits))
+        witness = []
+        size = compiled_kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
+        for budget in (size - 1, size, size + 1):
+            for completion in [None] + witness * (budget >= size):
+                logs = ([], [])
+                got = [loop(masks, cand, budget, completion=completion,
+                            min_size=recording(compiled_kernel.min_hitting_size, log))
+                       for loop, log in zip(loops, logs)]
+                assert got[0] == got[1] and logs[0] == logs[1]
+                assert compiled_kernel.lex_min_hitting_set(masks, cand, budget,
+                                                           completion=completion) == got[0]
+                asked += len(logs[0])
+    assert asked >= 1000
+
+
+SMALL_PRODUCTS = [p for p in json.loads((ROOT / "data" / "clique_products.json").read_text(
+    encoding="utf-8"))["products"] if math.prod(p["sizes"]) <= 40]
+
+
+def solve_small_products():
+    """The solver's result on each product of at most 40 vertices, against
+    `data/clique_products.json`."""
+    for row in SMALL_PRODUCTS:
+        factors = CliqueFactors(row["sizes"])
+        got = solver.exact_metric_dimension(tensor_clique_distances(factors), factors=factors)
+        assert got == DimResult(row["dim"], tuple(row["certificate"])), row["sizes"]
+
+
+def test_the_small_products_get_the_data_files_certificates(solver_kernel):
+    solve_small_products()
+
+
+def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, monkeypatch):
+    # With the products' symmetry: the completion move and the failure
+    # carry spare the same queries in both loops.
+    logs = []
+    for loop in (_bb_py.lex_min_hitting_set, compiled_kernel.lex_min_hitting_set):
+        logs.append([])
+        kernel = SimpleNamespace(lex_min_hitting_set=loop, min_hitting_size=recording(
+            compiled_kernel.min_hitting_size, logs[-1]))
+        monkeypatch.setattr(solver, "_default_kernel", kernel)
+        solve_small_products()
+    assert logs[0] == logs[1] and logs[0]

@@ -5,8 +5,10 @@ Each case runs a fresh interpreter over a temporary copy of `src/` and
 `build/kernel`, a second one loads that file without building or
 importing the build's modules, an edited `_bb.c` gets a new file, and a
 missing compiler, an unwritable cache, TENSORDIM_PURE, a failed or a
-stuck build leave the pure kernel, quietly.  The cases need a C
-compiler; the `compiled_kernel` fixture skips them without one.
+stuck build leave the pure kernel, quietly.  A failed build leaves a
+marker that spares later imports the build, until a strict load.  The
+cases need a C compiler; the `compiled_kernel` fixture skips them
+without one.
 """
 
 import os
@@ -133,7 +135,7 @@ def test_failed_build_raises_only_when_asked(tmp_path, compiled_kernel):
                   "    raise AssertionError('a failed strict build did not raise')\n",
                   CC=str(cc))
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
-    assert cached(tree) == []
+    assert [path.suffix for path in cached(tree)] == [".failed"]
 
 
 def test_stuck_build_is_killed_with_its_compiler(tmp_path, compiled_kernel):
@@ -149,7 +151,8 @@ def test_stuck_build_is_killed_with_its_compiler(tmp_path, compiled_kernel):
                   "assert _loader.why_pure == 'the kernel build failed', _loader.why_pure\n",
                   CC=str(cc), TENSORDIM_PURE="1")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
-    assert cached(tree) == []
+    [marker] = cached(tree)
+    assert "the build ran past 3 s" in marker.read_text(encoding="utf-8")
     pid = int((tmp_path / "stuck-cc.pid").read_text())
     stat = Path(f"/proc/{pid}/stat")
     deadline = time.monotonic() + 10
@@ -157,3 +160,34 @@ def test_stuck_build_is_killed_with_its_compiler(tmp_path, compiled_kernel):
     while stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
         assert time.monotonic() < deadline, f"compiler {pid} outlived the build"
         time.sleep(0.1)
+
+
+def test_failed_build_is_tried_again_only_when_asked(tmp_path, compiled_kernel):
+    # The compiler logs each start.  The first import's build fails and
+    # leaves a marker; the second import falls back without a build.  A
+    # strict load builds again and raises with the compiler's output.
+    tree = checkout(tmp_path / "tree")
+    starts = tmp_path / "starts"
+    cc = fake_cc(tmp_path / "logging-cc",
+                 f"echo start >> '{starts}'; echo 'logging-cc: cannot compile' >&2; exit 1")
+    fallback = ("import tensordim.cli\n"
+                "from tensordim import _loader, solver\n"
+                "assert solver.kernel_name() == 'python'\n"
+                "assert _loader.why_pure == 'the kernel build failed', _loader.why_pure\n")
+    for _ in range(2):
+        done = python(tree, fallback, CC=str(cc))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert starts.read_text(encoding="utf-8").splitlines() == ["start"]
+    [marker] = cached(tree)
+    assert marker.name.endswith(".failed")
+    assert "logging-cc: cannot compile" in marker.read_text(encoding="utf-8")
+    strict = python(tree, "from tensordim import _loader\n"
+                    "try:\n"
+                    "    _loader.load(strict=True)\n"
+                    "except RuntimeError as exc:\n"
+                    "    assert 'logging-cc: cannot compile' in str(exc), exc\n"
+                    "else:\n"
+                    "    raise AssertionError('a failed strict build did not raise')\n",
+                    CC=str(cc))
+    assert (strict.returncode, strict.stdout, strict.stderr) == (0, "", "")
+    assert starts.read_text(encoding="utf-8").splitlines() == ["start", "start"]

@@ -1,12 +1,14 @@
 """The traced benchmark run (`tdbench/run.py --trace 1`) wraps package
 functions by name, so a renamed or removed entry point breaks it.  This
 installs its tracer on the package the way `tdbench/run.py` does, on the
-pure kernel that a plain checkout benchmarks, and runs exact searches
-under it that reach every kernel call site: the symmetric size search and
-the certificate loop (a product of cliques) and the plain size search (a
-graph file).  The tracer reads the kernel's `lower` and `upper` by name,
-so a call site passing them by position fails here.  `tdbench/` is loaded
-from source and never written to.
+pure kernel that a plain checkout benchmarks and on the compiled one, and
+runs exact searches under it that reach every kernel call site: the
+symmetric size search and the certificate loop (a product of cliques) and
+the plain size search (a graph file).  The tracer reads the kernel's
+`lower` and `upper` by name, so a call site passing them by position
+fails here.  On the compiled kernel the loop's queries reach the traced
+search only through the `min_size` callback the solver passes.
+`tdbench/` is loaded from source and never written to.
 """
 
 import importlib.util
@@ -28,25 +30,36 @@ def load_tracing(monkeypatch):
     return module
 
 
-def test_tracer_installs_on_the_pure_kernel(monkeypatch, capsys, tmp_path):
+def traced_passes(monkeypatch, tmp_path, kernel, *products):
+    """The tracer's passes over `dim --tensor 3,4 --exact`, a graph file
+    and then each of `products`, solved on `kernel`; checks that every
+    target is restored afterwards."""
     tracing = load_tracing(monkeypatch)
-    monkeypatch.setattr(solver, "_default_kernel", _bb_py)
+    monkeypatch.setattr(solver, "_default_kernel", kernel)
     path = tmp_path / "g.txt"
     write_edge_list(Graph(14, random_connected_edges(random.Random(5), 14, 0.2)), path)
     modules = {"cli": cli, "constructions": constructions, "solver": solver,
                "graphs": graphs, "metric": metric, "package": tensordim}
-    originals = {(key, name): getattr(modules.get(key, _bb_py), name)
+    originals = {(key, name): getattr(modules.get(key, kernel), name)
                  for key, name, _, _ in tracing.TARGETS}
     tracer = tracing.Tracer()
     tracer.install(modules)
     try:
-        for argv in (["dim", "--tensor", "3,4", "--exact"], ["dim", str(path), "--exact"]):
+        for argv in (["dim", "--tensor", "3,4", "--exact"], ["dim", str(path), "--exact"],
+                     *(["dim", "--tensor", sizes, "--exact"] for sizes in products)):
             tracer.begin_pass()
             assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
+    for (key, name), original in originals.items():
+        assert getattr(modules.get(key, kernel), name) is original
+    return tracer.passes
+
+
+def test_tracer_installs_on_the_pure_kernel(monkeypatch, capsys, tmp_path):
+    passes = traced_passes(monkeypatch, tmp_path, _bb_py)
     capsys.readouterr()
-    (product_spans, product_counts), (file_spans, file_counts) = tracer.passes
+    (product_spans, product_counts), (file_spans, file_counts) = passes
     assert {"cli.self", "solver.exact_self", "kernel.size_search",
             "kernel.lex_search"} <= {span[0] for span in product_spans}
     # The plain size search runs directly under exact_metric_dimension.
@@ -56,5 +69,18 @@ def test_tracer_installs_on_the_pure_kernel(monkeypatch, capsys, tmp_path):
         assert counts["kernel.calls"] > 0
         assert counts["solver.seed_gap"] >= 0
         assert counts["solver.lower_stops"] <= counts["kernel.calls"]
-    for (key, name), original in originals.items():
-        assert getattr(modules.get(key, _bb_py), name) is original
+
+
+def test_tracer_counts_the_compiled_loops_queries(monkeypatch, capsys, tmp_path,
+                                                  compiled_kernel):
+    # The certificate of 3x4 takes no query (its completion answers them
+    # all); that of 3x3x3 takes six.
+    pure = traced_passes(monkeypatch, tmp_path, _bb_py, "3,3,3")
+    compiled = traced_passes(monkeypatch, tmp_path, compiled_kernel, "3,3,3")
+    capsys.readouterr()
+    product_spans = compiled[2][0]
+    # The loop's queries run inside it.
+    assert any(layer == "kernel.size_search" and product_spans[parent][0] == "kernel.lex_search"
+               for layer, _, _, parent, _ in product_spans)
+    assert [counts["kernel.calls"] for _, counts in compiled] == [
+        counts["kernel.calls"] for _, counts in pure]
