@@ -10,7 +10,8 @@ the file.  It prints the best time of each over `--repeats` runs, the
 number of kernel queries the certificate loop asked (the same on either
 kernel), and the totals for the two-factor products and for all of them.
 It exits 1 on any difference, or when the file does not list exactly the
-103 products.
+103 products.  `--json PATH` also writes those figures to PATH, with the
+kernel's name, the checkout's commit (null without git) and `repeats`.
 
 It runs on the kernel the solver picked at import: the compiled one,
 which `tensordim._loader` builds on first import in a source checkout,
@@ -20,7 +21,7 @@ import fell back to the pure kernel without TENSORDIM_PURE, the script
 asks the loader again and raises with the compiler's output if the build
 fails, or exits 1 when there is no C compiler.  Usage:
 
-    PYTHONPATH=src python benchmarks/check_products.py [--repeats N]
+    PYTHONPATH=src python benchmarks/check_products.py [--repeats N] [--json PATH]
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -112,7 +114,48 @@ def kernel_line() -> str:
     return f"kernel: {name}"
 
 
-def check(repeats: int) -> int:
+def product_record(row: dict, repeats: int) -> tuple[dict, str | None]:
+    """The figures of one product of the data file, and what differs when
+    the solves do not give its results."""
+    factors = CliqueFactors(row["sizes"])
+    t_cert, with_cert, queries, t_dim, dim_only = measure(factors, repeats)
+    want = solver.DimResult(row["dim"], tuple(row["certificate"]))
+    match = with_cert == want and dim_only == solver.DimResult(row["dim"], None)
+    record = {"product": "x".join(map(str, factors.sizes)), "dim": row["dim"], "cert_s": t_cert,
+              "dim_only_s": t_dim, "queries": queries, "match": match}
+    return record, None if match else f"got {with_cert} and {dim_only}, want {want}"
+
+
+def totals(records: list[dict]) -> dict:
+    """Summed best times of the two-factor products and of all of them."""
+    out = {}
+    for key, chosen in (("two-factor", [r for r in records if r["product"].count("x") == 1]),
+                        ("all", records)):
+        out[key] = {"cert_s": sum(r["cert_s"] for r in chosen),
+                    "dim_only_s": sum(r["dim_only_s"] for r in chosen)}
+    return out
+
+
+def commit() -> str | None:
+    """The checkout's commit, marked "-dirty" when it has uncommitted
+    changes; None when git is unavailable."""
+    try:
+        done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
+                               "--exclude=*"], cwd=ROOT, capture_output=True, text=True,
+                              timeout=30, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip()
+
+
+def bench_record(records: list[dict], repeats: int) -> dict:
+    """What `--json` writes: the kernel, the commit, `repeats`, each
+    product's figures and the totals."""
+    return {"kernel": solver.kernel_name(), "commit": commit(), "repeats": repeats,
+            "products": records, "totals": totals(records)}
+
+
+def check(repeats: int, json_path: Path | None = None) -> int:
     rows = json.loads(DATA.read_text(encoding="utf-8"))["products"]
     listed = [tuple(row["sizes"]) for row in rows]
     if listed != connected_products():
@@ -121,24 +164,22 @@ def check(repeats: int) -> int:
         return 1
     print(kernel_line())
     print(f"{'product':<10}  {'dim':>3}  {'cert s':>8}  {'dim only s':>10}  {'queries':>7}")
-    totals = {"two-factor": [0.0, 0.0], "all": [0.0, 0.0]}
-    bad = 0
+    records = []
     for row in rows:
-        factors = CliqueFactors(row["sizes"])
-        t_cert, with_cert, queries, t_dim, dim_only = measure(factors, repeats)
-        want = solver.DimResult(row["dim"], tuple(row["certificate"]))
-        name = "x".join(map(str, factors.sizes))
-        if with_cert != want or dim_only != solver.DimResult(row["dim"], None):
-            print(f"{name}: got {with_cert} and {dim_only}, want {want}", file=sys.stderr)
-            bad += 1
-        for key in ("two-factor", "all") if factors.t == 2 else ("all",):
-            totals[key][0] += t_cert
-            totals[key][1] += t_dim
-        print(f"{name:<10}  {row['dim']:>3}  {t_cert:>8.4f}  {t_dim:>10.4f}  {queries:>7}",
-              flush=True)
-    for key, (t_cert, t_dim) in totals.items():
-        print(f"total {key:<10}  cert {t_cert:.3f} s  dim only {t_dim:.3f} s")
+        r, error = product_record(row, repeats)
+        records.append(r)
+        if error:
+            print(f"{r['product']}: {error}", file=sys.stderr)
+        print(f"{r['product']:<10}  {r['dim']:>3}  {r['cert_s']:>8.4f}  {r['dim_only_s']:>10.4f}  "
+              f"{r['queries']:>7}", flush=True)
+    for key, total in totals(records).items():
+        print(f"total {key:<10}  cert {total['cert_s']:.3f} s  "
+              f"dim only {total['dim_only_s']:.3f} s")
+    bad = sum(not r["match"] for r in records)
     print(f"{len(rows) - bad} of {len(rows)} products match {DATA.name}")
+    if json_path is not None:
+        json_path.write_text(json.dumps(bench_record(records, repeats), indent=1) + "\n",
+                             encoding="utf-8")
     return 1 if bad else 0
 
 
@@ -146,6 +187,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the figures to PATH as JSON")
     opts = parser.parse_args()
     if opts.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -159,7 +202,7 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         solver._default_kernel = compiled
-    return check(opts.repeats)
+    return check(opts.repeats, opts.json)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports the two entry points of `_bb_py` and mirrors each step for step.
+ * Exports the three entry points of `_bb_py` and mirrors each step for step.
  * min_hitting_size(masks, cand_mask, lower, upper, witness=None) is the
  * least number of cand_mask bits hitting every mask, or upper when nothing
  * below it exists, stopping early once lower is met.  When witness is a
@@ -17,15 +17,24 @@
  * OverflowError, TypeError and AssertionError.  A min_size of None or this
  * module's min_hitting_size is answered by the search below on a C array;
  * any other min_size, and symmetry and its maps, are called as `_bb_py`
- * calls them.  See that module for the algorithms and the argument for
- * each rule.
+ * calls them.
+ * orbit_min_size(masks, cand_mask, forced, lower, upper, value_masks,
+ * min_candidates, min_budget, min_size=None) is the symmetric size search:
+ * the same orbits from the per-axis value masks, in the same order, the
+ * same branching rule and stops, and at each leaf the same restricted,
+ * de-duplicated instance, answered in place or handed to min_size as in
+ * the certificate loop; the same (size, mask) or (upper, None), and the
+ * same ValueError for overlapping value masks.  See `_bb_py` for the
+ * algorithms and the argument for each rule.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
- * row of pending masks in a preallocated workspace.
+ * row of pending masks in a preallocated workspace (the orbit search has
+ * its own rows, one per branching level).
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <stdint.h>
 
 #define MAX_BITS 64
@@ -78,6 +87,8 @@ static void ws_free(Workspace *ws)
     PyMem_Free(ws->rows);
     PyMem_Free(ws->restricted);
     PyMem_Free(ws->order);
+    ws->rows = ws->restricted = NULL;
+    ws->order = NULL;
 }
 
 /* Allocate ws for up to cap masks and searches up to depth_cap deep.  -1
@@ -301,50 +312,126 @@ static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwar
     return PyLong_FromLong(best);
 }
 
+/* A hash set of masks that de-duplicates one list at a time, first
+ * occurrence kept: open addressing, with the slots of earlier lists told
+ * apart by their stamp. */
+typedef struct {
+    uint64_t *keys;
+    uint32_t *stamps;  /* a slot is in use when its stamp is gen */
+    uint32_t gen;      /* one per list */
+    size_t slots;      /* a power of two above twice the longest list */
+    int shift;
+} Dedup;
+
+static void dedup_free(Dedup *d)
+{
+    PyMem_Free(d->keys);
+    PyMem_Free(d->stamps);
+    d->keys = NULL;
+    d->stamps = NULL;
+}
+
+/* Allocate d for lists of up to n masks.  -1 with an exception set on
+ * failure, d then freed. */
+static int dedup_alloc(Dedup *d, Py_ssize_t n)
+{
+    memset(d, 0, sizeof(*d));
+    for (d->shift = 64 - 4, d->slots = 16; d->slots < 2 * (size_t)n; d->slots *= 2)
+        d->shift--;
+    d->keys = PyMem_Malloc(sizeof(uint64_t) * d->slots);
+    d->stamps = PyMem_Calloc(d->slots, sizeof(uint32_t));
+    if (d->keys == NULL || d->stamps == NULL) {
+        dedup_free(d);
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* Write the masks of in that miss skip, restricted to keep and without
+ * repeats (first occurrence kept), to out; returns their count. */
+static Py_ssize_t distinct_masks(Dedup *d, const uint64_t *in, Py_ssize_t n, uint64_t skip,
+                                 uint64_t keep, uint64_t *out)
+{
+    if (++d->gen == 0) { /* the stamps wrapped: no slot is in use */
+        memset(d->stamps, 0, sizeof(uint32_t) * d->slots);
+        d->gen = 1;
+    }
+    Py_ssize_t count = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (in[i] & skip)
+            continue;
+        uint64_t m = in[i] & keep;
+        size_t h = (size_t)((m * 0x9E3779B97F4A7C15ull) >> d->shift);
+        while (d->stamps[h] == d->gen && d->keys[h] != m)
+            h = (h + 1) & (d->slots - 1);
+        if (d->stamps[h] != d->gen) {
+            d->stamps[h] = d->gen;
+            d->keys[h] = m;
+            out[count++] = m;
+        }
+    }
+    return count;
+}
+
+/* Whether min_size is None or this module's min_hitting_size, which the
+ * entry points below answer with the search above, in place. */
+static int own_search(PyObject *min_size)
+{
+    return min_size == Py_None
+           || (PyCFunction_Check(min_size)
+               && PyCFunction_GET_FUNCTION(min_size)
+                      == (PyCFunction)(void (*)(void))min_hitting_size);
+}
+
+/* min_size(masks, cand, lower=lower, upper=upper, witness=witness) on the
+ * first n masks of rows, as `_bb_py` calls it; lower and upper go by
+ * keyword, since tdbench/tracing.py reads them by name.  Returns the
+ * result and the new witness list in *witness, or NULL on error. */
+static PyObject *call_min_size(PyObject *min_size, const uint64_t *rows, Py_ssize_t n,
+                               uint64_t cand, long long lower, long long upper,
+                               PyObject **witness)
+{
+    PyObject *masks = PyList_New(n), *call = NULL, *kw = NULL, *size = NULL;
+    *witness = NULL;
+    if (masks == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(rows[i]);
+        if (m == NULL)
+            goto out;
+        PyList_SET_ITEM(masks, i, m);
+    }
+    if ((*witness = PyList_New(0)) != NULL
+        && (call = Py_BuildValue("(OK)", masks, (unsigned long long)cand)) != NULL
+        && (kw = Py_BuildValue("{s:L,s:L,s:O}", "lower", lower, "upper", upper, "witness",
+                               *witness)) != NULL)
+        size = PyObject_Call(min_size, call, kw);
+out:
+    Py_DECREF(masks);
+    Py_XDECREF(call);
+    Py_XDECREF(kw);
+    if (size == NULL)
+        Py_CLEAR(*witness);
+    return size;
+}
+
 /* The certificate loop's state: its pending masks, how it asks a query,
- * and a hash set that de-duplicates each query's masks. */
+ * and the hash set that de-duplicates each query's masks. */
 typedef struct {
     uint64_t *pending;
     Py_ssize_t np;
     PyObject *min_size;  /* NULL: the search above, on ws */
     PyObject *symmetry;  /* NULL: none */
     Workspace ws;        /* the query's masks go to its first row */
-    uint64_t *keys;
-    uint32_t *stamps;    /* a slot is in use when its stamp is gen */
-    uint32_t gen;        /* one per query: at most 64 per step, 64 steps */
-    size_t slots;        /* a power of two above twice the pending count */
-    int shift;
+    Dedup seen;
 } Loop;
 
 static void loop_free(Loop *L)
 {
     PyMem_Free(L->pending);
     ws_free(&L->ws);
-    PyMem_Free(L->keys);
-    PyMem_Free(L->stamps);
-}
-
-/* Write the masks pending that miss vb, restricted to later and without
- * repeats (first occurrence kept), to ws's first row; returns their count. */
-static Py_ssize_t query_masks(Loop *L, uint64_t vb, uint64_t later)
-{
-    uint32_t gen = ++L->gen;
-    uint64_t *out = L->ws.rows;
-    Py_ssize_t n = 0;
-    for (Py_ssize_t i = 0; i < L->np; i++) {
-        if (L->pending[i] & vb)
-            continue;
-        uint64_t m = L->pending[i] & later;
-        size_t h = (size_t)((m * 0x9E3779B97F4A7C15ull) >> L->shift);
-        while (L->stamps[h] == gen && L->keys[h] != m)
-            h = (h + 1) & (L->slots - 1);
-        if (L->stamps[h] != gen) {
-            L->stamps[h] = gen;
-            L->keys[h] = m;
-            out[n++] = m;
-        }
-    }
-    return n;
+    dedup_free(&L->seen);
 }
 
 /* obj as a completion mask: TypeError for a non-integer, AssertionError
@@ -380,7 +467,7 @@ static int check_completion(const Loop *L, uint64_t comp, uint64_t cand, long lo
  * `_bb_py` calls it, on a list of the same masks. */
 static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
 {
-    Py_ssize_t n = query_masks(L, vb, later);
+    Py_ssize_t n = distinct_masks(&L->seen, L->pending, L->np, vb, later, L->ws.rows);
     if (L->min_size == NULL) {
         uint64_t witness;
         if (size_search(&L->ws, n, later, need, need + 1, &witness) > need)
@@ -388,28 +475,13 @@ static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
         *found = witness;
         return 1;
     }
-    PyObject *rest = PyList_New(n), *witness = NULL, *call = NULL, *kw = NULL, *size = NULL;
-    int answer = -1;
-    if (rest == NULL)
+    PyObject *witness, *size = call_min_size(L->min_size, L->ws.rows, n, later, need,
+                                             need + 1, &witness);
+    if (size == NULL)
         return -1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *m = PyLong_FromUnsignedLongLong(L->ws.rows[i]);
-        if (m == NULL)
-            goto out;
-        PyList_SET_ITEM(rest, i, m);
-    }
-    /* lower and upper go by keyword: tdbench/tracing.py reads them by name. */
-    if ((witness = PyList_New(0)) == NULL
-        || (call = Py_BuildValue("(OK)", rest, (unsigned long long)later)) == NULL
-        || (kw = Py_BuildValue("{s:i,s:i,s:O}", "lower", need, "upper", need + 1,
-                               "witness", witness)) == NULL
-        || (size = PyObject_Call(L->min_size, call, kw)) == NULL)
-        goto out;
     PyObject *need_obj = PyLong_FromLong(need);
-    if (need_obj == NULL)
-        goto out;
-    answer = PyObject_RichCompareBool(size, need_obj, Py_LE);
-    Py_DECREF(need_obj);
+    int answer = need_obj == NULL ? -1 : PyObject_RichCompareBool(size, need_obj, Py_LE);
+    Py_XDECREF(need_obj);
     if (answer == 1) {
         if (PyList_GET_SIZE(witness) == 0) {
             PyErr_SetString(PyExc_AssertionError, "a size query succeeded without a witness");
@@ -418,12 +490,8 @@ static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
         else if (read_completion(PyList_GET_ITEM(witness, 0), found) < 0)
             answer = -1;
     }
-out:
-    Py_DECREF(rest);
-    Py_XDECREF(witness);
-    Py_XDECREF(call);
-    Py_XDECREF(kw);
-    Py_XDECREF(size);
+    Py_DECREF(size);
+    Py_DECREF(witness);
     return answer;
 }
 
@@ -484,11 +552,7 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
     if (as_u64(cand_obj, &cand) < 0)
         return NULL;
     Loop L = {0};
-    /* The module's own min_hitting_size is answered in place. */
-    int own = min_size == Py_None
-              || (PyCFunction_Check(min_size)
-                  && PyCFunction_GET_FUNCTION(min_size)
-                         == (PyCFunction)(void (*)(void))min_hitting_size);
+    int own = own_search(min_size);
     L.min_size = own ? NULL : min_size;
     L.symmetry = symmetry == Py_None ? NULL : symmetry;
     if ((L.pending = read_u64s(masks, &L.np)) == NULL)
@@ -500,15 +564,9 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
         && (read_completion(completion, &comp) < 0
             || check_completion(&L, comp, cand, budget) < 0))
         goto error;
-    for (L.shift = 64 - 4, L.slots = 16; L.slots < 2 * (size_t)L.np; L.slots *= 2)
-        L.shift--;
     if (ws_alloc(&L.ws, L.np, own ? depth_cap(budget) : 0) < 0
-        || (L.keys = PyMem_Malloc(sizeof(uint64_t) * L.slots)) == NULL
-        || (L.stamps = PyMem_Calloc(L.slots, sizeof(uint32_t))) == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
+        || dedup_alloc(&L.seen, L.np) < 0)
         goto error;
-    }
     int prefix[MAX_BITS], members = 0, failed[MAX_BITS];
     uint64_t taken = 0; /* the prefix as a mask */
     while (L.np > 0) {
@@ -620,6 +678,246 @@ error:
     return NULL;
 }
 
+/* The orbit search's state: the value masks of every axis, one after the
+ * other, the branching rule, how a leaf is answered, and one row of masks
+ * per branching level. */
+typedef struct {
+    uint64_t *values;
+    Py_ssize_t *axis_end;  /* axis i's masks end at values[axis_end[i]] */
+    Py_ssize_t axes;
+    int lower, min_candidates, min_budget;
+    PyObject *min_size;    /* NULL: the search above, on ws */
+    uint64_t *rows;        /* each level's masks, cap per row */
+    Py_ssize_t cap;
+    Workspace ws;          /* a leaf's masks go to its first row */
+    Dedup seen;
+} Orbits;
+
+static void orbits_free(Orbits *O)
+{
+    PyMem_Free(O->values);
+    PyMem_Free(O->axis_end);
+    PyMem_Free(O->rows);
+    ws_free(&O->ws);
+    dedup_free(&O->seen);
+}
+
+/* value_masks as O's values and axis ends; ValueError when the masks of an
+ * axis overlap.  -1 on error. */
+static int read_axes(Orbits *O, PyObject *value_masks)
+{
+    PyObject *fast = PySequence_Fast(value_masks, "expected a sequence of sequences of ints");
+    if (fast == NULL)
+        return -1;
+    O->axes = PySequence_Fast_GET_SIZE(fast);
+    O->axis_end = PyMem_Malloc(sizeof(Py_ssize_t) * (O->axes > 0 ? O->axes : 1));
+    if (O->axis_end == NULL) {
+        Py_DECREF(fast);
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t total = 0;
+    for (Py_ssize_t i = 0; i < O->axes; i++) {
+        Py_ssize_t n;
+        uint64_t *axis = read_u64s(PySequence_Fast_GET_ITEM(fast, i), &n), seen = 0;
+        uint64_t *grown = axis == NULL ? NULL
+                          : PyMem_Realloc(O->values, sizeof(uint64_t) * (total + n + 1));
+        if (grown == NULL) {
+            if (axis != NULL)
+                PyErr_NoMemory();
+            PyMem_Free(axis);
+            Py_DECREF(fast);
+            return -1;
+        }
+        O->values = grown;
+        for (Py_ssize_t a = 0; a < n; a++) {
+            if (seen & axis[a]) {
+                PyMem_Free(axis);
+                Py_DECREF(fast);
+                PyErr_SetString(PyExc_ValueError, "the value masks of an axis overlap");
+                return -1;
+            }
+            seen |= axis[a];
+            O->values[total++] = axis[a];
+        }
+        PyMem_Free(axis);
+        O->axis_end[i] = total;
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* The orbits of the pointwise stabilizer of forced on cand, as
+ * `_bb_py._stabilizer_orbits` lists them, into out; returns their count.
+ * They are disjoint, so at most 64: each axis splits every orbit so far
+ * by its classes, in order, dropping the empty parts. */
+static int stabilizer_orbits(const Orbits *O, uint64_t forced, uint64_t cand, uint64_t *out)
+{
+    uint64_t parts[2][MAX_BITS];
+    int count = cand != 0, cur = 0;
+    parts[0][0] = cand;
+    for (Py_ssize_t i = 0; i < O->axes && count; i++) {
+        Py_ssize_t first = i ? O->axis_end[i - 1] : 0, end = O->axis_end[i];
+        uint64_t other = cand;
+        for (Py_ssize_t a = first; a < end; a++)
+            if (O->values[a] & forced)
+                other &= ~O->values[a];
+        int next = 0;
+        for (int p = 0; p < count; p++) {
+            uint64_t orbit = parts[cur][p];
+            for (Py_ssize_t a = first; a < end; a++)
+                if ((O->values[a] & forced) && (orbit & O->values[a]))
+                    parts[!cur][next++] = orbit & O->values[a];
+            if (orbit & other)
+                parts[!cur][next++] = orbit & other;
+        }
+        count = next;
+        cur = !cur;
+    }
+    /* Largest first, then by least id (an insertion sort). */
+    for (int p = 0; p < count; p++) {
+        uint64_t orbit = parts[cur][p];
+        int q = p;
+        for (; q > 0; q--) {
+            uint64_t prev = out[q - 1];
+            int c = popcount(orbit), c_prev = popcount(prev);
+            if (c_prev > c || (c_prev == c && (prev & -prev) < (orbit & -orbit)))
+                break;
+            out[q] = prev;
+        }
+        out[q] = orbit;
+    }
+    return count;
+}
+
+/* A leaf of the orbit search: the least size below upper of forced (k
+ * members) plus candidates in cand hitting the np masks, asked of the
+ * search above or of min_size as `_bb_py` asks it.  Sets *size, and
+ * *found with *has = 1 when that size is below upper; -1 on error. */
+static int orbit_leaf(Orbits *O, const uint64_t *masks, Py_ssize_t np, uint64_t cand,
+                      uint64_t forced, int k, long long upper, long long *size,
+                      uint64_t *found, int *has)
+{
+    Py_ssize_t n = distinct_masks(&O->seen, masks, np, 0, cand, O->ws.rows);
+    long long lower = O->lower - k > 0 ? O->lower - k : 0, rest_upper = upper - k, rest;
+    uint64_t witness = 0;
+    if (O->min_size == NULL) {
+        if (rest_upper < INT_MIN) {
+            PyErr_Format(PyExc_OverflowError, "%lld does not fit in a C int", rest_upper);
+            return -1;
+        }
+        rest = lower < rest_upper
+               ? size_search(&O->ws, n, cand, (int)lower, (int)rest_upper, &witness)
+               : rest_upper;
+        *has = rest < rest_upper;
+    }
+    else {
+        PyObject *list, *got = call_min_size(O->min_size, O->ws.rows, n, cand, lower,
+                                             rest_upper, &list);
+        if (got == NULL)
+            return -1;
+        rest = PyLong_AsLongLong(got);
+        int err = rest == -1 && PyErr_Occurred();
+        *has = !err && PyList_GET_SIZE(list) > 0;
+        if (*has && as_u64(PyList_GET_ITEM(list, 0), &witness) < 0)
+            err = 1;
+        Py_DECREF(got);
+        Py_DECREF(list);
+        if (err)
+            return -1;
+    }
+    *size = *has ? k + rest : upper;
+    *found = forced | witness;
+    return 0;
+}
+
+/* One node of `_bb_py.orbit_min_size`'s search, at the given depth: the np
+ * masks are those forced leaves unhit.  Sets *size, and *found with *has
+ * = 1 when a set below upper exists; -1 on error.  Each level takes a bit
+ * out of cand, so the search stays within 64 levels. */
+static int orbit_node(Orbits *O, const uint64_t *masks, Py_ssize_t np, uint64_t cand,
+                      uint64_t forced, long long upper, int depth, long long *size,
+                      uint64_t *found, int *has)
+{
+    int k = popcount(forced), root = k == 1, count = 0;
+    uint64_t orbits[MAX_BITS];
+    if (np > 0 && (root || upper - k >= O->min_budget))
+        count = stabilizer_orbits(O, forced, cand, orbits);
+    if (count == 0 || (!root && popcount(orbits[0]) < O->min_candidates))
+        return orbit_leaf(O, masks, np, cand, forced, k, upper, size, found, has);
+    long long best = upper;
+    uint64_t best_set = 0;
+    int has_best = 0;
+    uint64_t *child = O->rows + (Py_ssize_t)(depth + 1) * O->cap;
+    for (int i = 0; i < count; i++) {
+        /* Every branch forces k + 1 vertices. */
+        if (best <= O->lower || k + 1 >= best)
+            break;
+        uint64_t rep = orbits[i] & -orbits[i], set;
+        long long got;
+        int hit;
+        Py_ssize_t keep = drop_hit(masks, np, rep, child);
+        if (orbit_node(O, child, keep, cand & ~rep, forced | rep, best, depth + 1, &got, &set,
+                       &hit) < 0)
+            return -1;
+        if (hit) {
+            best = got;
+            best_set = set;
+            has_best = 1;
+        }
+        cand &= ~orbits[i];
+    }
+    *size = best;
+    *found = best_set;
+    *has = has_best;
+    return 0;
+}
+
+static char *orbit_kwlist[] = {"masks", "cand_mask", "forced", "lower", "upper", "value_masks",
+                               "min_candidates", "min_budget", "min_size", NULL};
+
+static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *masks, *cand_obj, *forced_obj, *value_masks, *min_size = Py_None;
+    int lower, upper, min_candidates, min_budget;
+    uint64_t cand, forced;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOiiOii|O:orbit_min_size", orbit_kwlist,
+                                     &masks, &cand_obj, &forced_obj, &lower, &upper,
+                                     &value_masks, &min_candidates, &min_budget, &min_size))
+        return NULL;
+    if (as_u64(cand_obj, &cand) < 0 || as_u64(forced_obj, &forced) < 0)
+        return NULL;
+    Orbits O = {.lower = lower, .min_candidates = min_candidates, .min_budget = min_budget};
+    int own = own_search(min_size);
+    O.min_size = own ? NULL : min_size;
+    Py_ssize_t np;
+    uint64_t *words = read_u64s(masks, &np);
+    if (words == NULL)
+        return NULL;
+    /* The root's masks, then one row per level below it. */
+    O.cap = np > 0 ? np : 1;
+    O.rows = PyMem_Malloc(sizeof(uint64_t) * O.cap * (popcount(cand) + 1));
+    if (O.rows == NULL) {
+        PyMem_Free(words);
+        return PyErr_NoMemory();
+    }
+    memcpy(O.rows, words, sizeof(uint64_t) * np);
+    PyMem_Free(words);
+    long long size;
+    uint64_t found;
+    int has;
+    if (read_axes(&O, value_masks) < 0 || ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
+        || dedup_alloc(&O.seen, np) < 0
+        || orbit_node(&O, O.rows, np, cand, forced, upper, 0, &size, &found, &has) < 0) {
+        orbits_free(&O);
+        return NULL;
+    }
+    orbits_free(&O);
+    if (!has)
+        return Py_BuildValue("(iO)", upper, Py_None);
+    return Py_BuildValue("(LK)", size, (unsigned long long)found);
+}
+
 static PyMethodDef methods[] = {
     {"min_hitting_size", (PyCFunction)(void (*)(void))min_hitting_size,
      METH_VARARGS | METH_KEYWORDS,
@@ -629,6 +927,12 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Lexicographically least hitting set of size <= budget, from size queries.\n\n"
      "Same contract and queries as `_bb_py.lex_min_hitting_set`; min_size None or\n"
+     "this module's min_hitting_size is answered without a Python call."},
+    {"orbit_min_size", (PyCFunction)(void (*)(void))orbit_min_size,
+     METH_VARARGS | METH_KEYWORDS,
+     "Least size below upper of forced plus candidates hitting every mask, by orbital\n"
+     "branching.\n\n"
+     "Same contract and leaf queries as `_bb_py.orbit_min_size`; min_size None or\n"
      "this module's min_hitting_size is answered without a Python call."},
     {NULL, NULL, 0, NULL},
 };

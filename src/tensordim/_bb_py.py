@@ -2,10 +2,11 @@
 
 Each pair of vertices that must be told apart contributes one mask of
 "resolver" bits; a solution is a set of vertex bits hitting every mask.
-All masks fit one machine word (at most 64 vertices).  Both entry points,
-`min_hitting_size` and `lex_min_hitting_set`, are the reference that the
-compiled module `_bb` mirrors step for step, with the same contracts, and
-stand in for it when the extension is unavailable.  `min_hitting_size`
+All masks fit one machine word (at most 64 vertices).  The three entry
+points, `min_hitting_size`, `lex_min_hitting_set` and `orbit_min_size`,
+are the reference that the compiled module `_bb` mirrors step for step,
+with the same contracts, and stand in for it when the extension is
+unavailable.  `min_hitting_size`
 runs branch and bound: branch on the pending mask with the fewest
 resolvers (candidates in ascending id, with sibling exclusion so no
 subset is explored twice), propagate forced single-resolver picks, and
@@ -103,10 +104,24 @@ other.  It gives two implications:
   loop passes lie above every prefix member.
 
 Both keep the v of every step, so the result is unchanged.
+
+`orbit_min_size` is the size search of a product of cliques with orbital
+branching (the `solver` docstring gives the argument).  A node branches
+on the orbits of the pointwise stabilizer of its forced vertices, read off
+the per-axis value masks: branch i forces the least id of orbit i and
+drops the masks it hits, and the later branches exclude the orbits
+before them.  The root (one forced vertex) branches whenever a mask is
+pending; a node below it branches while its largest orbit has
+`min_candidates` candidates and its incumbent exceeds the forced count
+by `min_budget`.  Any other node
+is a leaf: its masks are restricted to its candidates and de-duplicated,
+first occurrence kept, and handed to `min_size`, so both kernels ask
+their size search the same leaf queries.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 from operator import and_, index, or_
 
@@ -374,3 +389,85 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting
         pending = [m for m in pending if not m & vb]
         comp = _checked_completion(comp, pending, cand_mask, need)
     return prefix
+
+
+def _stabilizer_orbits(value_masks: list[list[int]], forced: int, cand: int) -> list[int]:
+    """Orbits on the candidates of the pointwise stabilizer of the `forced`
+    mask, as masks, largest first and then by least id.
+
+    An orbit takes one class per axis: the vertices of a value the forced
+    vertices use, or the vertices of all the other values.  The classes
+    come whole from the value masks, so no step runs per vertex.
+    """
+    classes = []
+    for masks in value_masks:
+        held = [m for m in masks if m & forced]
+        other = cand
+        for m in held:
+            other &= ~m
+        classes.append(held + [other] if other else held)
+    orbits = []
+    for pick in itertools.product(*classes):
+        orbit = cand
+        for m in pick:
+            orbit &= m
+        if orbit:
+            orbits.append(orbit)
+    orbits.sort(key=lambda o: (-o.bit_count(), o & -o))
+    return orbits
+
+
+def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, value_masks,
+                   min_candidates: int, min_budget: int,
+                   min_size=None) -> tuple[int, int | None]:
+    """Least size below `upper` of a hitting set made of the `forced` mask
+    and candidates in `cand_mask`, by orbital branching (module docstring).
+
+    `masks` are those `forced` leaves unhit, and value_masks[i][a] is the
+    mask of the vertices with value a on axis i; the masks of one axis
+    must be disjoint.  `lower` must be a valid lower bound; the search
+    stops once it is met.  Returns the size and such a set as a mask, or
+    (upper, None) when none is smaller.  `min_size` answers the leaves,
+    with `lower` and `upper` by keyword: this module's `min_hitting_size`
+    when None.  (The compiled search also answers its own in place.)
+    The four integers are read as C ints and the masks as 64-bit words,
+    as in `min_hitting_size`; overlapping masks on one axis raise
+    ValueError.
+    """
+    lower, upper, min_candidates, min_budget = map(_c_int, (lower, upper, min_candidates,
+                                                            min_budget))
+    cand_mask = _word(cand_mask)
+    forced = _word(forced)
+    masks = _words(masks)
+    value_masks = [_words(axis) for axis in value_masks]
+    for axis in value_masks:
+        if sum(m.bit_count() for m in axis) != reduce(or_, axis, 0).bit_count():
+            raise ValueError("the value masks of an axis overlap")
+    if min_size is None:
+        min_size = min_hitting_size
+
+    def search(masks: list[int], cand: int, forced: int, upper: int) -> tuple[int, int | None]:
+        k = forced.bit_count()
+        root = k == 1
+        orbits = (_stabilizer_orbits(value_masks, forced, cand)
+                  if masks and (root or upper - k >= min_budget) else [])
+        if not orbits or not root and orbits[0].bit_count() < min_candidates:
+            witness: list[int] = []
+            # lower and upper by keyword, as in lex_min_hitting_set.
+            size = k + min_size(list(dict.fromkeys(m & cand for m in masks)), cand,
+                                lower=max(0, lower - k), upper=upper - k, witness=witness)
+            return (size, forced | witness[0]) if witness else (upper, None)
+        best, best_set = upper, None
+        for orbit in orbits:
+            # Every branch forces k + 1 vertices.
+            if best <= lower or k + 1 >= best:
+                break
+            rep = orbit & -orbit
+            size, found = search([m for m in masks if not m & rep], cand & ~rep, forced | rep,
+                                 best)
+            if found is not None:
+                best, best_set = size, found
+            cand &= ~orbit
+        return best, best_set
+
+    return search(masks, cand_mask, forced, upper)

@@ -19,11 +19,12 @@ seed is the paper's construction on a product of two cliques, which is
 optimal, and otherwise the forced vertices (below) plus a greedy
 completion.  A query that such a
 solution answers is skipped (the `_bb_py` docstring gives the argument),
-so the certificate is unchanged.  Every instance handed to the kernel (the
-root, each symmetric branch, each certificate query) has its masks
-restricted to that instance's candidates and de-duplicated, first
-occurrence kept, by the caller, so both kernels see the same input and
-branch the same way.  Plain subset enumeration,
+so the certificate is unchanged.  Every instance the kernel searches (the
+root, each symmetric branch that stops, each certificate query) has its
+masks restricted to that instance's candidates and de-duplicated, first
+occurrence kept: by the solver for the plain root, and by the kernel
+itself for the others, in the same order on both kernels, so both
+search the same input and branch the same way.  Plain subset enumeration,
 `exhaustive_metric_dimension`, stays as the reference: it visits k-subsets
 in lexicographic order and therefore returns the same certificate.
 
@@ -63,10 +64,11 @@ on these products (its docstring has the one-line proof):
   argument applies again one level down, at any depth; a node that does
   not branch goes to the kernel whole.  The root F = {0} branches, and so
   does a node below it while its largest orbit has `ORBIT_MIN_CANDIDATES`
-  candidates and the incumbent exceeds |F| by `ORBIT_MIN_BUDGET`; past
-  that, the Python call per branch costs more than the kernel saves.  The
-  `best <= lower` stop holds across all levels.  Orbits go largest first,
-  so the later branches drop the most candidates.
+  candidates and the incumbent exceeds |F| by `ORBIT_MIN_BUDGET` (values
+  measured when each branch was a Python call; the kernel now runs the
+  whole recursion, `orbit_min_size`).  The `best <= lower` stop holds
+  across all levels.  Orbits go largest first, so the later branches
+  drop the most candidates.
 
 A resolving set of such a product misses at most one value per axis, yet
 the search carries no rule for it, because the rule could never prune.
@@ -133,6 +135,15 @@ def kernel_name() -> str:
     return "python" if _default_kernel is _bb_py else "compiled"
 
 
+@functools.cache
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, k=1)`, the pairs x < y in the order of
+    `itertools.combinations(range(n), 2)`, built once per n and read-only."""
+    xs, ys = np.triu_indices(n, k=1)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
+
+
 def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
     """Resolver bitsets for every vertex pair (needs at most 64 vertices), as
     `uint64` masks: mask k has bit w set when vertex w tells apart the k-th
@@ -141,7 +152,7 @@ def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"pair table supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
     d = dist.values
-    xs, ys = np.triu_indices(n, k=1)
+    xs, ys = _pair_index(n)
     # Bit w of a pair's mask is column w of its row of differences: pack the
     # bits least significant first and read each padded row as one word.
     bits = np.packbits(d[xs] != d[ys], axis=1, bitorder="little")
@@ -168,7 +179,7 @@ def _twin_classes(n: int, pair_masks: np.ndarray) -> list[list[int]]:
     least = list(range(n))
     # Most inputs have no twins; the pair indices cost more than the scan.
     if twins.size:
-        xs, ys = np.triu_indices(n, k=1)
+        xs, ys = _pair_index(n)
         for x, y in zip(xs[twins].tolist(), ys[twins].tolist()):
             least[y] = min(least[y], x)
     classes: dict[int, list[int]] = {}
@@ -272,63 +283,21 @@ def _value_masks(factors: CliqueFactors) -> list[list[int]]:
     return masks
 
 
-def _stabilizer_orbits(value_masks: list[list[int]], forced: int, cand: int) -> list[int]:
-    """Orbits on the candidates of the pointwise stabilizer of the `forced`
-    mask, as masks, largest first and then by least id.
-
-    An orbit takes one class per axis: the vertices of a value the forced
-    vertices use, or the vertices of all the other values.  The classes
-    come whole from `_value_masks`, so no step runs per vertex.
-    """
-    classes = []
-    for masks in value_masks:
-        held = [m for m in masks if m & forced]
-        other = cand
-        for m in held:
-            other &= ~m
-        classes.append(held + [other] if other else held)
-    orbits = []
-    for pick in itertools.product(*classes):
-        orbit = cand
-        for m in pick:
-            orbit &= m
-        if orbit:
-            orbits.append(orbit)
-    orbits.sort(key=lambda o: (-o.bit_count(), o & -o))
-    return orbits
-
-
 def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
                     value_masks: list[list[int]]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
     and candidates in `cand`; `masks` are those `forced` leaves unhit.
-    Branches on the orbits of the pointwise stabilizer of `forced` at the
-    root and at nodes that pass the ORBIT_MIN_* rule, else hands the node
-    to the kernel (see the module docstring).  Returns the size and such a
-    set as a mask, or (upper, None) when none is smaller."""
-    k = forced.bit_count()
-    root = k == 1
-    orbits = (_stabilizer_orbits(value_masks, forced, cand)
-              if masks and (root or upper - k >= ORBIT_MIN_BUDGET) else [])
-    if not orbits or not root and orbits[0].bit_count() < ORBIT_MIN_CANDIDATES:
-        witness: list[int] = []
-        # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
-        size = k + _default_kernel.min_hitting_size(
-            list(dict.fromkeys(m & cand for m in masks)), cand,
-            lower=max(0, lower - k), upper=upper - k, witness=witness)
-        return (size, forced | witness[0]) if witness else (upper, None)
-    best, best_set = upper, None
-    for orbit in orbits:
-        # Every branch forces k + 1 vertices.
-        if best <= lower or k + 1 >= best:
-            break
-        rep = orbit & -orbit
-        size, found = _orbit_min_size([m for m in masks if not m & rep], cand & ~rep,
-                                      forced | rep, lower, best, value_masks)
-        if found is not None:
-            best, best_set = size, found
-        cand &= ~orbit
-    return best, best_set
+    The kernel's `orbit_min_size` branches on the orbits of the pointwise
+    stabilizer of `forced` at the root and at nodes that pass the
+    ORBIT_MIN_* rule, read here at each call, and hands every other node
+    to the same kernel's `min_hitting_size` (see the module docstring).
+    Returns the size and such a set as a mask, or (upper, None) when none
+    is smaller."""
+    # min_size is looked up at each call, so a tracer wrapping it sees every
+    # leaf; the compiled kernel answers its own function in place.
+    return _default_kernel.orbit_min_size(masks, cand, forced, lower, upper, value_masks,
+                                          ORBIT_MIN_CANDIDATES, ORBIT_MIN_BUDGET,
+                                          min_size=_default_kernel.min_hitting_size)
 
 
 def _swap_values(swaps: list[tuple[int, int, int]], mask: int) -> int:
@@ -408,8 +377,11 @@ def exact_metric_dimension(
         forced.sort()
     forced_mask = _mask(forced)
     cand_mask = ((1 << n) - 1) & ~forced_mask
-    # Masks missing the forced vertices lie inside cand_mask already.
-    unhit = [m for m in pair_masks.tolist() if m & forced_mask == 0]
+    # Masks missing the forced vertices lie inside cand_mask already.  The
+    # product route and graphs without twins force nothing.
+    unhit = pair_masks.tolist()
+    if forced_mask:
+        unhit = [m for m in unhit if m & forced_mask == 0]
     # The upper seed, outside the forced vertices, as a mask: the construction
     # on two factors, else a greedy completion, which counts every pair (on
     # products of cliques it is smaller that way).

@@ -56,6 +56,14 @@ def oracle_is_resolving(table, wset) -> bool:
     return len(set(reps)) == len(reps)
 
 
+def oracle_least_pair(table, w):
+    """The least vertex x whose representation another vertex shares, and
+    the least such other vertex y."""
+    reps = [tuple(row[j] for j in w) for row in table]
+    x = min(v for v in range(len(reps)) if reps.count(reps[v]) > 1)
+    return x, next(y for y in range(len(reps)) if y != x and reps[y] == reps[x])
+
+
 def oracle_min_resolving(table):
     """Smallest resolving set by exhaustive scan, first in sorted-tuple order.
 

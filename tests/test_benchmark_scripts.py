@@ -42,6 +42,27 @@ def test_check_products_lists_the_data_files_products(monkeypatch):
     assert _bb_py.lex_min_hitting_set is lex_min
 
 
+def test_check_products_writes_its_figures_as_json(monkeypatch, tmp_path):
+    # The --json record on the pure kernel, for two products.
+    check_products = load_script(monkeypatch, "check_products")
+    monkeypatch.setattr(solver, "_default_kernel", _bb_py)
+    rows = [p for p in PRODUCTS if p["sizes"] in ([4, 7], [3, 3, 3])]
+    records = []
+    for row in rows:
+        record, error = check_products.product_record(row, 1)
+        assert error is None
+        records.append(record)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(check_products.bench_record(records, 1)), encoding="utf-8")
+    got = json.loads(path.read_text(encoding="utf-8"))
+    assert got["kernel"] == "python" and got["repeats"] == 1
+    assert got["commit"] is None or isinstance(got["commit"], str)
+    assert [(r["product"], r["dim"], r["queries"], r["match"]) for r in got["products"]] == [
+        ("4x7", 6, 2, True), ("3x3x3", 6, 6, True)]
+    assert got["totals"]["two-factor"]["cert_s"] == records[0]["cert_s"]
+    assert got["totals"]["all"]["dim_only_s"] == sum(r["dim_only_s"] for r in records)
+
+
 def test_check_products_names_the_kernel_and_why_it_is_pure(monkeypatch, compiled_kernel):
     check_products = load_script(monkeypatch, "check_products")
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)

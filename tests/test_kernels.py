@@ -3,8 +3,9 @@
 The compiled kernel comes from the `compiled_kernel` fixture, which takes
 it from the package's loader (built from source once per `_bb.c`); the
 solver's own kernel choice is not affected.  Each kernel has its own
-certificate loop; `lex` runs a kernel's loop on its own size search, and
-the compiled loop must ask the reference loop's queries, in order.
+certificate loop and orbit search; `lex` runs a kernel's loop on its own
+size search, and the compiled loop and orbit search must ask the
+reference's queries and leaves, in order.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from tensordim.metric import DimResult
 from tensordim.solver import build_pair_table
 
 from conftest import ROOT, oracle_min_hitting
+from test_solver import ORBIT_RULES, SYMMETRIC_SIZES
 
 
 @pytest.fixture(params=["_bb_py", "_bb"])
@@ -443,8 +445,66 @@ def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, 
     logs = []
     for loop in (_bb_py.lex_min_hitting_set, compiled_kernel.lex_min_hitting_set):
         logs.append([])
-        kernel = SimpleNamespace(lex_min_hitting_set=loop, min_hitting_size=recording(
-            compiled_kernel.min_hitting_size, logs[-1]))
+        kernel = SimpleNamespace(
+            lex_min_hitting_set=loop, orbit_min_size=compiled_kernel.orbit_min_size,
+            min_hitting_size=recording(compiled_kernel.min_hitting_size, logs[-1]))
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         solve_small_products()
     assert logs[0] == logs[1] and logs[0]
+
+
+ORBIT_PRODUCTS = sorted(set(SYMMETRIC_SIZES) | {tuple(p["sizes"]) for p in SMALL_PRODUCTS},
+                        key=lambda sizes: (len(sizes), sizes))
+
+
+def orbit_roots(monkeypatch):
+    """The arguments of the symmetric size search's root call on each of
+    ORBIT_PRODUCTS, as the solver makes it; the search itself is skipped
+    (nothing beats the seed, which is checked)."""
+    roots = []
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_orbit_min_size", lambda *args: roots.append(args) or (
+            args[4], None))
+        for sizes in ORBIT_PRODUCTS:
+            factors = CliqueFactors(sizes)
+            solver.exact_metric_dimension(tensor_clique_distances(factors), factors=factors,
+                                          certificate=False)
+    assert len(roots) == len(ORBIT_PRODUCTS)
+    return roots
+
+
+def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
+    # Under each rule for orbit branching, both kernels ask a logging
+    # min_size the same leaf queries, in order, and return the same size
+    # and set, which the compiled search also returns answering its leaves
+    # in place.  The set holds the forced vertices and hits every mask.
+    leaves = 0
+    for masks, cand, forced, lower, upper, value_masks in orbit_roots(monkeypatch):
+        for rule in ORBIT_RULES:
+            args = (masks, cand, forced, lower, upper, value_masks, *rule)
+            logs = ([], [])
+            got = [kernel.orbit_min_size(*args, min_size=recording(
+                compiled_kernel.min_hitting_size, log))
+                for kernel, log in zip((_bb_py, compiled_kernel), logs)]
+            assert got[0] == got[1] and logs[0] == logs[1], (value_masks, rule)
+            assert compiled_kernel.orbit_min_size(*args) == got[0], (value_masks, rule)
+            size, found = got[0]
+            if found is not None:
+                assert found & forced == forced and found & ~(cand | forced) == 0
+                assert found.bit_count() == size < upper and all(m & found for m in masks)
+            leaves += len(logs[0])
+    assert leaves >= len(ORBIT_PRODUCTS) * len(ORBIT_RULES)
+
+
+def test_orbit_search_checks_its_inputs(kernel):
+    value_masks = [[0b0011, 0b1100], [0b0101, 0b1010]]  # K_2 x K_2
+    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, value_masks, 4, 5) == (2, 0b0011)
+    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 2, 2, value_masks, 4, 5) == (2, None)
+    with pytest.raises(ValueError, match="overlap"):
+        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, [[0b0011, 0b0110]], 4, 5)
+    with pytest.raises(OverflowError):
+        kernel.orbit_min_size([1 << 64], 0b1110, 1, 0, 3, value_masks, 4, 5)
+    with pytest.raises(OverflowError):
+        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 2 ** 31, value_masks, 4, 5)
+    with pytest.raises(TypeError):
+        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3.0, value_masks, 4, 5)

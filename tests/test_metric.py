@@ -1,9 +1,12 @@
 """Representations, resolving-set checks, projections, swap witnesses."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordim import (
     CliqueFactors,
@@ -19,13 +22,7 @@ from tensordim import (
     tensor_clique_distances,
 )
 
-from conftest import oracle_is_resolving
-
-
-def oracle_least_pair(table, w):
-    reps = [tuple(row[j] for j in w) for row in table]
-    x = min(v for v in range(len(reps)) if reps.count(reps[v]) > 1)
-    return x, next(y for y in range(len(reps)) if y != x and reps[y] == reps[x])
+from conftest import oracle_bfs, oracle_is_resolving, oracle_least_pair
 
 
 def path_graph(n):
@@ -256,3 +253,39 @@ def test_swap_witness_rejects_bad_sets():
     f = CliqueFactors((3, 3))
     with pytest.raises(ValueError):
         swap_witness([0, 9], f)
+
+
+@st.composite
+def probe_cases(draw):
+    """(space, table, w): a graph of at most 12 vertices (several components
+    allowed) or the factors of a product of cliques of at most 40 vertices,
+    connected or not; its distance table by the oracle BFS; a probe set."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        edges = draw(st.lists(pair, max_size=3 * n)) if n > 1 else []
+        space = all_pairs_distances(Graph(n, edges))
+    else:
+        sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4).filter(
+            lambda s: math.prod(s) <= 40))
+        space = CliqueFactors(tuple(sizes))
+        n = space.vertex_count
+        coords = list(itertools.product(*map(range, sizes)))
+        # Adjacent exactly when they differ in every coordinate.
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if all(a != b for a, b in zip(coords[u], coords[v]))]
+    w = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return space, oracle_bfs(n, edges), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(probe_cases())
+def test_is_resolving_matches_the_oracle(case):
+    # Both input types: the verdict, and on failure the least unresolved
+    # pair, are those of the plain per-vertex representation scan.
+    space, table, w = case
+    verdict = is_resolving(space, w)
+    assert bool(verdict) == oracle_is_resolving(table, w)
+    if not verdict:
+        assert (verdict.x, verdict.y) == oracle_least_pair(table, w)

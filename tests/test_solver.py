@@ -26,7 +26,7 @@ from tensordim import (
     tensor_clique_distances,
     tensor_of_cliques,
 )
-from tensordim import solver
+from tensordim import _bb_py, solver
 
 from conftest import (
     oracle_greedy,
@@ -458,7 +458,7 @@ def test_stabilizer_orbits_partition_the_candidates():
                                             if coords[u][i] == a)
     v = f.flat_index((1, 1, 0))
     cand = ((1 << f.vertex_count) - 1) & ~1 & ~(1 << v) & ~(1 << 7)
-    got = solver._stabilizer_orbits(value_masks, 1 | 1 << v, cand)
+    got = _bb_py._stabilizer_orbits(value_masks, 1 | 1 << v, cand)
 
     def key(u):
         return tuple(c if c in (coords[0][i], coords[v][i]) else None

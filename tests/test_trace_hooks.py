@@ -6,8 +6,9 @@ runs exact searches under it that reach every kernel call site: the
 symmetric size search and the certificate loop (a product of cliques) and
 the plain size search (a graph file).  The tracer reads the kernel's
 `lower` and `upper` by name, so a call site passing them by position
-fails here.  On the compiled kernel the loop's queries reach the traced
-search only through the `min_size` callback the solver passes.
+fails here.  On the compiled kernel the loop's queries and the orbit
+search's leaves reach the traced search only through the `min_size`
+callback the solver passes.
 `tdbench/` is loaded from source and never written to.
 """
 
