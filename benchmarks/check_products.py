@@ -3,7 +3,7 @@
 `data/clique_products.json` holds the dimension and the lexicographically
 least minimum resolving set of all 103 connected products of two or more
 cliques with at most 64 vertices.  This script recomputes each one with
-`solver.exact_metric_dimension(dist, factors=...)`, the route of
+`solver.exact_metric_dimension(factors)`, the route of
 `dim --tensor ... --exact`, once with the certificate and once without
 (the route of `bounds` and `table`), and compares the `DimResult`s with
 the file.  It prints the best time of each over `--repeats` runs, the
@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 from tensordim import _loader, solver
-from tensordim.graphs import CliqueFactors, tensor_clique_distances
+from tensordim.graphs import CliqueFactors
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data" / "clique_products.json"
@@ -68,10 +68,10 @@ def best_time(run, repeats: int):
     return best, result
 
 
-def counting_queries(run, kernel=None):
-    """run(), with the kernel queries counted that the certificate loops of
-    `kernel` (the solver's by default) ask: returns (result, queries)."""
-    kernel = solver._default_kernel if kernel is None else kernel
+def counting_queries(run):
+    """run(), with the kernel queries counted that the solver kernel's
+    certificate loops ask: returns (result, queries)."""
+    kernel = solver._default_kernel
     real = kernel.lex_min_hitting_set
     queries = 0
 
@@ -97,12 +97,10 @@ def measure(factors: CliqueFactors, repeats: int):
     The queries are counted in one more solve, untimed: counting calls
     back into Python for each query, which the compiled loop otherwise
     answers in place."""
-    dist = tensor_clique_distances(factors)
-    t_cert, with_cert = best_time(
-        lambda: solver.exact_metric_dimension(dist, factors=factors), repeats)
-    _, queries = counting_queries(lambda: solver.exact_metric_dimension(dist, factors=factors))
+    t_cert, with_cert = best_time(lambda: solver.exact_metric_dimension(factors), repeats)
+    _, queries = counting_queries(lambda: solver.exact_metric_dimension(factors))
     t_dim, dim_only = best_time(
-        lambda: solver.exact_metric_dimension(dist, factors=factors, certificate=False), repeats)
+        lambda: solver.exact_metric_dimension(factors, certificate=False), repeats)
     return t_cert, with_cert, queries, t_dim, dim_only
 
 

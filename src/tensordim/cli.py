@@ -138,16 +138,20 @@ def _cmd_dim(args) -> int:
         report.update({"dim": None, "disconnected": True})
         _emit(report, args.out)
         return 0
-    dist = tensor_clique_distances(factors) if factors is not None else all_pairs_distances(space)
+    # The exact search takes a product by its factors, with no n x n table.
+    if factors is None:
+        space = all_pairs_distances(space)
+    elif mode == "greedy":
+        space = tensor_clique_distances(factors)
 
     if mode == "greedy":
-        wset = greedy_resolving_set(dist)
+        wset = greedy_resolving_set(space)
         report["dim"] = len(wset)
         report.update(_set_report(wset, factors))
         _emit(report, args.out)
         return 0
 
-    result = exact_metric_dimension(dist, factors=factors)
+    result = exact_metric_dimension(space)
     # exact_metric_dimension has checked the certificate.
     report["dim"] = result.dim
     report.update(_set_report(result.certificate, factors))
@@ -249,9 +253,9 @@ def _cmd_bounds(args) -> int:
         bounds["construction_upper"] = {"applicable": False, "reason": reason}
     report["bounds"] = bounds
     if factors.vertex_count <= args.exact_up_to:
-        _check_exact_size(factors)
-        result = exact_metric_dimension(tensor_clique_distances(factors), factors=factors,
-                                        certificate=False)
+        # The solver refuses a connected product over 64 vertices before it
+        # builds anything.
+        result = exact_metric_dimension(factors, certificate=False)
         exact: dict = {"computed": True, "dim": result.dim}
         if result.disconnected:
             exact["disconnected"] = True
@@ -284,8 +288,7 @@ def build_table_rows(max_m: int, max_n: int, exact_up_to: int) -> list[dict]:
             exact_known = m * n <= exact_up_to
             if exact_known:
                 # None: disconnected
-                row["exact"] = exact_metric_dimension(tensor_clique_distances(factors),
-                                                      factors=factors, certificate=False).dim
+                row["exact"] = exact_metric_dimension(factors, certificate=False).dim
             if formula is None:
                 row["agree"] = (not exact_known) or row["exact"] is None
             else:

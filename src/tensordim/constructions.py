@@ -45,7 +45,8 @@ the exact value for n = 5..10.
 Every constructor machine-checks its output before returning it and raises
 ConstructionFailed otherwise; a failure is a bug, never silently repaired.
 The one unchecked builder, `_two_factor_hint`, is the exact solver's
-upper seed on two factors, and the solver checks it itself.
+upper seed on two factors; the solver's one resolving check at the end
+of each solve covers it.
 Coordinates below are 0-based; sets are returned as flat vertex ids in
 block order.
 """
@@ -251,8 +252,8 @@ def _two_factor_set(a: int, b: int) -> list[int]:
 
 
 def _two_factor_hint(a: int, b: int) -> list[int]:
-    """_two_factor_set without its resolving check, for a caller that
-    checks the set itself: the exact solver, whose upper seed it is."""
+    """_two_factor_set without its resolving check, for the exact solver,
+    whose upper seed it is: the solver's final check covers it."""
     return _oriented(_resolving_set(CliqueFactors((min(a, b), max(a, b)))), a, b)
 
 

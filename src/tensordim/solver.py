@@ -16,10 +16,10 @@ the result is the lexicographically least minimum certificate.  The loop
 starts from a solution of size k that the solver already holds: the size
 search's witness when it beat the upper seed, else that seed.  The upper
 seed is the paper's construction on a product of two cliques, which is
-optimal, and otherwise the forced vertices (below) plus a greedy
-completion.  A query that such a
-solution answers is skipped (the `_bb_py` docstring gives the argument),
-so the certificate is unchanged.  Every instance the kernel searches (the
+optimal and is checked only at the end (below), and otherwise the forced
+vertices (below) plus a greedy completion.  A query that such a solution
+answers is skipped (the `_bb_py` docstring gives the argument), so the
+certificate is unchanged.  Every instance the kernel searches (the
 root, each symmetric branch that stops, each certificate query) has its
 masks restricted to that instance's candidates and de-duplicated, first
 occurrence kept: by the solver for the plain root, and by the kernel
@@ -34,15 +34,20 @@ smallest ids are forced into the solution before the search starts.  The
 classes are read off the pair table, built once for the search: two
 vertices are twins when nothing but themselves resolves their pair.
 
-Connected products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 (at most
-one m_i is 2) take a different route.  They have no twins.  Take u != v
-and an axis a where they differ, the size-2 axis if they differ there.
-Every other axis has a value that is neither u's nor v's (on the size-2
-axis they agree), so a vertex z with z_a = u_a and those values elsewhere
-has d(v, z) = 1 and d(u, z) in {2, 3}.  Their automorphisms include
-S_{m_1} x ... x S_{m_t} acting on the coordinates, which is transitive on
-the vertices, so the size search breaks symmetry by orbital branching
-(Ostrowski, Linderoth, Rossi and Smriglio, Math. Prog. 2011).  It searches
+The input's type picks the route.  A distance table takes the plain
+search above.  Connected products of cliques K_{m_1} x ... x K_{m_t} with
+t >= 2 (at most one m_i is 2), given by their factors, take a different
+route with no n x n table: their pair masks are read off coordinates, in
+the order of `build_pair_table`, and every check runs in coordinate
+space.  (A single factor is a clique, solved on its distance table.)
+They have no twins.  Take u != v and an axis a where they differ, the
+size-2 axis if they differ there.  Every other axis has a value that is
+neither u's nor v's (on the size-2 axis they agree), so a vertex z with
+z_a = u_a and those values elsewhere has d(v, z) = 1 and d(u, z) in
+{2, 3}.  Their automorphisms include S_{m_1} x ... x S_{m_t} acting on
+the coordinates, which is transitive on the vertices, so the size search
+breaks symmetry by orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Prog. 2011).  It searches
 up from `constructions.lower_bound_lines`, which is at least max(m_i) - 1
 on these products (its docstring has the one-line proof):
 
@@ -102,11 +107,12 @@ there, which lie above v, below u.  Each transposition is two shifts of
 
 A caller that needs only the dimension (`certificate=False`) runs the same
 forcing, seeds and size search and skips the certificate loop.  Either
-way the search ends with one resolving check: the forced vertices plus
+way every solve ends with one resolving check: the forced vertices plus
 the solution behind the size (the certificate's members, else the size
 search's solution or the seed that set the size) must be a resolving set
-of that size.  The construction seed is checked once, when it is taken,
-and not again when it is that solution.
+of that size.  No seed is checked when it is taken: a seed that does not
+resolve is caught by that check when nothing beats it, and, with the
+certificate, first by the certificate loop, which checks its completion.
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ import numpy as np
 
 from . import _bb_py, _loader
 from .constructions import _two_factor_hint, lower_bound_lines
-from .graphs import CliqueFactors, DistanceMatrix
+from .graphs import CliqueFactors, DistanceMatrix, tensor_clique_distances
 from .metric import DimResult, is_resolving
 
 _default_kernel = _loader.solver_kernel()
@@ -283,6 +289,27 @@ def _value_masks(factors: CliqueFactors) -> list[list[int]]:
     return masks
 
 
+def _product_pair_masks(factors: CliqueFactors, value_masks: list[list[int]]) -> np.ndarray:
+    """`build_pair_table` of a connected product of cliques, read off
+    coordinates.  far[v], the vertices outside v's value masks, are v's
+    neighbours, the vertices at distance 1.  Any other z != x, y is at
+    distance 2 or 3 from both, so z tells x and y apart when it neighbours
+    one of them, or when a size-2 axis separates x and y: then z is 3 from
+    the one it differs from there."""
+    n = factors.vertex_count
+    coords = factors.coordinates()
+    value_of = [np.array(masks, dtype=np.uint64)[coords[:, i]]
+                for i, masks in enumerate(value_masks)]
+    far = np.uint64((1 << n) - 1) & ~np.bitwise_or.reduce(value_of)
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    xs, ys = _pair_index(n)
+    masks = far[xs] ^ far[ys] | bit[xs] | bit[ys]
+    if 2 in factors.sizes:
+        side = value_of[factors.sizes.index(2)]
+        masks |= ~far[xs] & ~far[ys] & (side[xs] ^ side[ys])
+    return masks
+
+
 def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
                     value_masks: list[list[int]]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
@@ -334,44 +361,46 @@ def _value_swaps(value_masks: list[list[int]]):
 
 
 def exact_metric_dimension(
-    dist: DistanceMatrix,
+    space: DistanceMatrix | CliqueFactors,
     *,
-    factors: CliqueFactors | None = None,
     certificate: bool = True,
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
 
-    `factors` asserts that `dist` is the product of those cliques with
-    vertex ids in the mixed-radix codec (only the vertex count is checked).
-    On a connected product of two or more factors it skips the twin scan,
-    enables the symmetric size search and the certificate loop's symmetry,
-    and brings the proven bounds: the search runs up from
-    `lower_bound_lines`, and on two factors the upper seed is the paper's
-    construction, which must pass `is_resolving` (ValueError otherwise).
-    Elsewhere the search runs up from 0, and the upper seed is a greedy
-    completion (after the twin-forced vertices when there are no
-    `factors`); `factors=None` is the plain search.
+    The input's type picks the route, as in `is_resolving`.  A distance
+    table takes the plain search: twin-forced vertices, a greedy upper
+    seed, and a search up from 0.  A connected product of two or more
+    cliques, given by its factors, takes the symmetric route with no n x n
+    table: its pair masks come from coordinates (`_product_pair_masks`),
+    the size search branches on orbits and runs up from
+    `lower_bound_lines`, the certificate loop uses the symmetry, and on two
+    factors the upper seed is the paper's construction, unchecked.  A
+    single factor is solved on its distance table.  A disconnected input
+    gives DimResult(None, None); a connected one over 64 vertices raises
+    ValueError before anything is built.
     `exhaustive_metric_dimension` is the subset scan kept as a reference.
     With `certificate=False` only the dimension is computed, and the
     result's certificate is None: the certificate loop is skipped.  Either
-    way the resolving check runs once, on the set that proves the size
-    (the certificate, else the forced vertices plus the size search's
-    solution or the seed that set the size), unless that set is the
-    construction, already checked.  The dimension does not depend on
-    `factors` or `certificate`.
+    way every solve ends with one resolving check, on the set that proves
+    the size (the certificate, else the forced vertices plus the size
+    search's solution or the seed that set the size).  The dimension does
+    not depend on the route or on `certificate`.
     """
-    if not dist.connected:
+    if not space.connected:
         return DimResult(None, None)
-    n = dist.n
-    if factors is not None and factors.vertex_count != n:
-        raise ValueError("factor sizes do not match the vertex count")
+    n = space.n
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
+    if isinstance(space, CliqueFactors) and space.t == 1:
+        space = tensor_clique_distances(space)
 
-    clique_product = factors is not None and factors.t >= 2
-    pair_masks = build_pair_table(dist)
+    clique_product = isinstance(space, CliqueFactors)
     forced: list[int] = []
-    if not clique_product:
+    if clique_product:
+        value_masks = _value_masks(space)
+        pair_masks = _product_pair_masks(space, value_masks)
+    else:
+        pair_masks = build_pair_table(space)
         for cls in _twin_classes(n, pair_masks):
             forced.extend(cls[:-1])
         forced.sort()
@@ -384,14 +413,11 @@ def exact_metric_dimension(
         unhit = [m for m in unhit if m & forced_mask == 0]
     # The upper seed, outside the forced vertices, as a mask: the construction
     # on two factors, else a greedy completion, which counts every pair (on
-    # products of cliques it is smaller that way).
-    checked_seed = None
-    if clique_product and factors.t == 2:
-        construction = _two_factor_hint(*factors.sizes)
-        if not is_resolving(dist, construction):
-            raise ValueError(f"the construction for factors {factors.sizes} does not "
-                             "resolve the graph")
-        seed = checked_seed = _mask(construction)
+    # products of cliques it is smaller that way).  The check at the end
+    # covers the construction: when nothing beats it, it is the solution
+    # behind the size.
+    if clique_product and space.t == 2:
+        seed = _mask(_two_factor_hint(*space.sizes))
     else:
         seed = _mask(_greedy_completion(unhit, cand_mask))  # 0 when nothing is pending
     # The kernel needs each mask once.
@@ -399,10 +425,9 @@ def exact_metric_dimension(
     if not pending:
         return DimResult(len(forced), tuple(forced) if certificate else None)
     if clique_product:
-        value_masks = _value_masks(factors)
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
-                                        lower_bound_lines(factors), seed.bit_count(),
+                                        lower_bound_lines(space), seed.bit_count(),
                                         value_masks)
     else:
         witness: list[int] = []
@@ -424,9 +449,7 @@ def exact_metric_dimension(
             raise AssertionError("certificate search disagrees with the size search")
         # The certificate is a solution of size k_rest too, and the one returned.
         found = _mask(rest)
-    # The construction passed is_resolving above; nothing is forced on its
-    # route, so when it is the solution behind the size it is the whole set.
     proof = tuple(sorted(forced + _bb_py._bits_ascending(found)))
-    if len(proof) != dim or found != checked_seed and not is_resolving(dist, proof):
+    if len(proof) != dim or not is_resolving(space, proof):
         raise AssertionError("the set behind the exact dimension failed the resolving check")
     return DimResult(dim, proof if certificate else None)

@@ -52,7 +52,7 @@ def test_1_exact_search_matches_closed_form_up_to_six(solver_kernel):
             if (m, n) == (2, 2):
                 continue
             f = CliqueFactors((m, n))
-            res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            res = exact_metric_dimension(f)
             want = dim_formula(m, n).dim
             if m == 2:
                 ok &= want == n - 1
@@ -191,7 +191,7 @@ def test_7_three_factor_bound_sandwich():
         lo_sub = lower_bound_subproduct(f)
         upper_set = upper_bound_construction(f)
         ok &= bool(is_resolving(dist, upper_set))
-        res = exact_metric_dimension(dist, factors=f)
+        res = exact_metric_dimension(f)
         elapsed = time.perf_counter() - t0
         ok &= lo_corner <= lo_sub <= res.dim <= len(upper_set)
         ok &= elapsed < 120

@@ -1,7 +1,7 @@
 """The scripts under `benchmarks/` call package internals by name, so a
 renamed or removed one breaks them long before anyone runs them by hand.
-This loads `check_products.py`, `bench_kernels.py` and `bench_layers.py`
-from source, never writing bytecode there, and runs a small part of each.
+This loads `check_products.py` and `bench_layers.py` from source, never
+writing bytecode there, and runs a small part of each.
 """
 
 import importlib.util
@@ -11,7 +11,7 @@ import sys
 from tensordim import DimResult, Graph, _bb_py, _loader, all_pairs_distances, solver
 from tensordim.graphs import CliqueFactors, read_edge_list, tensor_of_cliques
 
-from conftest import ROOT, oracle_min_hitting
+from conftest import ROOT
 
 PRODUCTS = json.loads((ROOT / "data" / "clique_products.json").read_text(encoding="utf-8"))[
     "products"]
@@ -73,45 +73,14 @@ def test_check_products_names_the_kernel_and_why_it_is_pure(monkeypatch, compile
 
 
 def load_with_bare_imports(monkeypatch, name, *imported):
-    # bench_kernels imports `check_products`, and bench_layers tdbench's
-    # `workloads` (and with it `checks`), by bare name from a path the
-    # script prepends; both are undone afterwards.
+    # bench_layers imports tdbench's `workloads` (and with it `checks`) by
+    # bare name from a path the script prepends; both are undone afterwards.
     monkeypatch.setattr(sys, "path", list(sys.path))
     try:
         return load_script(monkeypatch, name)
     finally:
         for module in imported:
             sys.modules.pop(module, None)
-
-
-def test_bench_kernels_times_a_product_row_on_the_pure_kernel(monkeypatch):
-    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
-    kernel = solver._default_kernel
-    want = next(p for p in PRODUCTS if p["sizes"] == [3, 4])
-    _, with_cert, _, _, dim_only = bench_kernels.product_row((3, 4), _bb_py, 1)
-    assert with_cert == DimResult(want["dim"], tuple(want["certificate"]))
-    assert dim_only == DimResult(want["dim"], None)
-    assert solver._default_kernel is kernel
-
-
-def test_bench_kernels_random_rows_find_the_least_hitting_set(monkeypatch):
-    # The plain size search and the certificate loop on the pure kernel give
-    # the size, and the first set in sorted order, of the exhaustive scan.
-    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
-    _, run = bench_kernels.random_instance(5, 12, 16)
-    (size, sol), _ = bench_kernels.counted(run, _bb_py)
-    assert (size, tuple(sol)) == oracle_min_hitting(bench_kernels.random_masks(5, 12, 16), 12)
-
-
-def test_bench_kernels_counts_the_queries_of_each_kernel(monkeypatch, compiled_kernel):
-    # Each kernel's own certificate loop is counted, and both ask the same
-    # queries for the same set.
-    bench_kernels = load_with_bare_imports(monkeypatch, "bench_kernels", "check_products")
-    _, run = bench_kernels.random_instance(1, 20, 60)
-    rows = [bench_kernels.counted(run, kernel) for kernel in (_bb_py, compiled_kernel)]
-    assert rows[0] == rows[1] and rows[0][1] > 0
-    # The compiled kernel's loop is its own, in C.
-    assert compiled_kernel.lex_min_hitting_set.__self__ is compiled_kernel
 
 
 def test_bench_layers_writes_the_product_edge_list(monkeypatch, tmp_path):

@@ -166,8 +166,8 @@ def test_bounds_and_table_build_no_certificate(monkeypatch, capsys):
 
 
 def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
-    # Two sets, two checks: the construction, as the solver's upper hint,
-    # and the certificate.
+    # One check, on the certificate: the construction, the solver's upper
+    # seed, is not checked when it is taken.
     checked = []
     original = metric.is_resolving
 
@@ -180,12 +180,12 @@ def test_dim_exact_checks_each_set_once(monkeypatch, capsys):
             monkeypatch.setattr(module, "is_resolving", counting)
     report = run_json(capsys, "dim", "--tensor", "4,7", "--exact")
     assert report["dim"] == 6
-    assert len(checked) == 2 and len(set(checked)) == 2
+    assert checked == [tuple(report["resolving_set_ids"])]
 
 
 def test_bounds_checks_the_construction_once(monkeypatch, capsys):
-    # Dimension only: the construction sets the size, and its one check, as
-    # the solver's upper seed, also proves it.
+    # Dimension only: the construction, the solver's upper seed, sets the
+    # size, and the solver's one check, at the end, proves it.
     checked = []
     original = metric.is_resolving
 
@@ -438,6 +438,30 @@ def test_certify_paths_build_no_distance_table(monkeypatch, capsys):
     assert report["bounds"]["construction_upper"]["verified"] is True
     code, out, _ = run(capsys, "table", "--max-m", "4", "--max-n", "6")
     assert code == 0 and ",false" not in out
+
+
+def test_exact_product_routes_build_no_distance_or_pair_table(monkeypatch, capsys):
+    # A product of two or more cliques is solved from its factors: its pair
+    # masks come from coordinates, and every check runs in coordinate space.
+    def no_table(*args):
+        raise AssertionError("built an n x n distance or pair table")
+
+    with monkeypatch.context() as patched:
+        for module in (graphs, metric, constructions, solver, cli):
+            for name in ("tensor_clique_distances", "all_pairs_distances", "build_pair_table"):
+                if hasattr(module, name):
+                    patched.setattr(module, name, no_table)
+        for sizes, certificate in [("3,3,4", [0, 1, 4, 13, 18, 23, 31]),
+                                   ("2,3,4", [0, 1, 4, 6, 13, 15, 18])]:
+            report = run_json(capsys, "dim", "--tensor", sizes, "--exact")
+            assert report["resolving_set_ids"] == certificate, sizes
+        report = run_json(capsys, "bounds", "--tensor", "3,3,4", "--exact-up-to", "64")
+        assert report["exact"] == {"computed": True, "dim": 7}
+        code, out, _ = run(capsys, "table", "--max-m", "4", "--max-n", "6",
+                           "--exact-up-to", "24")
+        assert code == 0 and ",false" not in out and out.count(",true\n") == 12
+    # A single factor, the clique K_9, is solved on its distance table.
+    assert run_json(capsys, "dim", "--tensor", "9", "--exact")["dim"] == 8
 
 
 def test_reused_parser_matches_fresh_parsers(capsys):

@@ -150,7 +150,7 @@ def test_construction_matches_exact_dimension_on_small_products():
             if (m, n) == (2, 2):
                 continue
             f = CliqueFactors((m, n))
-            res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            res = exact_metric_dimension(f)
             assert len(construct_resolving(m, n)) == res.dim
 
 

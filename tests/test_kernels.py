@@ -420,6 +420,8 @@ def test_both_loops_ask_the_same_queries(compiled_kernel):
                                                            completion=completion) == got[0]
                 asked += len(logs[0])
     assert asked >= 1000
+    # The compiled kernel's loop is its own, in C.
+    assert compiled_kernel.lex_min_hitting_set.__self__ is compiled_kernel
 
 
 SMALL_PRODUCTS = [p for p in json.loads((ROOT / "data" / "clique_products.json").read_text(
@@ -431,7 +433,7 @@ def solve_small_products():
     `data/clique_products.json`."""
     for row in SMALL_PRODUCTS:
         factors = CliqueFactors(row["sizes"])
-        got = solver.exact_metric_dimension(tensor_clique_distances(factors), factors=factors)
+        got = solver.exact_metric_dimension(factors)
         assert got == DimResult(row["dim"], tuple(row["certificate"])), row["sizes"]
 
 
@@ -467,8 +469,7 @@ def orbit_roots(monkeypatch):
             args[4], None))
         for sizes in ORBIT_PRODUCTS:
             factors = CliqueFactors(sizes)
-            solver.exact_metric_dimension(tensor_clique_distances(factors), factors=factors,
-                                          certificate=False)
+            solver.exact_metric_dimension(factors, certificate=False)
     assert len(roots) == len(ORBIT_PRODUCTS)
     return roots
 

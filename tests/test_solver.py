@@ -1,10 +1,12 @@
 """Exact solver, greedy heuristic, pair table, and determinism contracts."""
 
 import functools
+import importlib.util
 import itertools
 import json
 import operator
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from tensordim import (
 from tensordim import _bb_py, solver
 
 from conftest import (
+    ROOT,
     oracle_greedy,
     oracle_greedy_completion,
     oracle_min_resolving,
@@ -65,6 +68,25 @@ def test_pair_table_masks_encode_resolvers(rng):
             assert resolvers == [v for v in range(dist.n) if dist.d(x, v) != dist.d(y, v)]
             # each endpoint always separates its own pair
             assert x in resolvers and y in resolvers
+
+
+def test_product_pair_masks_are_the_pair_table(monkeypatch):
+    # Every connected product of two or more cliques with at most 64
+    # vertices, those with a size-2 axis included: the masks the solver
+    # reads off coordinates are the pair table of the distance table, which
+    # tests/test_graphs.py ties to BFS, mask for mask in the same order.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_check_products", ROOT / "benchmarks" / "check_products.py")
+    check_products = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_products)
+    products = check_products.connected_products()
+    assert len(products) == 103 and any(2 in sizes for sizes in products)
+    for sizes in products:
+        f = CliqueFactors(sizes)
+        got = solver._product_pair_masks(f, solver._value_masks(f))
+        want = build_pair_table(tensor_clique_distances(f))
+        assert got.dtype == want.dtype and np.array_equal(got, want), sizes
 
 
 def test_pair_table_rejects_large_graphs():
@@ -121,7 +143,7 @@ def test_exact_known_product_values():
     cases = {(2, 3): 2, (3, 3): 3, (3, 4): 4}
     for sizes, want in cases.items():
         f = CliqueFactors(sizes)
-        res = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+        res = exact_metric_dimension(f)
         assert res.dim == want
         assert is_resolving(tensor_clique_distances(f), list(res.certificate))
     disc = exact_metric_dimension(tensor_clique_distances(CliqueFactors((2, 2))))
@@ -141,17 +163,15 @@ def test_exact_matches_exhaustive_with_forced_branch_and_bound(rng):
 
 def test_auto_method_runs_branch_and_bound_at_every_size(solver_kernel):
     f = CliqueFactors((3, 3))
-    cases = [(all_pairs_distances(Graph(0, [])), None),
-             (all_pairs_distances(build_clique(1)), None),
-             (all_pairs_distances(build_clique(2)), None),
-             (all_pairs_distances(Graph(2, [])), None),
-             (tensor_clique_distances(f), None),
-             (tensor_clique_distances(f), f)]
-    want = [exhaustive_metric_dimension(dist) for dist, _ in cases]
+    tables = [all_pairs_distances(Graph(0, [])), all_pairs_distances(build_clique(1)),
+              all_pairs_distances(build_clique(2)), all_pairs_distances(Graph(2, [])),
+              tensor_clique_distances(f)]
+    want = [exhaustive_metric_dimension(dist) for dist in tables]
     assert [(r.dim, r.certificate) for r in want] == [
-        (0, ()), (0, ()), (1, (0,)), (None, None), (3, (0, 1, 3)), (3, (0, 1, 3))]
-    for (dist, factors), res in zip(cases, want):
-        assert exact_metric_dimension(dist, factors=factors) == res
+        (0, ()), (0, ()), (1, (0,)), (None, None), (3, (0, 1, 3))]
+    # The product is solved on its table and from its factors.
+    for space, res in zip(tables + [f], want + want[-1:]):
+        assert exact_metric_dimension(space) == res
 
 
 def test_exact_minimality_on_small_products():
@@ -159,7 +179,7 @@ def test_exact_minimality_on_small_products():
     for sizes in [(3, 3), (2, 5), (3, 4), (4, 4)]:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
-        res = exact_metric_dimension(dist, factors=f)
+        res = exact_metric_dimension(f)
         k = res.dim
         assert all(not is_resolving(dist, list(c))
                    for c in itertools.combinations(range(f.vertex_count), k - 1))
@@ -248,8 +268,8 @@ def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
         plain = exact_metric_dimension(dist)
         for rule in ORBIT_RULES:
             set_orbit_rule(monkeypatch, rule)
-            assert exact_metric_dimension(dist, factors=f) == plain, (sizes, rule)
-            dim_only = exact_metric_dimension(dist, factors=f, certificate=False)
+            assert exact_metric_dimension(f) == plain, (sizes, rule)
+            dim_only = exact_metric_dimension(f, certificate=False)
             assert dim_only.dim == plain.dim, (sizes, rule)
     assert routed == [sizes for sizes in SYMMETRIC_SIZES for _ in range(6)]
 
@@ -265,13 +285,13 @@ def test_symmetric_search_on_seven_by_seven_and_four_cubed(compiled_kernel, monk
         dist = tensor_clique_distances(f)
         for rule in ORBIT_RULES:
             set_orbit_rule(monkeypatch, rule)
-            assert exact_metric_dimension(dist, factors=f) == result, (sizes, rule)
+            assert exact_metric_dimension(f) == result, (sizes, rule)
 
 
 def test_symmetric_search_on_the_slower_three_factor_products(compiled_kernel, monkeypatch):
     # Certificates found once and pinned here: 3x4x5 and 3x3x6 by the plain
-    # route (factors=None), which takes seconds on them, 3x3x7 and 2x3x10
-    # by the symmetric route with a fixed depth of orbit branching.
+    # route on the distance table, which takes seconds on them, 3x3x7 and
+    # 2x3x10 by the symmetric route with a fixed depth of orbit branching.
     monkeypatch.setattr(solver, "_default_kernel", compiled_kernel)
     want = {(3, 4, 5): DimResult(9, (0, 6, 12, 18, 20, 27, 33, 36, 44)),
             (3, 3, 6): DimResult(11, (0, 1, 2, 6, 9, 10, 17, 19, 27, 38, 46)),
@@ -280,7 +300,7 @@ def test_symmetric_search_on_the_slower_three_factor_products(compiled_kernel, m
                                        36, 47, 48))}
     for sizes, result in want.items():
         f = CliqueFactors(sizes)
-        assert exact_metric_dimension(tensor_clique_distances(f), factors=f) == result, sizes
+        assert exact_metric_dimension(f) == result, sizes
 
 
 def test_rook_graph_has_the_same_resolving_sets(solver_kernel):
@@ -293,7 +313,7 @@ def test_rook_graph_has_the_same_resolving_sets(solver_kernel):
             f = CliqueFactors((m, n))
             rook = Graph(m * n, [(u, v) for u, v in itertools.combinations(range(m * n), 2)
                                  if u // n == v // n or u % n == v % n])
-            want = exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            want = exact_metric_dimension(f)
             assert exact_metric_dimension(all_pairs_distances(rook)) == want, (m, n)
             # Caceres et al. (SIAM J. Discrete Math. 21, 2007), as recalled
             # here: dim(K_m [] K_n) = floor(2(m + n - 1) / 3) for n <= 2m - 1.
@@ -402,12 +422,12 @@ def test_value_swaps_keep_the_certificates(monkeypatch):
     # Pure kernel, every product of cliques with all factors >= 3 and at
     # most 40 vertices: the solver's certificate equals that of the plain
     # certificate loop, with neither a seed nor the symmetry.  Products up
-    # to 30 vertices are also compared with factors=None above.
+    # to 30 vertices are also compared with the plain route above.
     monkeypatch.setattr(solver, "_default_kernel", solver._bb_py)
     for sizes in PRODUCTS_TO_FORTY:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
-        got = exact_metric_dimension(dist, factors=f)
+        got = exact_metric_dimension(f)
         plain = solver._bb_py.lex_min_hitting_set(build_pair_table(dist).tolist(),
                                                   (1 << f.vertex_count) - 1, got.dim)
         assert got.certificate == tuple(plain), sizes
@@ -441,7 +461,7 @@ def test_value_swaps_answer_certificate_queries(compiled_kernel, monkeypatch):
             f = CliqueFactors(sizes)
             queries.clear()
             consulted.clear()
-            exact_metric_dimension(tensor_clique_distances(f), factors=f)
+            exact_metric_dimension(f)
             assert len(queries) == asked, (kernel.__name__, sizes)
             assert consulted and all(prefix >> u == 0 and u < v for prefix, u, v in consulted)
 
@@ -476,17 +496,16 @@ def test_dimension_only_matches_the_certified_search(solver_kernel, rng):
     cases = []
     for n in range(2, 41, 2):
         p = rng.choice([0.05, 0.1, 0.2, 0.4])
-        cases.append((all_pairs_distances(Graph(n, random_connected_edges(rng, n, p))), None))
+        cases.append(all_pairs_distances(Graph(n, random_connected_edges(rng, n, p))))
     for sizes in [(2, 2), (2, 5), (3, 4), (4, 5), (2, 3, 4), (3, 3, 3), (2, 2, 3)]:
         f = CliqueFactors(sizes)
-        dist = tensor_clique_distances(f)
-        cases += [(dist, f), (dist, None)]
-    cases.append((all_pairs_distances(Graph(5, [(0, 1), (2, 3)])), None))
-    cases.append((all_pairs_distances(build_clique(5)), None))
+        cases += [f, tensor_clique_distances(f)]
+    cases.append(all_pairs_distances(Graph(5, [(0, 1), (2, 3)])))
+    cases.append(all_pairs_distances(build_clique(5)))
     disconnected = 0
-    for dist, f in cases:
-        want = exact_metric_dimension(dist, factors=f)
-        got = exact_metric_dimension(dist, factors=f, certificate=False)
+    for space in cases:
+        want = exact_metric_dimension(space)
+        got = exact_metric_dimension(space, certificate=False)
         assert got == DimResult(want.dim, None)
         disconnected += got.dim is None
     assert disconnected == 5
@@ -505,21 +524,22 @@ def test_two_factor_products_build_no_greedy_seed(sizes, solver_kernel, monkeypa
 
     monkeypatch.setattr(solver, "_greedy_completion", no_greedy)
     f = CliqueFactors(sizes)
-    dist = tensor_clique_distances(f)
-    assert exact_metric_dimension(dist, factors=f) == PRODUCTS[sizes]
-    assert exact_metric_dimension(dist, factors=f, certificate=False) == DimResult(
+    assert exact_metric_dimension(f) == PRODUCTS[sizes]
+    assert exact_metric_dimension(f, certificate=False) == DimResult(
         PRODUCTS[sizes].dim, None)
 
 
 @pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "dim-only"])
 def test_a_construction_that_does_not_resolve_is_refused(certificate, monkeypatch):
-    # The construction is checked before it seeds the search: one member
-    # short (5 of the 6 a minimum set of 4x7 needs), it raises.
+    # One member short (5 of the 6 a minimum set of 4x7 needs), nothing
+    # beats the construction, so it is the solution behind the size.  The
+    # certificate loop's completion check refuses it, else the final check.
     construction = solver._two_factor_hint
     monkeypatch.setattr(solver, "_two_factor_hint", lambda m, n: construction(m, n)[1:])
     f = CliqueFactors((4, 7))
-    with pytest.raises(ValueError, match="does not resolve"):
-        exact_metric_dimension(tensor_clique_distances(f), factors=f, certificate=certificate)
+    refusal = "is not a completion" if certificate else "failed the resolving check"
+    with pytest.raises(AssertionError, match=refusal):
+        exact_metric_dimension(f, certificate=certificate)
 
 
 def test_products_search_between_their_proven_bounds(monkeypatch):
@@ -539,7 +559,7 @@ def test_products_search_between_their_proven_bounds(monkeypatch):
                                 ((2, 2, 3), None, None)]:
         roots.clear()
         f = CliqueFactors(sizes)
-        exact_metric_dimension(tensor_clique_distances(f), factors=f, certificate=False)
+        exact_metric_dimension(f, certificate=False)
         if lower is None:
             assert roots == [], sizes
         else:
@@ -557,15 +577,12 @@ def test_nothing_pending_returns_the_forced_vertices():
 
 
 def test_exact_rejects_more_than_64_vertices():
-    dist = all_pairs_distances(build_clique(65))
-    with pytest.raises(ValueError):
-        exact_metric_dimension(dist)
-
-
-def test_factors_must_match_vertex_count():
-    dist = all_pairs_distances(build_clique(5))
-    with pytest.raises(ValueError):
-        exact_metric_dimension(dist, factors=CliqueFactors((2, 3)))
+    for space in (all_pairs_distances(build_clique(65)), CliqueFactors((5, 13)),
+                  CliqueFactors((65,))):
+        with pytest.raises(ValueError, match="at most 64 vertices, got 65"):
+            exact_metric_dimension(space)
+    # A disconnected product is reported as such at any size.
+    assert exact_metric_dimension(CliqueFactors((2, 2, 17))) == DimResult(None, None)
 
 
 def test_greedy_attains_optimum_on_easy_graphs():
@@ -633,7 +650,7 @@ def test_greedy_completion_matches_oracle(rng, monkeypatch):
     monkeypatch.setattr(solver, "_greedy_completion", record)
     for _, dist, f in greedy_cases(rng):
         if dist.n <= solver.MAX_EXACT_VERTICES:
-            exact_metric_dimension(dist, factors=f)
+            exact_metric_dimension(dist if f is None else f)
     assert len(inputs) >= 40
     for pending, cand_mask in inputs:
         assert completion(pending, cand_mask) == oracle_greedy_completion(pending, cand_mask)
