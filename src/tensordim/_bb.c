@@ -1,6 +1,6 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports the three entry points of `_bb_py` and mirrors each step for step.
+ * Exports the four entry points of `_bb_py` and mirrors each step for step.
  * min_hitting_size(masks, cand_mask, lower, upper, witness=None) is the
  * least number of cand_mask bits hitting every mask, or upper when nothing
  * below it exists, stopping early once lower is met.  When witness is a
@@ -24,8 +24,14 @@
  * same branching rule and stops, and at each leaf the same restricted,
  * de-duplicated instance, answered in place or handed to min_size as in
  * the certificate loop; the same (size, mask) or (upper, None), and the
- * same ValueError for overlapping value masks.  See `_bb_py` for the
- * algorithms and the argument for each rule.
+ * same ValueError for overlapping value masks.
+ * product_pair_masks(value_masks) builds a product of cliques' pair masks
+ * from the same value masks, read as orbit_min_size reads them: near and
+ * far words per vertex, one mask per pair x < y, and the repeats dropped
+ * as the instances above drop them, first occurrence kept; the same list
+ * and the same ValueError for axes that overlap, do not cover the same
+ * vertices 0..n-1, or include a second axis of size 2.  See `_bb_py` for
+ * the algorithms and the argument for each rule.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace (the orbit search has
@@ -678,13 +684,70 @@ error:
     return NULL;
 }
 
-/* The orbit search's state: the value masks of every axis, one after the
- * other, the branching rule, how a leaf is answered, and one row of masks
- * per branching level. */
+/* The value masks of every axis, one after the other. */
 typedef struct {
     uint64_t *values;
-    Py_ssize_t *axis_end;  /* axis i's masks end at values[axis_end[i]] */
-    Py_ssize_t axes;
+    Py_ssize_t *end;  /* axis i's masks end at values[end[i]] */
+    Py_ssize_t count;
+} Axes;
+
+static void axes_free(Axes *A)
+{
+    PyMem_Free(A->values);
+    PyMem_Free(A->end);
+    A->values = NULL;
+    A->end = NULL;
+}
+
+/* value_masks as A's values and ends; ValueError when the masks of an axis
+ * overlap.  -1 on error, A then to be freed. */
+static int read_axes(Axes *A, PyObject *value_masks)
+{
+    PyObject *fast = PySequence_Fast(value_masks, "expected a sequence of sequences of ints");
+    if (fast == NULL)
+        return -1;
+    A->count = PySequence_Fast_GET_SIZE(fast);
+    A->end = PyMem_Malloc(sizeof(Py_ssize_t) * (A->count > 0 ? A->count : 1));
+    if (A->end == NULL) {
+        Py_DECREF(fast);
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t total = 0;
+    for (Py_ssize_t i = 0; i < A->count; i++) {
+        Py_ssize_t n;
+        uint64_t *axis = read_u64s(PySequence_Fast_GET_ITEM(fast, i), &n), seen = 0;
+        uint64_t *grown = axis == NULL ? NULL
+                          : PyMem_Realloc(A->values, sizeof(uint64_t) * (total + n + 1));
+        if (grown == NULL) {
+            if (axis != NULL)
+                PyErr_NoMemory();
+            PyMem_Free(axis);
+            Py_DECREF(fast);
+            return -1;
+        }
+        A->values = grown;
+        for (Py_ssize_t a = 0; a < n; a++) {
+            if (seen & axis[a]) {
+                PyMem_Free(axis);
+                Py_DECREF(fast);
+                PyErr_SetString(PyExc_ValueError, "the value masks of an axis overlap");
+                return -1;
+            }
+            seen |= axis[a];
+            A->values[total++] = axis[a];
+        }
+        PyMem_Free(axis);
+        A->end[i] = total;
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* The orbit search's state: the value masks, the branching rule, how a
+ * leaf is answered, and one row of masks per branching level. */
+typedef struct {
+    Axes axes;
     int lower, min_candidates, min_budget;
     PyObject *min_size;    /* NULL: the search above, on ws */
     uint64_t *rows;        /* each level's masks, cap per row */
@@ -695,56 +758,10 @@ typedef struct {
 
 static void orbits_free(Orbits *O)
 {
-    PyMem_Free(O->values);
-    PyMem_Free(O->axis_end);
+    axes_free(&O->axes);
     PyMem_Free(O->rows);
     ws_free(&O->ws);
     dedup_free(&O->seen);
-}
-
-/* value_masks as O's values and axis ends; ValueError when the masks of an
- * axis overlap.  -1 on error. */
-static int read_axes(Orbits *O, PyObject *value_masks)
-{
-    PyObject *fast = PySequence_Fast(value_masks, "expected a sequence of sequences of ints");
-    if (fast == NULL)
-        return -1;
-    O->axes = PySequence_Fast_GET_SIZE(fast);
-    O->axis_end = PyMem_Malloc(sizeof(Py_ssize_t) * (O->axes > 0 ? O->axes : 1));
-    if (O->axis_end == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    Py_ssize_t total = 0;
-    for (Py_ssize_t i = 0; i < O->axes; i++) {
-        Py_ssize_t n;
-        uint64_t *axis = read_u64s(PySequence_Fast_GET_ITEM(fast, i), &n), seen = 0;
-        uint64_t *grown = axis == NULL ? NULL
-                          : PyMem_Realloc(O->values, sizeof(uint64_t) * (total + n + 1));
-        if (grown == NULL) {
-            if (axis != NULL)
-                PyErr_NoMemory();
-            PyMem_Free(axis);
-            Py_DECREF(fast);
-            return -1;
-        }
-        O->values = grown;
-        for (Py_ssize_t a = 0; a < n; a++) {
-            if (seen & axis[a]) {
-                PyMem_Free(axis);
-                Py_DECREF(fast);
-                PyErr_SetString(PyExc_ValueError, "the value masks of an axis overlap");
-                return -1;
-            }
-            seen |= axis[a];
-            O->values[total++] = axis[a];
-        }
-        PyMem_Free(axis);
-        O->axis_end[i] = total;
-    }
-    Py_DECREF(fast);
-    return 0;
 }
 
 /* The orbits of the pointwise stabilizer of forced on cand, as
@@ -753,21 +770,22 @@ static int read_axes(Orbits *O, PyObject *value_masks)
  * by its classes, in order, dropping the empty parts. */
 static int stabilizer_orbits(const Orbits *O, uint64_t forced, uint64_t cand, uint64_t *out)
 {
+    const Axes *A = &O->axes;
     uint64_t parts[2][MAX_BITS];
     int count = cand != 0, cur = 0;
     parts[0][0] = cand;
-    for (Py_ssize_t i = 0; i < O->axes && count; i++) {
-        Py_ssize_t first = i ? O->axis_end[i - 1] : 0, end = O->axis_end[i];
+    for (Py_ssize_t i = 0; i < A->count && count; i++) {
+        Py_ssize_t first = i ? A->end[i - 1] : 0, end = A->end[i];
         uint64_t other = cand;
         for (Py_ssize_t a = first; a < end; a++)
-            if (O->values[a] & forced)
-                other &= ~O->values[a];
+            if (A->values[a] & forced)
+                other &= ~A->values[a];
         int next = 0;
         for (int p = 0; p < count; p++) {
             uint64_t orbit = parts[cur][p];
             for (Py_ssize_t a = first; a < end; a++)
-                if ((O->values[a] & forced) && (orbit & O->values[a]))
-                    parts[!cur][next++] = orbit & O->values[a];
+                if ((A->values[a] & forced) && (orbit & A->values[a]))
+                    parts[!cur][next++] = orbit & A->values[a];
             if (orbit & other)
                 parts[!cur][next++] = orbit & other;
         }
@@ -906,7 +924,8 @@ static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs
     long long size;
     uint64_t found;
     int has;
-    if (read_axes(&O, value_masks) < 0 || ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
+    if (read_axes(&O.axes, value_masks) < 0
+        || ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
         || dedup_alloc(&O.seen, np) < 0
         || orbit_node(&O, O.rows, np, cand, forced, upper, 0, &size, &found, &has) < 0) {
         orbits_free(&O);
@@ -916,6 +935,87 @@ static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs
     if (!has)
         return Py_BuildValue("(iO)", upper, Py_None);
     return Py_BuildValue("(LK)", size, (unsigned long long)found);
+}
+
+static char *pairs_kwlist[] = {"value_masks", NULL};
+
+static PyObject *product_pair_masks(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *value_masks;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:product_pair_masks", pairs_kwlist,
+                                     &value_masks))
+        return NULL;
+    Axes A = {0};
+    if (read_axes(&A, value_masks) < 0) {
+        axes_free(&A);
+        return NULL;
+    }
+    /* near[v]: the union of v's value masks; side[v]: v's value mask on
+     * the size-2 axis, 0 without one. */
+    uint64_t near[MAX_BITS] = {0}, side[MAX_BITS] = {0}, full = 0;
+    const char *bad = NULL;
+    for (Py_ssize_t i = 0, pairs_axis = -1; i < A.count && bad == NULL; i++) {
+        Py_ssize_t first = i ? A.end[i - 1] : 0, end = A.end[i];
+        uint64_t union_mask = 0;
+        for (Py_ssize_t a = first; a < end; a++)
+            union_mask |= A.values[a];
+        if (i == 0)
+            full = union_mask;
+        if (union_mask != full || (full & (full + 1)))
+            bad = "the value masks do not cover the vertices 0..n-1";
+        else if (end - first == 2 && pairs_axis >= 0)
+            bad = "two axes of size 2 make the product disconnected";
+        else {
+            if (end - first == 2)
+                pairs_axis = i;
+            for (Py_ssize_t a = first; a < end; a++)
+                for (uint64_t r = A.values[a]; r; r &= r - 1) {
+                    near[__builtin_ctzll(r)] |= A.values[a];
+                    if (i == pairs_axis)
+                        side[__builtin_ctzll(r)] = A.values[a];
+                }
+        }
+    }
+    axes_free(&A);
+    if (bad != NULL) {
+        PyErr_SetString(PyExc_ValueError, bad);
+        return NULL;
+    }
+    int n = popcount(full);
+    Py_ssize_t pairs = (Py_ssize_t)n * (n - 1) / 2, k = 0;
+    uint64_t far[MAX_BITS];
+    for (int v = 0; v < n; v++)
+        far[v] = full & ~near[v];
+    uint64_t *masks = PyMem_Malloc(sizeof(uint64_t) * (pairs > 0 ? pairs : 1));
+    Dedup seen;
+    if (masks == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    if (dedup_alloc(&seen, pairs) < 0) {
+        PyMem_Free(masks);
+        return NULL;
+    }
+    for (int x = 0; x < n; x++)
+        for (int y = x + 1; y < n; y++) {
+            uint64_t m = (far[x] ^ far[y]) | 1ull << x | 1ull << y;
+            if (side[x] != side[y])
+                m |= near[x] & near[y];
+            masks[k++] = m;
+        }
+    /* In place: the count written never passes the index read. */
+    Py_ssize_t count = distinct_masks(&seen, masks, pairs, 0, ~0ull, masks);
+    dedup_free(&seen);
+    PyObject *out = PyList_New(count);
+    for (Py_ssize_t i = 0; out != NULL && i < count; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(masks[i]);
+        if (m == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, m);
+    }
+    PyMem_Free(masks);
+    return out;
 }
 
 static PyMethodDef methods[] = {
@@ -934,6 +1034,10 @@ static PyMethodDef methods[] = {
      "branching.\n\n"
      "Same contract and leaf queries as `_bb_py.orbit_min_size`; min_size None or\n"
      "this module's min_hitting_size is answered without a Python call."},
+    {"product_pair_masks", (PyCFunction)(void (*)(void))product_pair_masks,
+     METH_VARARGS | METH_KEYWORDS,
+     "Distinct pair masks of a connected product of cliques, in pair order.\n\n"
+     "Same contract and masks as `_bb_py.product_pair_masks`."},
     {NULL, NULL, 0, NULL},
 };
 

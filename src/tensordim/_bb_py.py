@@ -2,11 +2,11 @@
 
 Each pair of vertices that must be told apart contributes one mask of
 "resolver" bits; a solution is a set of vertex bits hitting every mask.
-All masks fit one machine word (at most 64 vertices).  The three entry
-points, `min_hitting_size`, `lex_min_hitting_set` and `orbit_min_size`,
-are the reference that the compiled module `_bb` mirrors step for step,
-with the same contracts, and stand in for it when the extension is
-unavailable.  `min_hitting_size`
+All masks fit one machine word (at most 64 vertices).  The four entry
+points, `min_hitting_size`, `lex_min_hitting_set`, `orbit_min_size` and
+`product_pair_masks`, are the reference that the compiled module `_bb`
+mirrors step for step, with the same contracts, and stand in for it when
+the extension is unavailable.  `min_hitting_size`
 runs branch and bound: branch on the pending mask with the fewest
 resolvers (candidates in ascending id, with sibling exclusion so no
 subset is explored twice), propagate forced single-resolver picks, and
@@ -117,6 +117,11 @@ by `min_budget`.  Any other node
 is a leaf: its masks are restricted to its candidates and de-duplicated,
 first occurrence kept, and handed to `min_size`, so both kernels ask
 their size search the same leaf queries.
+
+`product_pair_masks` builds the masks that `orbit_min_size` and the
+certificate loop search on a product of cliques: one per vertex pair,
+read off the per-axis value masks (the `solver` docstring gives the
+argument), with repeats dropped, first occurrence kept.
 """
 
 from __future__ import annotations
@@ -471,3 +476,50 @@ def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, v
         return best, best_set
 
     return search(masks, cand_mask, forced, upper)
+
+
+def product_pair_masks(value_masks) -> list[int]:
+    """The distinct pair masks of the connected product of cliques whose
+    value_masks[i][a] is the mask of the vertices with value a on axis i,
+    in the order of `solver.build_pair_table` (pairs x < y), first
+    occurrence kept.
+
+    far[v], the vertices outside v's value masks, are v's neighbours, the
+    vertices at distance 1.  Any other z != x, y is at distance 2 or 3
+    from both, so z tells x and y apart when it neighbours one of them, or
+    when the size-2 axis separates x and y: then z is 3 from the one it
+    differs from there.  The masks are read as in `orbit_min_size`; every
+    axis must cover the same vertices 0..n-1, and at most one axis may
+    have two values (two such axes make the product disconnected).
+    Overlapping masks on one axis, an axis covering other vertices and a
+    second axis of size 2 raise ValueError.
+    """
+    value_masks = [_words(axis) for axis in value_masks]
+    unions = [reduce(or_, axis, 0) for axis in value_masks]
+    for axis, union in zip(value_masks, unions):
+        if sum(m.bit_count() for m in axis) != union.bit_count():
+            raise ValueError("the value masks of an axis overlap")
+    full = unions[0] if unions else 0
+    near = [0] * full.bit_length()  # near[v]: the union of v's value masks
+    side = near[:]  # side[v]: v's value mask on the size-2 axis, 0 without one
+    pairs_axis = None
+    for i, axis in enumerate(value_masks):
+        if unions[i] != full or full & (full + 1):
+            raise ValueError("the value masks do not cover the vertices 0..n-1")
+        if len(axis) == 2:
+            if pairs_axis is not None:
+                raise ValueError("two axes of size 2 make the product disconnected")
+            pairs_axis = i
+        for m in axis:
+            for v in _bits_ascending(m):
+                near[v] |= m
+                if i == pairs_axis:
+                    side[v] = m
+    far = [full & ~m for m in near]
+    masks = {}
+    for x, y in itertools.combinations(range(len(near)), 2):
+        m = far[x] ^ far[y] | 1 << x | 1 << y
+        if side[x] != side[y]:
+            m |= near[x] & near[y]
+        masks.setdefault(m)
+    return list(masks)

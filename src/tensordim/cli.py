@@ -64,8 +64,10 @@ def _read_input(args) -> tuple[Graph | CliqueFactors, CliqueFactors | None]:
 
 
 def _check_exact_size(space: Graph | CliqueFactors) -> None:
-    """Refuse a connected input too large for the exact search before its
-    n x n table is built; a disconnected one is still reported as such."""
+    """Refuse a connected input too large for the exact search with a usage
+    error, before anything is computed for it (an edge list's distance
+    table, or the rows of `table`); a disconnected one is still reported
+    as such."""
     n = space.n
     if n > MAX_EXACT_VERTICES and space.connected:
         raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")

@@ -23,10 +23,11 @@ certificate is unchanged.  Every instance the kernel searches (the
 root, each symmetric branch that stops, each certificate query) has its
 masks restricted to that instance's candidates and de-duplicated, first
 occurrence kept: by the solver for the plain root, and by the kernel
-itself for the others, in the same order on both kernels, so both
-search the same input and branch the same way.  Plain subset enumeration,
-`exhaustive_metric_dimension`, stays as the reference: it visits k-subsets
-in lexicographic order and therefore returns the same certificate.
+itself for the others and for a product's pair masks, in the same order
+on both kernels, so both search the same input and branch the same way.
+Plain subset enumeration, `exhaustive_metric_dimension`, stays as the
+reference: it visits k-subsets in lexicographic order and therefore
+returns the same certificate.
 
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
@@ -37,10 +38,12 @@ vertices are twins when nothing but themselves resolves their pair.
 The input's type picks the route.  A distance table takes the plain
 search above.  Connected products of cliques K_{m_1} x ... x K_{m_t} with
 t >= 2 (at most one m_i is 2), given by their factors, take a different
-route with no n x n table: their pair masks are read off coordinates, in
-the order of `build_pair_table`, and every check runs in coordinate
-space.  (A single factor is a clique, solved on its distance table.)
-They have no twins.  Take u != v and an axis a where they differ, the
+route with no n x n table: the kernel's `product_pair_masks` reads their
+pair masks off coordinates, in the order of `build_pair_table` with the
+repeats dropped (first occurrence kept), the greedy upper seed counts
+those distinct masks, and every check runs in coordinate space.  (A
+single factor is a clique, solved on its distance table.)  They have no
+twins.  Take u != v and an axis a where they differ, the
 size-2 axis if they differ there.  Every other axis has a value that is
 neither u's nor v's (on the size-2 axis they agree), so a vertex z with
 z_a = u_a and those values elsewhere has d(v, z) = 1 and d(u, z) in
@@ -289,27 +292,6 @@ def _value_masks(factors: CliqueFactors) -> list[list[int]]:
     return masks
 
 
-def _product_pair_masks(factors: CliqueFactors, value_masks: list[list[int]]) -> np.ndarray:
-    """`build_pair_table` of a connected product of cliques, read off
-    coordinates.  far[v], the vertices outside v's value masks, are v's
-    neighbours, the vertices at distance 1.  Any other z != x, y is at
-    distance 2 or 3 from both, so z tells x and y apart when it neighbours
-    one of them, or when a size-2 axis separates x and y: then z is 3 from
-    the one it differs from there."""
-    n = factors.vertex_count
-    coords = factors.coordinates()
-    value_of = [np.array(masks, dtype=np.uint64)[coords[:, i]]
-                for i, masks in enumerate(value_masks)]
-    far = np.uint64((1 << n) - 1) & ~np.bitwise_or.reduce(value_of)
-    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    xs, ys = _pair_index(n)
-    masks = far[xs] ^ far[ys] | bit[xs] | bit[ys]
-    if 2 in factors.sizes:
-        side = value_of[factors.sizes.index(2)]
-        masks |= ~far[xs] & ~far[ys] & (side[xs] ^ side[ys])
-    return masks
-
-
 def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
                     value_masks: list[list[int]]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
@@ -371,13 +353,14 @@ def exact_metric_dimension(
     table takes the plain search: twin-forced vertices, a greedy upper
     seed, and a search up from 0.  A connected product of two or more
     cliques, given by its factors, takes the symmetric route with no n x n
-    table: its pair masks come from coordinates (`_product_pair_masks`),
-    the size search branches on orbits and runs up from
-    `lower_bound_lines`, the certificate loop uses the symmetry, and on two
-    factors the upper seed is the paper's construction, unchecked.  A
-    single factor is solved on its distance table.  A disconnected input
-    gives DimResult(None, None); a connected one over 64 vertices raises
-    ValueError before anything is built.
+    table: the kernel's `product_pair_masks` reads its distinct pair masks
+    off coordinates, the size search branches on orbits and runs up from
+    `lower_bound_lines`, the certificate loop uses the symmetry, and the
+    upper seed is the paper's construction on two factors, unchecked, else
+    a greedy completion on the distinct masks.  A single factor is solved
+    on its distance table.  A disconnected input gives DimResult(None,
+    None); a connected one over 64 vertices raises ValueError before
+    anything is built.
     `exhaustive_metric_dimension` is the subset scan kept as a reference.
     With `certificate=False` only the dimension is computed, and the
     result's certificate is None: the certificate loop is skipped.  Either
@@ -396,32 +379,37 @@ def exact_metric_dimension(
 
     clique_product = isinstance(space, CliqueFactors)
     forced: list[int] = []
+    # The upper seed, outside the forced vertices, as a mask: the construction
+    # on two factors, else a greedy completion.  The check at the end covers
+    # the construction: when nothing beats it, it is the solution behind the
+    # size.
     if clique_product:
+        # The kernel needs each mask once, and builds a product's that way.
+        # The greedy counts each distinct mask once here, and picks the same
+        # seed as counting every pair would on each product of three or more
+        # factors up to 64 vertices.
         value_masks = _value_masks(space)
-        pair_masks = _product_pair_masks(space, value_masks)
+        pending = _default_kernel.product_pair_masks(value_masks)
+        cand_mask = (1 << n) - 1
+        if space.t == 2:
+            seed = _mask(_two_factor_hint(*space.sizes))
+        else:
+            seed = _mask(_greedy_completion(pending, cand_mask))
     else:
         pair_masks = build_pair_table(space)
         for cls in _twin_classes(n, pair_masks):
             forced.extend(cls[:-1])
         forced.sort()
-    forced_mask = _mask(forced)
-    cand_mask = ((1 << n) - 1) & ~forced_mask
-    # Masks missing the forced vertices lie inside cand_mask already.  The
-    # product route and graphs without twins force nothing.
-    unhit = pair_masks.tolist()
-    if forced_mask:
-        unhit = [m for m in unhit if m & forced_mask == 0]
-    # The upper seed, outside the forced vertices, as a mask: the construction
-    # on two factors, else a greedy completion, which counts every pair (on
-    # products of cliques it is smaller that way).  The check at the end
-    # covers the construction: when nothing beats it, it is the solution
-    # behind the size.
-    if clique_product and space.t == 2:
-        seed = _mask(_two_factor_hint(*space.sizes))
-    else:
+        forced_mask = _mask(forced)
+        cand_mask = ((1 << n) - 1) & ~forced_mask
+        # Masks missing the forced vertices lie inside cand_mask already.
+        # Graphs without twins force nothing.
+        unhit = pair_masks.tolist()
+        if forced_mask:
+            unhit = [m for m in unhit if m & forced_mask == 0]
+        # The greedy counts every pair, repeats included.
         seed = _mask(_greedy_completion(unhit, cand_mask))  # 0 when nothing is pending
-    # The kernel needs each mask once.
-    pending = list(dict.fromkeys(unhit))
+        pending = list(dict.fromkeys(unhit))
     if not pending:
         return DimResult(len(forced), tuple(forced) if certificate else None)
     if clique_product:

@@ -449,6 +449,7 @@ def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, 
         logs.append([])
         kernel = SimpleNamespace(
             lex_min_hitting_set=loop, orbit_min_size=compiled_kernel.orbit_min_size,
+            product_pair_masks=compiled_kernel.product_pair_masks,
             min_hitting_size=recording(compiled_kernel.min_hitting_size, logs[-1]))
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         solve_small_products()
@@ -509,3 +510,23 @@ def test_orbit_search_checks_its_inputs(kernel):
         kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 2 ** 31, value_masks, 4, 5)
     with pytest.raises(TypeError):
         kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3.0, value_masks, 4, 5)
+
+
+def test_product_pair_masks_checks_its_inputs(kernel):
+    value_masks = [[0b000111, 0b111000], [0b001001, 0b010010, 0b100100]]  # K_2 x K_3
+    assert kernel.product_pair_masks(value_masks) == list(dict.fromkeys(
+        build_pair_table(tensor_clique_distances(CliqueFactors((2, 3)))).tolist()))
+    assert kernel.product_pair_masks([]) == []
+    with pytest.raises(ValueError, match="overlap"):
+        kernel.product_pair_masks([[0b0011, 0b0110]])
+    with pytest.raises(OverflowError):
+        kernel.product_pair_masks([[1 << 64]])
+    # The axes cover different vertices, or not 0..n-1.
+    with pytest.raises(ValueError, match="cover"):
+        kernel.product_pair_masks([[0b0011, 0b1100], [0b0001, 0b0010]])
+    with pytest.raises(ValueError, match="cover"):
+        kernel.product_pair_masks([[0b0110, 0b1000]])
+    # 2x2x3: two axes of size 2 make the product disconnected.
+    f = CliqueFactors((2, 2, 3))
+    with pytest.raises(ValueError, match="size 2"):
+        kernel.product_pair_masks(solver._value_masks(f))

@@ -70,11 +70,12 @@ def test_pair_table_masks_encode_resolvers(rng):
             assert x in resolvers and y in resolvers
 
 
-def test_product_pair_masks_are_the_pair_table(monkeypatch):
+def test_product_pair_masks_are_the_pair_table(compiled_kernel, monkeypatch):
     # Every connected product of two or more cliques with at most 64
-    # vertices, those with a size-2 axis included: the masks the solver
-    # reads off coordinates are the pair table of the distance table, which
-    # tests/test_graphs.py ties to BFS, mask for mask in the same order.
+    # vertices, those with a size-2 axis included: the masks each kernel
+    # reads off coordinates are the distinct masks of the pair table of the
+    # distance table, which tests/test_graphs.py ties to BFS, in the same
+    # order, first occurrence kept.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "benchmarks_check_products", ROOT / "benchmarks" / "check_products.py")
@@ -84,9 +85,9 @@ def test_product_pair_masks_are_the_pair_table(monkeypatch):
     assert len(products) == 103 and any(2 in sizes for sizes in products)
     for sizes in products:
         f = CliqueFactors(sizes)
-        got = solver._product_pair_masks(f, solver._value_masks(f))
-        want = build_pair_table(tensor_clique_distances(f))
-        assert got.dtype == want.dtype and np.array_equal(got, want), sizes
+        want = list(dict.fromkeys(build_pair_table(tensor_clique_distances(f)).tolist()))
+        for kernel in (_bb_py, compiled_kernel):
+            assert kernel.product_pair_masks(solver._value_masks(f)) == want, (kernel, sizes)
 
 
 def test_pair_table_rejects_large_graphs():
@@ -654,6 +655,22 @@ def test_greedy_completion_matches_oracle(rng, monkeypatch):
     assert len(inputs) >= 40
     for pending, cand_mask in inputs:
         assert completion(pending, cand_mask) == oracle_greedy_completion(pending, cand_mask)
+
+
+def test_greedy_seed_on_distinct_masks_is_the_seed_on_every_pair():
+    # The product route's greedy upper seed counts each distinct pair mask
+    # once; on every product of three or more factors in the data file it
+    # picks the same set as counting every pair of the pair table.
+    products = [sizes for sizes in PRODUCTS if len(sizes) >= 3]
+    assert len(products) == 24
+    for sizes in products:
+        f = CliqueFactors(sizes)
+        everything = (1 << f.vertex_count) - 1
+        every_pair = build_pair_table(tensor_clique_distances(f)).tolist()
+        distinct = _bb_py.product_pair_masks(solver._value_masks(f))
+        assert len(distinct) <= len(every_pair)
+        assert (sorted(solver._greedy_completion(distinct, everything))
+                == sorted(solver._greedy_completion(every_pair, everything))), sizes
 
 
 def test_greedy_completion_rejects_unhittable_mask():
