@@ -11,7 +11,10 @@ number of kernel queries the certificate loop asked (the same on either
 kernel), and the totals for the two-factor products and for all of them.
 It exits 1 on any difference, or when the file does not list exactly the
 103 products.  `--json PATH` also writes those figures to PATH, with the
-kernel's name, the checkout's commit (null without git) and `repeats`.
+kernel's name, the checkout's commit (null without git), `diff`, the
+SHA-256 of `git diff HEAD --binary` (null on a clean tree or without
+git), which names the measured tree when it has uncommitted changes to
+tracked files, and `repeats`.
 
 It runs on the kernel the solver picked at import: the compiled one,
 which `tensordim._loader` builds on first import in a source checkout,
@@ -27,6 +30,7 @@ fails, or exits 1 when there is no C compiler.  Usage:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -134,23 +138,35 @@ def totals(records: list[dict]) -> dict:
     return out
 
 
+def git(*args: str) -> bytes | None:
+    """The output of `git args` in the checkout; None when git is
+    unavailable or fails."""
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, timeout=30,
+                              check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def commit() -> str | None:
     """The checkout's commit, marked "-dirty" when it has uncommitted
     changes; None when git is unavailable."""
-    try:
-        done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
-                               "--exclude=*"], cwd=ROOT, capture_output=True, text=True,
-                              timeout=30, check=True)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return done.stdout.strip()
+    done = git("describe", "--always", "--dirty", "--abbrev=40", "--exclude=*")
+    return None if done is None else done.decode().strip()
+
+
+def tree_diff() -> str | None:
+    """The SHA-256 of `git diff HEAD --binary`, which tells apart the trees
+    that `commit` marks "-dirty"; None on a clean tree or without git."""
+    done = git("diff", "HEAD", "--binary")
+    return hashlib.sha256(done).hexdigest() if done else None
 
 
 def bench_record(records: list[dict], repeats: int) -> dict:
-    """What `--json` writes: the kernel, the commit, `repeats`, each
-    product's figures and the totals."""
-    return {"kernel": solver.kernel_name(), "commit": commit(), "repeats": repeats,
-            "products": records, "totals": totals(records)}
+    """What `--json` writes: the kernel, the commit, the diff on top of it,
+    `repeats`, each product's figures and the totals."""
+    return {"kernel": solver.kernel_name(), "commit": commit(), "diff": tree_diff(),
+            "repeats": repeats, "products": records, "totals": totals(records)}
 
 
 def check(repeats: int, json_path: Path | None = None) -> int:

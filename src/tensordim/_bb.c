@@ -10,28 +10,27 @@
  * bound, last-pick and two-pick rules, same results and witnesses, and the
  * same OverflowError for a mask outside 64 bits.
  * lex_min_hitting_set(masks, cand_mask, budget, min_size=None,
- * completion=None, symmetry=None) is the certificate loop: the same
+ * completion=None, sizes=None) is the certificate loop: the same
  * one- and two-member settles, completion take, completion move, failure
  * carry and per-step completion check, the same queries on the same
  * restricted, de-duplicated instances, the same results and the same
  * OverflowError, TypeError and AssertionError.  A min_size of None or this
  * module's min_hitting_size is answered by the search below on a C array;
- * any other min_size, and symmetry and its maps, are called as `_bb_py`
- * calls them.
- * orbit_min_size(masks, cand_mask, forced, lower, upper, value_masks,
+ * any other min_size is called as `_bb_py` calls it.  The value swaps of
+ * a product's sizes are computed here, in C.
+ * orbit_min_size(masks, cand_mask, forced, lower, upper, sizes,
  * min_candidates, min_budget, min_size=None) is the symmetric size search:
- * the same orbits from the per-axis value masks, in the same order, the
- * same branching rule and stops, and at each leaf the same restricted,
+ * the same orbits from the value masks of the sizes, in the same order,
+ * the same branching rule and stops, and at each leaf the same restricted,
  * de-duplicated instance, answered in place or handed to min_size as in
- * the certificate loop; the same (size, mask) or (upper, None), and the
- * same ValueError for overlapping value masks.
- * product_pair_masks(value_masks) builds a product of cliques' pair masks
- * from the same value masks, read as orbit_min_size reads them: near and
- * far words per vertex, one mask per pair x < y, and the repeats dropped
- * as the instances above drop them, first occurrence kept; the same list
- * and the same ValueError for axes that overlap, do not cover the same
- * vertices 0..n-1, or include a second axis of size 2.  See `_bb_py` for
- * the algorithms and the argument for each rule.
+ * the certificate loop; the same (size, mask) or (upper, None).
+ * product_pair_masks(sizes) builds a product of cliques' pair masks from
+ * the same value masks: near and far words per vertex, one mask per pair
+ * x < y, and the repeats dropped as the instances above drop them, first
+ * occurrence kept; the same list, and the same ValueError for a second
+ * axis of size 2.  The three read their sizes with one `read_sizes`, with
+ * `_bb_py._value_masks`'s checks and errors.  See `_bb_py` for the
+ * algorithms and the argument for each rule.
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace (the orbit search has
@@ -422,13 +421,117 @@ out:
     return size;
 }
 
+/* The value masks of a product of cliques, axis after axis: axis i's
+ * masks are values[first[i]] up to values[first[i + 1]].  Every size is at
+ * least 2 and n at most 64, so there are at most 6 axes and 64 masks. */
+#define MAX_AXES 6
+typedef struct {
+    uint64_t values[MAX_BITS];
+    int first[MAX_AXES + 1];
+    int count, n;
+} Axes;
+
+/* sizes as A's value masks, in the mixed-radix codec: value a on axis i
+ * is the run of stride ids at a * stride in every period of m_i * stride
+ * ids.  The sizes are checked in order: TypeError for a non-integer,
+ * ValueError for one below 2, for a product above 64 and for a cand with
+ * an id outside the product.  -1 on error. */
+static int read_sizes(Axes *A, PyObject *sizes, uint64_t cand)
+{
+    PyObject *fast = PySequence_Fast(sizes, "sizes must be a sequence of ints");
+    if (fast == NULL)
+        return -1;
+    int m[MAX_AXES];
+    const char *bad = NULL;
+    A->count = 0;
+    A->n = 1;
+    for (Py_ssize_t i = 0; bad == NULL && i < PySequence_Fast_GET_SIZE(fast); i++) {
+        PyObject *index = PyNumber_Index(PySequence_Fast_GET_ITEM(fast, i));
+        if (index == NULL)
+            break;
+        int overflow;
+        long size = PyLong_AsLongAndOverflow(index, &overflow);
+        Py_DECREF(index);
+        if (overflow < 0 || (!overflow && size < 2))
+            bad = "a clique size must be at least 2";
+        else if (overflow > 0 || size > MAX_BITS / A->n)
+            bad = "the product of the sizes exceeds 64 vertices";
+        else {
+            A->n *= (int)size;
+            m[A->count++] = (int)size;
+        }
+    }
+    Py_DECREF(fast);
+    if (PyErr_Occurred())
+        return -1;
+    if (bad == NULL && A->n < MAX_BITS && cand >> A->n)
+        bad = "cand_mask holds an id outside the product";
+    if (bad != NULL) {
+        PyErr_SetString(PyExc_ValueError, bad);
+        return -1;
+    }
+    int stride = A->n, k = 0;
+    for (int i = 0; i < A->count; i++) {
+        A->first[i] = k;
+        stride /= m[i];
+        uint64_t run = 0;
+        for (int p = 0; p < A->n; p += m[i] * stride)
+            run |= ((1ull << stride) - 1) << p;
+        for (int a = 0; a < m[i]; a++)
+            A->values[k++] = run << a * stride;
+    }
+    A->first[A->count] = k;
+    return 0;
+}
+
+/* One value transposition: the ids of low move up by shift, those of high
+ * down. */
+typedef struct {
+    uint64_t low, high;
+    int shift;
+} Swap;
+
+static uint64_t apply_swaps(const Swap *swaps, int count, uint64_t mask)
+{
+    for (int k = 0; k < count; k++)
+        mask = (mask & ~(swaps[k].low | swaps[k].high)) | (mask & swaps[k].low) << swaps[k].shift
+               | (mask & swaps[k].high) >> swaps[k].shift;
+    return mask;
+}
+
+/* `_bb_py._value_swaps`: the transpositions (u_i v_i) on the axes where u
+ * and v differ, into swaps, and their count; -1 when u_i > v_i on some
+ * axis or when they do not map the prefix mask taken onto itself.  Each
+ * value is read off the masks, and the shift is the distance between the
+ * two values' least ids. */
+static int value_swaps(const Axes *A, uint64_t taken, int u, int v, Swap *swaps)
+{
+    int count = 0;
+    for (int i = 0; i < A->count; i++) {
+        uint64_t low = 0, high = 0;
+        for (int a = A->first[i]; a < A->first[i + 1]; a++) {
+            if (A->values[a] >> u & 1)
+                low = A->values[a];
+            if (A->values[a] >> v & 1)
+                high = A->values[a];
+        }
+        int shift = __builtin_ctzll(high) - __builtin_ctzll(low);
+        if (shift < 0)
+            return -1;
+        if (shift > 0)
+            swaps[count++] = (Swap){low, high, shift};
+    }
+    return apply_swaps(swaps, count, taken) == taken ? count : -1;
+}
+
 /* The certificate loop's state: its pending masks, how it asks a query,
- * and the hash set that de-duplicates each query's masks. */
+ * the product's value masks, and the hash set that de-duplicates each
+ * query's masks. */
 typedef struct {
     uint64_t *pending;
     Py_ssize_t np;
     PyObject *min_size;  /* NULL: the search above, on ws */
-    PyObject *symmetry;  /* NULL: none */
+    const Axes *axes;    /* NULL: no product, no value swaps */
     Workspace ws;        /* the query's masks go to its first row */
     Dedup seen;
 } Loop;
@@ -501,66 +604,25 @@ static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
     return answer;
 }
 
-/* The completion move at v: 1 when symmetry(taken, v, min(comp)) gives a
- * sigma, *comp then sigma(comp) - v; 0 when it gives None; -1 on error. */
-static int move_completion(Loop *L, uint64_t taken, uint64_t vb, uint64_t *comp)
-{
-    PyObject *sigma = PyObject_CallFunction(L->symmetry, "Kii", (unsigned long long)taken,
-                                            __builtin_ctzll(vb), __builtin_ctzll(*comp));
-    if (sigma == NULL)
-        return -1;
-    if (sigma == Py_None) {
-        Py_DECREF(sigma);
-        return 0;
-    }
-    PyObject *moved = PyObject_CallFunction(sigma, "K", (unsigned long long)*comp);
-    Py_DECREF(sigma);
-    if (moved == NULL)
-        return -1;
-    int err = read_completion(moved, comp);
-    Py_DECREF(moved);
-    if (err < 0)
-        return -1;
-    *comp ^= vb;
-    return 1;
-}
-
-/* The failure carry at v: 1 when symmetry(taken, u, v) gives a sigma for
- * some failed u (asked in order, up to the first), 0 when none, -1 on error. */
-static int carries_failure(Loop *L, uint64_t taken, const int *failed, int nfailed, int v)
-{
-    for (int k = 0; k < nfailed; k++) {
-        PyObject *sigma = PyObject_CallFunction(L->symmetry, "Kii", (unsigned long long)taken,
-                                                failed[k], v);
-        if (sigma == NULL)
-            return -1;
-        int found = sigma != Py_None;
-        Py_DECREF(sigma);
-        if (found)
-            return 1;
-    }
-    return 0;
-}
-
 static char *lex_kwlist[] = {"masks", "cand_mask", "budget", "min_size", "completion",
-                             "symmetry", NULL};
+                             "sizes", NULL};
 
 static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *masks, *cand_obj, *min_size = Py_None, *completion = Py_None,
-             *symmetry = Py_None;
+    PyObject *masks, *cand_obj, *min_size = Py_None, *completion = Py_None, *sizes = Py_None;
     int budget;
     uint64_t cand;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOi|OOO:lex_min_hitting_set", lex_kwlist,
                                      &masks, &cand_obj, &budget, &min_size, &completion,
-                                     &symmetry))
+                                     &sizes))
         return NULL;
-    if (as_u64(cand_obj, &cand) < 0)
+    Axes axes;
+    if (as_u64(cand_obj, &cand) < 0 || (sizes != Py_None && read_sizes(&axes, sizes, cand) < 0))
         return NULL;
     Loop L = {0};
     int own = own_search(min_size);
     L.min_size = own ? NULL : min_size;
-    L.symmetry = symmetry == Py_None ? NULL : symmetry;
+    L.axes = sizes == Py_None ? NULL : &axes;
     if ((L.pending = read_u64s(masks, &L.np)) == NULL)
         return NULL;
     /* comp: inside cand, at most budget - members members, hitting every
@@ -631,16 +693,19 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
                 break;
             }
             uint64_t later = cand & -(vb << 1);
-            if (L.symmetry != NULL) {
+            if (L.axes != NULL) {
+                Swap swaps[MAX_AXES];
                 /* the completion move, checked below */
-                found = comp ? move_completion(&L, taken, vb, &comp) : 0;
-                if (found != 0)
-                    break;
-                int carried = carries_failure(&L, taken, failed, nfailed, v);
-                if (carried < 0) {
-                    found = -1;
+                int count = comp ? value_swaps(L.axes, taken, v, __builtin_ctzll(comp), swaps)
+                                 : -1;
+                if (count >= 0) {
+                    comp = apply_swaps(swaps, count, comp) ^ vb;
+                    found = 1;
                     break;
                 }
+                int carried = 0;
+                for (int k = 0; k < nfailed && !carried; k++)
+                    carried = value_swaps(L.axes, taken, failed[k], v, swaps) >= 0;
                 if (carried) {
                     failed[nfailed++] = v; /* the failure carry */
                     continue;
@@ -684,66 +749,6 @@ error:
     return NULL;
 }
 
-/* The value masks of every axis, one after the other. */
-typedef struct {
-    uint64_t *values;
-    Py_ssize_t *end;  /* axis i's masks end at values[end[i]] */
-    Py_ssize_t count;
-} Axes;
-
-static void axes_free(Axes *A)
-{
-    PyMem_Free(A->values);
-    PyMem_Free(A->end);
-    A->values = NULL;
-    A->end = NULL;
-}
-
-/* value_masks as A's values and ends; ValueError when the masks of an axis
- * overlap.  -1 on error, A then to be freed. */
-static int read_axes(Axes *A, PyObject *value_masks)
-{
-    PyObject *fast = PySequence_Fast(value_masks, "expected a sequence of sequences of ints");
-    if (fast == NULL)
-        return -1;
-    A->count = PySequence_Fast_GET_SIZE(fast);
-    A->end = PyMem_Malloc(sizeof(Py_ssize_t) * (A->count > 0 ? A->count : 1));
-    if (A->end == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    Py_ssize_t total = 0;
-    for (Py_ssize_t i = 0; i < A->count; i++) {
-        Py_ssize_t n;
-        uint64_t *axis = read_u64s(PySequence_Fast_GET_ITEM(fast, i), &n), seen = 0;
-        uint64_t *grown = axis == NULL ? NULL
-                          : PyMem_Realloc(A->values, sizeof(uint64_t) * (total + n + 1));
-        if (grown == NULL) {
-            if (axis != NULL)
-                PyErr_NoMemory();
-            PyMem_Free(axis);
-            Py_DECREF(fast);
-            return -1;
-        }
-        A->values = grown;
-        for (Py_ssize_t a = 0; a < n; a++) {
-            if (seen & axis[a]) {
-                PyMem_Free(axis);
-                Py_DECREF(fast);
-                PyErr_SetString(PyExc_ValueError, "the value masks of an axis overlap");
-                return -1;
-            }
-            seen |= axis[a];
-            A->values[total++] = axis[a];
-        }
-        PyMem_Free(axis);
-        A->end[i] = total;
-    }
-    Py_DECREF(fast);
-    return 0;
-}
-
 /* The orbit search's state: the value masks, the branching rule, how a
  * leaf is answered, and one row of masks per branching level. */
 typedef struct {
@@ -758,7 +763,6 @@ typedef struct {
 
 static void orbits_free(Orbits *O)
 {
-    axes_free(&O->axes);
     PyMem_Free(O->rows);
     ws_free(&O->ws);
     dedup_free(&O->seen);
@@ -774,16 +778,16 @@ static int stabilizer_orbits(const Orbits *O, uint64_t forced, uint64_t cand, ui
     uint64_t parts[2][MAX_BITS];
     int count = cand != 0, cur = 0;
     parts[0][0] = cand;
-    for (Py_ssize_t i = 0; i < A->count && count; i++) {
-        Py_ssize_t first = i ? A->end[i - 1] : 0, end = A->end[i];
+    for (int i = 0; i < A->count && count; i++) {
+        int first = A->first[i], end = A->first[i + 1];
         uint64_t other = cand;
-        for (Py_ssize_t a = first; a < end; a++)
+        for (int a = first; a < end; a++)
             if (A->values[a] & forced)
                 other &= ~A->values[a];
         int next = 0;
         for (int p = 0; p < count; p++) {
             uint64_t orbit = parts[cur][p];
-            for (Py_ssize_t a = first; a < end; a++)
+            for (int a = first; a < end; a++)
                 if ((A->values[a] & forced) && (orbit & A->values[a]))
                     parts[!cur][next++] = orbit & A->values[a];
             if (orbit & other)
@@ -891,21 +895,22 @@ static int orbit_node(Orbits *O, const uint64_t *masks, Py_ssize_t np, uint64_t 
     return 0;
 }
 
-static char *orbit_kwlist[] = {"masks", "cand_mask", "forced", "lower", "upper", "value_masks",
+static char *orbit_kwlist[] = {"masks", "cand_mask", "forced", "lower", "upper", "sizes",
                                "min_candidates", "min_budget", "min_size", NULL};
 
 static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *masks, *cand_obj, *forced_obj, *value_masks, *min_size = Py_None;
+    PyObject *masks, *cand_obj, *forced_obj, *sizes, *min_size = Py_None;
     int lower, upper, min_candidates, min_budget;
     uint64_t cand, forced;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOiiOii|O:orbit_min_size", orbit_kwlist,
-                                     &masks, &cand_obj, &forced_obj, &lower, &upper,
-                                     &value_masks, &min_candidates, &min_budget, &min_size))
-        return NULL;
-    if (as_u64(cand_obj, &cand) < 0 || as_u64(forced_obj, &forced) < 0)
+                                     &masks, &cand_obj, &forced_obj, &lower, &upper, &sizes,
+                                     &min_candidates, &min_budget, &min_size))
         return NULL;
     Orbits O = {.lower = lower, .min_candidates = min_candidates, .min_budget = min_budget};
+    if (as_u64(cand_obj, &cand) < 0 || as_u64(forced_obj, &forced) < 0
+        || read_sizes(&O.axes, sizes, cand) < 0)
+        return NULL;
     int own = own_search(min_size);
     O.min_size = own ? NULL : min_size;
     Py_ssize_t np;
@@ -924,8 +929,7 @@ static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs
     long long size;
     uint64_t found;
     int has;
-    if (read_axes(&O.axes, value_masks) < 0
-        || ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
+    if (ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
         || dedup_alloc(&O.seen, np) < 0
         || orbit_node(&O, O.rows, np, cand, forced, upper, 0, &size, &found, &has) < 0) {
         orbits_free(&O);
@@ -937,51 +941,38 @@ static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs
     return Py_BuildValue("(LK)", size, (unsigned long long)found);
 }
 
-static char *pairs_kwlist[] = {"value_masks", NULL};
+static char *pairs_kwlist[] = {"sizes", NULL};
 
 static PyObject *product_pair_masks(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *value_masks;
+    PyObject *sizes;
+    Axes A;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:product_pair_masks", pairs_kwlist,
-                                     &value_masks))
+                                     &sizes)
+        || read_sizes(&A, sizes, 0) < 0)
         return NULL;
-    Axes A = {0};
-    if (read_axes(&A, value_masks) < 0) {
-        axes_free(&A);
-        return NULL;
-    }
     /* near[v]: the union of v's value masks; side[v]: v's value mask on
      * the size-2 axis, 0 without one. */
-    uint64_t near[MAX_BITS] = {0}, side[MAX_BITS] = {0}, full = 0;
-    const char *bad = NULL;
-    for (Py_ssize_t i = 0, pairs_axis = -1; i < A.count && bad == NULL; i++) {
-        Py_ssize_t first = i ? A.end[i - 1] : 0, end = A.end[i];
-        uint64_t union_mask = 0;
-        for (Py_ssize_t a = first; a < end; a++)
-            union_mask |= A.values[a];
-        if (i == 0)
-            full = union_mask;
-        if (union_mask != full || (full & (full + 1)))
-            bad = "the value masks do not cover the vertices 0..n-1";
-        else if (end - first == 2 && pairs_axis >= 0)
-            bad = "two axes of size 2 make the product disconnected";
-        else {
-            if (end - first == 2)
-                pairs_axis = i;
-            for (Py_ssize_t a = first; a < end; a++)
-                for (uint64_t r = A.values[a]; r; r &= r - 1) {
-                    near[__builtin_ctzll(r)] |= A.values[a];
-                    if (i == pairs_axis)
-                        side[__builtin_ctzll(r)] = A.values[a];
-                }
+    uint64_t near[MAX_BITS] = {0}, side[MAX_BITS] = {0};
+    for (int i = 0, pairs_axis = -1; i < A.count; i++) {
+        int first = A.first[i], end = A.first[i + 1];
+        if (end - first == 2) {
+            if (pairs_axis >= 0) {
+                PyErr_SetString(PyExc_ValueError,
+                                "two axes of size 2 make the product disconnected");
+                return NULL;
+            }
+            pairs_axis = i;
         }
+        for (int a = first; a < end; a++)
+            for (uint64_t r = A.values[a]; r; r &= r - 1) {
+                near[__builtin_ctzll(r)] |= A.values[a];
+                if (i == pairs_axis)
+                    side[__builtin_ctzll(r)] = A.values[a];
+            }
     }
-    axes_free(&A);
-    if (bad != NULL) {
-        PyErr_SetString(PyExc_ValueError, bad);
-        return NULL;
-    }
-    int n = popcount(full);
+    int n = A.n;
+    uint64_t full = n < MAX_BITS ? (1ull << n) - 1 : ~0ull;
     Py_ssize_t pairs = (Py_ssize_t)n * (n - 1) / 2, k = 0;
     uint64_t far[MAX_BITS];
     for (int v = 0; v < n; v++)

@@ -81,17 +81,30 @@ completion it hands on against the masks still pending, so a kernel that
 returns a wrong witness raises AssertionError instead of yielding a set
 that is not the least.
 
-A caller that knows symmetries of the instance may answer more queries
-without asking them (isomorphism pruning, Margot, Math. Prog. 94, 2002).
-It passes `symmetry(prefix, u, v)`, with prefix the mask of the members so
-far and u < v candidates, which returns a map of masks sigma or None.  A
-sigma must be a permutation of the ids that maps cand_mask and the family
-of masks (restricted to cand_mask) onto themselves, maps the prefix onto
-itself (as a set: it may permute the members), sends v to u and sends
-every id above v to an id above u.  A set completes the prefix exactly
-when its image under sigma does, since sigma(prefix + C) = prefix +
-sigma(C), so sigma maps the sets that complete the prefix onto each
-other.  It gives two implications:
+On a product of cliques K_{m_1} x ... x K_{m_t}, given by its `sizes`,
+the loop answers more queries without asking them, by the product's
+automorphisms (isomorphism pruning, Margot, Math. Prog. 94, 2002).  Its
+ids follow the mixed-radix codec of `_value_masks`, and the value
+permutations S_{m_1} x ... x S_{m_t} preserve distances.  For the prefix
+P and candidates u < v, `_value_swaps` gives sigma, the product of the
+value transpositions (u_i v_i) on the axes where u and v differ, when
+u_i <= v_i on every axis and sigma maps P onto itself; else none.  sigma
+may swap members of P: on 4x10 with P = the vertices (0, 0)..(0, 4), the
+swap of columns 0 and 1 maps P onto itself and sends (1, 1) to (1, 0), so
+a failed query at (1, 0) settles the one at (1, 1).  sigma sends v to u
+and every id x above v to an id above u.  Take the first axis k where x
+and v differ, so x_k > v_k >= u_k.  On the axes before k, x agrees with v
+and so sigma(x) agrees with u.  On axis k, x_k is neither u_k nor v_k, so
+sigma leaves it, and sigma(x)_k = x_k > u_k: sigma(x) > u.  A
+transposition with u_i > v_i on some axis cannot serve: it sends the ids
+that agree with v before axis i and have value u_i there, which lie above
+v, below u.  Each transposition is two shifts of value-mask runs, so no
+step runs per vertex.
+
+sigma maps the pair masks onto themselves, so a set completes P exactly
+when its image does (sigma(P + C) = P + sigma(C)), given that `masks` are
+the product's pair masks and `cand_mask` holds every id from its least
+one up, as on the solver's product route.  Two implications follow:
 
 - Completion move.  The scan reaches v below c = min(comp).  If sigma
   sends c to v, sigma(comp) holds v, lies above v with that one exception,
@@ -108,7 +121,7 @@ Both keep the v of every step, so the result is unchanged.
 `orbit_min_size` is the size search of a product of cliques with orbital
 branching (the `solver` docstring gives the argument).  A node branches
 on the orbits of the pointwise stabilizer of its forced vertices, read off
-the per-axis value masks: branch i forces the least id of orbit i and
+the value masks of its `sizes`: branch i forces the least id of orbit i and
 drops the masks it hits, and the later branches exclude the orbits
 before them.  The root (one forced vertex) branches whenever a mask is
 pending; a node below it branches while its largest orbit has
@@ -120,14 +133,15 @@ their size search the same leaf queries.
 
 `product_pair_masks` builds the masks that `orbit_min_size` and the
 certificate loop search on a product of cliques: one per vertex pair,
-read off the per-axis value masks (the `solver` docstring gives the
-argument), with repeats dropped, first occurrence kept.
+read off the value masks (the `solver` docstring gives the argument),
+with repeats dropped, first occurrence kept.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import partial, reduce
+from math import prod
 from operator import and_, index, or_
 
 
@@ -293,34 +307,99 @@ def _checked_completion(comp: int, pending: list[int], cand_mask: int, size: int
     return comp
 
 
-def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=min_hitting_size,
-                        completion=None, symmetry=None) -> list[int] | None:
+def _value_masks(sizes, cand_mask: int = 0) -> list[list[int]]:
+    """masks[i][a]: the ids with value a on axis i of the product of cliques
+    of these sizes.  In the mixed-radix codec they are the runs of `stride`
+    ids at offset a * stride in every period of m_i * stride ids, so each
+    mask is the run times a repeat.  The one check of the sizes, shared by
+    the entry points, as `_bb`'s `read_sizes`: in order, each an integer
+    (TypeError) of at least 2, their product n at most 64, and cand_mask
+    below 2**n (ValueError)."""
+    checked = []
+    n = 1
+    for m in sizes:
+        m = index(m)
+        if m < 2:
+            raise ValueError(f"a clique size must be at least 2, got {m}")
+        n *= m
+        if n > 64:
+            raise ValueError("the product of the sizes exceeds 64 vertices")
+        checked.append(m)
+    if cand_mask >> n:
+        raise ValueError("cand_mask holds an id outside the product")
+    masks = []
+    stride = n
+    for m in checked:
+        stride //= m
+        period = m * stride
+        repeat = ((1 << n) - 1) // ((1 << period) - 1)  # bit 0 of each period
+        masks.append([repeat * ((1 << stride) - 1) << (a * stride) for a in range(m)])
+    return masks
+
+
+def _swap_values(swaps: list[tuple[int, int, int]], mask: int) -> int:
+    """mask under the value transpositions `swaps`: each (low, high, shift)
+    moves the ids of `low` up by shift and those of `high` down."""
+    for low, high, shift in swaps:
+        mask = mask & ~(low | high) | (mask & low) << shift | (mask & high) >> shift
+    return mask
+
+
+def _value_swaps(value_masks: list[list[int]]):
+    """The certificate loop's symmetry on a product of cliques (module
+    docstring): symmetry(prefix, u, v) maps masks by the value
+    transpositions (u_i v_i) on the axes where u and v differ, or is None
+    unless u_i < v_i on each such axis and the transpositions map the
+    `prefix` mask onto itself.  An axis's stride is the least id with
+    value 1 there."""
+    axes = [((masks[1] & -masks[1]).bit_length() - 1, len(masks), masks)
+            for masks in value_masks]
+
+    def symmetry(prefix: int, u: int, v: int):
+        swaps = []
+        for stride, m, masks in axes:
+            a, b = u // stride % m, v // stride % m
+            if a > b:
+                return None
+            if a < b:
+                swaps.append((masks[a], masks[b], (b - a) * stride))
+        if _swap_values(swaps, prefix) != prefix:
+            return None
+        return partial(_swap_values, swaps)
+
+    return symmetry
+
+
+def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=None,
+                        completion=None, sizes=None) -> list[int] | None:
     """Lexicographically least hitting set of size <= budget, from size queries.
 
     Intended to run at budget == optimum (from min_hitting_size), where the
     result is the lexicographically least minimum solution.  Returns [] when
     no mask is pending and None when no solution fits the budget.
-    `min_size` answers the queries: `min_hitting_size` of either kernel.
-    (The compiled loop also takes None for its own search, which it then
-    runs without a Python call per query.)
+    `min_size` answers the queries: `min_hitting_size` of either kernel,
+    this module's when None.  (The compiled loop runs its own search
+    without a Python call per query.)
     It is asked only with two or more members left to place after v, for a
-    v that neither the completion nor the symmetry answers, on that query's
-    restricted, de-duplicated instance; the last two members are settled in
-    place.
+    v that neither the completion nor the value swaps answer, on that
+    query's restricted, de-duplicated instance; the last two members are
+    settled in place.
     `completion`, when given, is a mask of candidates, at most `budget` of
     them, hitting every mask (a solution the size search found); it spares
     the queries it already answers and never changes the result.
-    `symmetry(prefix, u, v)`, when given, returns a map of masks sigma or
-    None, under the contract of the module docstring (sigma maps the
-    prefix onto itself, sends v to u and keeps the ids above v above u);
-    it spares the queries that sigma answers and never changes the result
-    either.
-    Masks and `budget` are checked as there (`budget` as `upper`); a
-    completion or a query's witness that is not a solution raises
-    AssertionError.
+    `sizes`, when given, names the product of cliques whose pair masks
+    `masks` are, with `cand_mask` every id from its least one up (module
+    docstring); its value swaps spare the queries they answer and never
+    change the result either.
+    Masks and `budget` are checked as there (`budget` as `upper`), and
+    `sizes` as by `_value_masks`; a completion or a query's witness that is
+    not a solution raises AssertionError.
     """
     budget = _c_int(budget)
     cand_mask = _word(cand_mask)
+    symmetry = None if sizes is None else _value_swaps(_value_masks(sizes, cand_mask))
+    if min_size is None:
+        min_size = min_hitting_size
     # Pending masks stay as given: only a query's instance is restricted
     # and de-duplicated.
     pending = _words(masks)
@@ -422,32 +501,27 @@ def _stabilizer_orbits(value_masks: list[list[int]], forced: int, cand: int) -> 
     return orbits
 
 
-def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, value_masks,
+def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, sizes,
                    min_candidates: int, min_budget: int,
                    min_size=None) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
     and candidates in `cand_mask`, by orbital branching (module docstring).
 
-    `masks` are those `forced` leaves unhit, and value_masks[i][a] is the
-    mask of the vertices with value a on axis i; the masks of one axis
-    must be disjoint.  `lower` must be a valid lower bound; the search
-    stops once it is met.  Returns the size and such a set as a mask, or
+    `masks` are those `forced` leaves unhit on the product of cliques of
+    these `sizes`.  `lower` must be a valid lower bound; the search stops
+    once it is met.  Returns the size and such a set as a mask, or
     (upper, None) when none is smaller.  `min_size` answers the leaves,
     with `lower` and `upper` by keyword: this module's `min_hitting_size`
     when None.  (The compiled search also answers its own in place.)
     The four integers are read as C ints and the masks as 64-bit words,
-    as in `min_hitting_size`; overlapping masks on one axis raise
-    ValueError.
+    as in `min_hitting_size`, and `sizes` as by `_value_masks`.
     """
     lower, upper, min_candidates, min_budget = map(_c_int, (lower, upper, min_candidates,
                                                             min_budget))
     cand_mask = _word(cand_mask)
     forced = _word(forced)
+    value_masks = _value_masks(sizes, cand_mask)
     masks = _words(masks)
-    value_masks = [_words(axis) for axis in value_masks]
-    for axis in value_masks:
-        if sum(m.bit_count() for m in axis) != reduce(or_, axis, 0).bit_count():
-            raise ValueError("the value masks of an axis overlap")
     if min_size is None:
         min_size = min_hitting_size
 
@@ -478,46 +552,34 @@ def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, v
     return search(masks, cand_mask, forced, upper)
 
 
-def product_pair_masks(value_masks) -> list[int]:
-    """The distinct pair masks of the connected product of cliques whose
-    value_masks[i][a] is the mask of the vertices with value a on axis i,
-    in the order of `solver.build_pair_table` (pairs x < y), first
+def product_pair_masks(sizes) -> list[int]:
+    """The distinct pair masks of the connected product of cliques of these
+    sizes, in the order of `solver.build_pair_table` (pairs x < y), first
     occurrence kept.
 
-    far[v], the vertices outside v's value masks, are v's neighbours, the
+    far[v], the ids outside v's value masks, are v's neighbours, the
     vertices at distance 1.  Any other z != x, y is at distance 2 or 3
     from both, so z tells x and y apart when it neighbours one of them, or
     when the size-2 axis separates x and y: then z is 3 from the one it
-    differs from there.  The masks are read as in `orbit_min_size`; every
-    axis must cover the same vertices 0..n-1, and at most one axis may
-    have two values (two such axes make the product disconnected).
-    Overlapping masks on one axis, an axis covering other vertices and a
-    second axis of size 2 raise ValueError.
+    differs from there.  `sizes` is checked as by `_value_masks`, and a
+    second size 2, which makes the product disconnected, raises
+    ValueError.
     """
-    value_masks = [_words(axis) for axis in value_masks]
-    unions = [reduce(or_, axis, 0) for axis in value_masks]
-    for axis, union in zip(value_masks, unions):
-        if sum(m.bit_count() for m in axis) != union.bit_count():
-            raise ValueError("the value masks of an axis overlap")
-    full = unions[0] if unions else 0
-    near = [0] * full.bit_length()  # near[v]: the union of v's value masks
+    value_masks = _value_masks(sizes)
+    if sum(len(axis) == 2 for axis in value_masks) > 1:
+        raise ValueError("two axes of size 2 make the product disconnected")
+    n = prod(map(len, value_masks))
+    near = [0] * n  # near[v]: the union of v's value masks
     side = near[:]  # side[v]: v's value mask on the size-2 axis, 0 without one
-    pairs_axis = None
-    for i, axis in enumerate(value_masks):
-        if unions[i] != full or full & (full + 1):
-            raise ValueError("the value masks do not cover the vertices 0..n-1")
-        if len(axis) == 2:
-            if pairs_axis is not None:
-                raise ValueError("two axes of size 2 make the product disconnected")
-            pairs_axis = i
+    for axis in value_masks:
         for m in axis:
             for v in _bits_ascending(m):
                 near[v] |= m
-                if i == pairs_axis:
+                if len(axis) == 2:
                     side[v] = m
-    far = [full & ~m for m in near]
+    far = [((1 << n) - 1) & ~m for m in near]
     masks = {}
-    for x, y in itertools.combinations(range(len(near)), 2):
+    for x, y in itertools.combinations(range(n), 2):
         m = far[x] ^ far[y] | 1 << x | 1 << y
         if side[x] != side[y]:
             m |= near[x] & near[y]

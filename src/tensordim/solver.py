@@ -90,23 +90,10 @@ kernel cuts the node on it already.
 
 The certificate queries run on the full instance, without forcing vertex
 0, so the certificate is the least one in sorted order either way.  The
-symmetry answers some of them without asking (`_bb_py` gives the two
-implications, the completion move and the failure carry).  For a prefix P
-and candidates u < v, the loop needs an automorphism sigma that maps P
-onto itself, sends v to u and sends every id above v to an id above u.
-`_value_swaps` gives one when u_i <= v_i on every axis and the product of
-the value transpositions (u_i v_i) on the axes where they differ maps P
-onto itself: sigma is that product.  It may swap members of P: on 4x10
-with P = the vertices (0, 0)..(0, 4), the swap of columns 0 and 1 maps P
-onto itself and sends (1, 1) to (1, 0), so the failed query at (1, 0)
-settles the one at (1, 1).  Take x > v and the first axis k where x and
-v differ, so x_k > v_k >= u_k.  On the axes before k, x agrees with v
-and so sigma(x) agrees with u.  On axis k, x_k is neither u_k nor v_k,
-so sigma leaves it, and sigma(x)_k = x_k > u_k: in the mixed-radix codec,
-sigma(x) > u.  A transposition with u_i > v_i on some axis cannot serve:
-it sends the ids that agree with v before axis i and have value u_i
-there, which lie above v, below u.  Each transposition is two shifts of
-`_value_masks` runs, so no step runs per vertex.
+kernel's loop takes the factor sizes and answers some of them without
+asking, by value transpositions that map the prefix onto itself (`_bb_py`
+gives the argument and its two implications, the completion move and the
+failure carry).
 
 A caller that needs only the dimension (`certificate=False`) runs the same
 forcing, seeds and size search and skips the certificate loop.  Either
@@ -277,69 +264,22 @@ def _mask(ids) -> int:
     return out
 
 
-def _value_masks(factors: CliqueFactors) -> list[list[int]]:
-    """masks[i][a]: the vertices with value a on axis i.  In the mixed-radix
-    codec they are the runs of `stride` ids at offset a * stride in every
-    period of m_i * stride ids, so each mask is the run times a repeat."""
-    n = factors.vertex_count
-    masks = []
-    stride = n
-    for m in factors.sizes:
-        stride //= m
-        period = m * stride
-        repeat = ((1 << n) - 1) // ((1 << period) - 1)  # bit 0 of each period
-        masks.append([repeat * ((1 << stride) - 1) << (a * stride) for a in range(m)])
-    return masks
-
-
 def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
-                    value_masks: list[list[int]]) -> tuple[int, int | None]:
+                    sizes: tuple[int, ...]) -> tuple[int, int | None]:
     """Least size below `upper` of a hitting set made of the `forced` mask
-    and candidates in `cand`; `masks` are those `forced` leaves unhit.
-    The kernel's `orbit_min_size` branches on the orbits of the pointwise
-    stabilizer of `forced` at the root and at nodes that pass the
-    ORBIT_MIN_* rule, read here at each call, and hands every other node
-    to the same kernel's `min_hitting_size` (see the module docstring).
+    and candidates in `cand` on the product of cliques of these `sizes`;
+    `masks` are those `forced` leaves unhit.  The kernel's `orbit_min_size`
+    branches on the orbits of the pointwise stabilizer of `forced` at the
+    root and at nodes that pass the ORBIT_MIN_* rule, read here at each
+    call, and hands every other node to the same kernel's
+    `min_hitting_size` (see the module docstring).
     Returns the size and such a set as a mask, or (upper, None) when none
     is smaller."""
     # min_size is looked up at each call, so a tracer wrapping it sees every
     # leaf; the compiled kernel answers its own function in place.
-    return _default_kernel.orbit_min_size(masks, cand, forced, lower, upper, value_masks,
+    return _default_kernel.orbit_min_size(masks, cand, forced, lower, upper, sizes,
                                           ORBIT_MIN_CANDIDATES, ORBIT_MIN_BUDGET,
                                           min_size=_default_kernel.min_hitting_size)
-
-
-def _swap_values(swaps: list[tuple[int, int, int]], mask: int) -> int:
-    """mask under the value transpositions `swaps`: each (low, high, shift)
-    moves the vertices of `low` up by shift ids and those of `high` down."""
-    for low, high, shift in swaps:
-        mask = mask & ~(low | high) | (mask & low) << shift | (mask & high) >> shift
-    return mask
-
-
-def _value_swaps(value_masks: list[list[int]]):
-    """The certificate loop's `symmetry` on a product of cliques (see the
-    module docstring): symmetry(prefix, u, v) maps masks by the value
-    transpositions (u_i v_i) on the axes where u and v differ, or is None
-    unless u_i < v_i on each such axis and the transpositions map the
-    `prefix` mask onto itself.  An axis's stride is the least id with
-    value 1 there."""
-    axes = [((masks[1] & -masks[1]).bit_length() - 1, len(masks), masks)
-            for masks in value_masks]
-
-    def symmetry(prefix: int, u: int, v: int):
-        swaps = []
-        for stride, m, masks in axes:
-            a, b = u // stride % m, v // stride % m
-            if a > b:
-                return None
-            if a < b:
-                swaps.append((masks[a], masks[b], (b - a) * stride))
-        if _swap_values(swaps, prefix) != prefix:
-            return None
-        return functools.partial(_swap_values, swaps)
-
-    return symmetry
 
 
 def exact_metric_dimension(
@@ -355,7 +295,7 @@ def exact_metric_dimension(
     cliques, given by its factors, takes the symmetric route with no n x n
     table: the kernel's `product_pair_masks` reads its distinct pair masks
     off coordinates, the size search branches on orbits and runs up from
-    `lower_bound_lines`, the certificate loop uses the symmetry, and the
+    `lower_bound_lines`, the certificate loop uses its value swaps, and the
     upper seed is the paper's construction on two factors, unchecked, else
     a greedy completion on the distinct masks.  A single factor is solved
     on its distance table.  A disconnected input gives DimResult(None,
@@ -388,8 +328,7 @@ def exact_metric_dimension(
         # The greedy counts each distinct mask once here, and picks the same
         # seed as counting every pair would on each product of three or more
         # factors up to 64 vertices.
-        value_masks = _value_masks(space)
-        pending = _default_kernel.product_pair_masks(value_masks)
+        pending = _default_kernel.product_pair_masks(space.sizes)
         cand_mask = (1 << n) - 1
         if space.t == 2:
             seed = _mask(_two_factor_hint(*space.sizes))
@@ -416,7 +355,7 @@ def exact_metric_dimension(
         # Nothing is forced on this route, so vertex 0 is a candidate.
         k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
                                         lower_bound_lines(space), seed.bit_count(),
-                                        value_masks)
+                                        space.sizes)
     else:
         witness: list[int] = []
         # lower and upper by keyword, as in _bb_py.lex_min_hitting_set.
@@ -429,10 +368,10 @@ def exact_metric_dimension(
         found = seed
     dim = len(forced) + k_rest
     if certificate:
-        symmetry = _value_swaps(value_masks) if clique_product else None
         rest = _default_kernel.lex_min_hitting_set(pending, cand_mask, k_rest,
                                                    min_size=_default_kernel.min_hitting_size,
-                                                   completion=found, symmetry=symmetry)
+                                                   completion=found,
+                                                   sizes=space.sizes if clique_product else None)
         if rest is None or len(rest) != k_rest:
             raise AssertionError("certificate search disagrees with the size search")
         # The certificate is a solution of size k_rest too, and the one returned.

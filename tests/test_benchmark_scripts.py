@@ -4,8 +4,10 @@ This loads `check_products.py` and `bench_layers.py` from source, never
 writing bytecode there, and runs a small part of each.
 """
 
+import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 
 from tensordim import DimResult, Graph, _bb_py, _loader, all_pairs_distances, solver
@@ -57,10 +59,41 @@ def test_check_products_writes_its_figures_as_json(monkeypatch, tmp_path):
     got = json.loads(path.read_text(encoding="utf-8"))
     assert got["kernel"] == "python" and got["repeats"] == 1
     assert got["commit"] is None or isinstance(got["commit"], str)
+    assert got["diff"] is None or len(got["diff"]) == 64
     assert [(r["product"], r["dim"], r["queries"], r["match"]) for r in got["products"]] == [
         ("4x7", 6, 2, True), ("3x3x3", 6, 6, True)]
     assert got["totals"]["two-factor"]["cert_s"] == records[0]["cert_s"]
     assert got["totals"]["all"]["dim_only_s"] == sum(r["dim_only_s"] for r in records)
+
+
+def test_check_products_names_the_tree_it_measured(monkeypatch, tmp_path):
+    # `commit` and `diff` in a scratch checkout: outside a checkout both are
+    # None; a clean tree has its commit and no diff; an edit to a tracked
+    # file marks the commit "-dirty" and gives the SHA-256 of
+    # `git diff HEAD --binary`, which changes with the edit.
+    check_products = load_script(monkeypatch, "check_products")
+    monkeypatch.setattr(check_products, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert check_products.commit() is None and check_products.tree_diff() is None
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                               *args], cwd=tmp_path, capture_output=True, check=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "f").write_text("a\n", encoding="utf-8")
+    git("add", "f")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD").decode().strip()
+    assert check_products.commit() == head and check_products.tree_diff() is None
+    seen = set()
+    for text in ("b\n", "c\n"):
+        (tmp_path / "f").write_text(text, encoding="utf-8")
+        want = hashlib.sha256(git("diff", "HEAD", "--binary")).hexdigest()
+        assert check_products.commit() == head + "-dirty"
+        assert check_products.tree_diff() == want
+        seen.add(want)
+    assert len(seen) == 2
 
 
 def test_check_products_names_the_kernel_and_why_it_is_pure(monkeypatch, compiled_kernel):

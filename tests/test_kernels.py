@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,13 +278,16 @@ def test_a_wrong_witness_raises(compiled_kernel):
 
 
 def test_a_completion_move_off_the_contract_raises(kernel):
-    # The identity does not send 1, the completion's least member, to 0, so
-    # the moved completion holds 0 and fails the check.  Budget 3: the move
-    # is tried at the first step, with two members to place after it.
+    # Masks that are not the pair masks of 2x3: the value swap of 0 and 1
+    # on the second axis sends 1, the completion's least member, to 0 and
+    # moves the completion {1, 3, 5} to {0, 4, 5}, so the step at v = 0
+    # hands on {4, 5}, which misses 0b001100, and the check raises.
+    # Budget 3: the move is tried at the first step, with two members to
+    # place after it.
     with pytest.raises(AssertionError):
         kernel.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
                                    min_size=kernel.min_hitting_size, completion=0b101010,
-                                   symmetry=lambda prefix, u, v: lambda m: m)
+                                   sizes=(2, 3))
 
 
 def plain_lex(masks, cand, budget):
@@ -442,8 +446,8 @@ def test_the_small_products_get_the_data_files_certificates(solver_kernel):
 
 
 def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, monkeypatch):
-    # With the products' symmetry: the completion move and the failure
-    # carry spare the same queries in both loops.
+    # With the products' value swaps, which each loop computes itself: the
+    # completion move and the failure carry spare the same queries in both.
     logs = []
     for loop in (_bb_py.lex_min_hitting_set, compiled_kernel.lex_min_hitting_set):
         logs.append([])
@@ -454,6 +458,35 @@ def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, 
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         solve_small_products()
     assert logs[0] == logs[1] and logs[0]
+
+
+def test_the_compiled_loop_runs_a_product_without_python_frames(compiled_kernel):
+    # Its own search, a completion and a product's sizes: the value swaps,
+    # the completion move and the failure carry all run in C, so the call
+    # starts no Python frame.  The completion is the data file's
+    # certificate with every value reversed (an automorphism), so the
+    # loop has to move it.
+    sizes = (3, 3, 4)
+    n = math.prod(sizes)
+    row = next(p for p in SMALL_PRODUCTS if tuple(p["sizes"]) == sizes)
+    masks = compiled_kernel.product_pair_masks(sizes)
+    completion = sum(1 << (n - 1 - v) for v in row["certificate"])
+    args = (masks, (1 << n) - 1, row["dim"])
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        got = compiled_kernel.lex_min_hitting_set(*args, min_size=None, completion=completion,
+                                                  sizes=sizes)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert got == row["certificate"]
+    assert got == _bb_py.lex_min_hitting_set(*args, completion=completion, sizes=sizes)
 
 
 ORBIT_PRODUCTS = sorted(set(SYMMETRIC_SIZES) | {tuple(p["sizes"]) for p in SMALL_PRODUCTS},
@@ -481,15 +514,15 @@ def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
     # and set, which the compiled search also returns answering its leaves
     # in place.  The set holds the forced vertices and hits every mask.
     leaves = 0
-    for masks, cand, forced, lower, upper, value_masks in orbit_roots(monkeypatch):
+    for masks, cand, forced, lower, upper, sizes in orbit_roots(monkeypatch):
         for rule in ORBIT_RULES:
-            args = (masks, cand, forced, lower, upper, value_masks, *rule)
+            args = (masks, cand, forced, lower, upper, sizes, *rule)
             logs = ([], [])
             got = [kernel.orbit_min_size(*args, min_size=recording(
                 compiled_kernel.min_hitting_size, log))
                 for kernel, log in zip((_bb_py, compiled_kernel), logs)]
-            assert got[0] == got[1] and logs[0] == logs[1], (value_masks, rule)
-            assert compiled_kernel.orbit_min_size(*args) == got[0], (value_masks, rule)
+            assert got[0] == got[1] and logs[0] == logs[1], (sizes, rule)
+            assert compiled_kernel.orbit_min_size(*args) == got[0], (sizes, rule)
             size, found = got[0]
             if found is not None:
                 assert found & forced == forced and found & ~(cand | forced) == 0
@@ -499,34 +532,60 @@ def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
 
 
 def test_orbit_search_checks_its_inputs(kernel):
-    value_masks = [[0b0011, 0b1100], [0b0101, 0b1010]]  # K_2 x K_2
-    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, value_masks, 4, 5) == (2, 0b0011)
-    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 2, 2, value_masks, 4, 5) == (2, None)
-    with pytest.raises(ValueError, match="overlap"):
-        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, [[0b0011, 0b0110]], 4, 5)
+    sizes = (2, 2)  # K_2 x K_2
+    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, sizes, 4, 5) == (2, 0b0011)
+    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 2, 2, sizes, 4, 5) == (2, None)
     with pytest.raises(OverflowError):
-        kernel.orbit_min_size([1 << 64], 0b1110, 1, 0, 3, value_masks, 4, 5)
+        kernel.orbit_min_size([1 << 64], 0b1110, 1, 0, 3, sizes, 4, 5)
     with pytest.raises(OverflowError):
-        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 2 ** 31, value_masks, 4, 5)
+        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 2 ** 31, sizes, 4, 5)
     with pytest.raises(TypeError):
-        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3.0, value_masks, 4, 5)
+        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3.0, sizes, 4, 5)
 
 
 def test_product_pair_masks_checks_its_inputs(kernel):
-    value_masks = [[0b000111, 0b111000], [0b001001, 0b010010, 0b100100]]  # K_2 x K_3
-    assert kernel.product_pair_masks(value_masks) == list(dict.fromkeys(
+    assert kernel.product_pair_masks((2, 3)) == list(dict.fromkeys(
         build_pair_table(tensor_clique_distances(CliqueFactors((2, 3)))).tolist()))
-    assert kernel.product_pair_masks([]) == []
-    with pytest.raises(ValueError, match="overlap"):
-        kernel.product_pair_masks([[0b0011, 0b0110]])
-    with pytest.raises(OverflowError):
-        kernel.product_pair_masks([[1 << 64]])
-    # The axes cover different vertices, or not 0..n-1.
-    with pytest.raises(ValueError, match="cover"):
-        kernel.product_pair_masks([[0b0011, 0b1100], [0b0001, 0b0010]])
-    with pytest.raises(ValueError, match="cover"):
-        kernel.product_pair_masks([[0b0110, 0b1000]])
+    assert kernel.product_pair_masks(()) == []
     # 2x2x3: two axes of size 2 make the product disconnected.
-    f = CliqueFactors((2, 2, 3))
     with pytest.raises(ValueError, match="size 2"):
-        kernel.product_pair_masks(solver._value_masks(f))
+        kernel.product_pair_masks([2, 2, 3])
+
+
+# Each product entry point, called with the given sizes and cand_mask on
+# an instance that is otherwise valid.
+SIZED_ENTRY_POINTS = {
+    "product_pair_masks": lambda kernel, sizes, cand: kernel.product_pair_masks(sizes),
+    "orbit_min_size": lambda kernel, sizes, cand: kernel.orbit_min_size(
+        [0b0110], cand, 1, 0, 3, sizes, 4, 5),
+    "lex_min_hitting_set": lambda kernel, sizes, cand: kernel.lex_min_hitting_set(
+        [0b0110], cand, 2, sizes=sizes),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED_ENTRY_POINTS))
+@pytest.mark.parametrize("sizes, error", [
+    ((3, 1), ValueError),  # a size below 2
+    ((-3, 3), ValueError),
+    ((1, 2.0), ValueError),  # checked in order: the 1 comes first
+    ((3, 2.0), TypeError),  # not an integer
+    ((3, "3"), TypeError),
+    (3, TypeError),  # not a sequence
+    ((5, 13), ValueError),  # 65 vertices
+    ((2 ** 70,), ValueError),
+    ((2,) * 7, ValueError),  # 128 vertices, seven axes
+    ((65, 2.0), ValueError),  # the product is checked size by size
+], ids=["one", "negative", "one-first", "float", "str", "int", "65", "huge", "seven-axes",
+        "product-first"])
+def test_both_kernels_check_sizes_alike(compiled_kernel, entry, sizes, error):
+    # One check of the sizes per kernel, shared by the three entry points
+    # that take them: the same exception type on both kernels.
+    for kernel in (_bb_py, compiled_kernel):
+        with pytest.raises(error):
+            SIZED_ENTRY_POINTS[entry](kernel, sizes, 0b110)
+
+
+@pytest.mark.parametrize("entry", ["orbit_min_size", "lex_min_hitting_set"])
+def test_a_candidate_outside_the_product_raises(kernel, entry):
+    with pytest.raises(ValueError, match="outside the product"):
+        SIZED_ENTRY_POINTS[entry](kernel, (2, 3), 1 << 6)

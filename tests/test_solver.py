@@ -87,7 +87,7 @@ def test_product_pair_masks_are_the_pair_table(compiled_kernel, monkeypatch):
         f = CliqueFactors(sizes)
         want = list(dict.fromkeys(build_pair_table(tensor_clique_distances(f)).tolist()))
         for kernel in (_bb_py, compiled_kernel):
-            assert kernel.product_pair_masks(solver._value_masks(f)) == want, (kernel, sizes)
+            assert kernel.product_pair_masks(f.sizes) == want, (kernel, sizes)
 
 
 def test_pair_table_rejects_large_graphs():
@@ -257,10 +257,10 @@ def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
     routed = []
     orbit_min_size = solver._orbit_min_size
 
-    def spy(masks, cand, forced, lower, upper, value_masks):
+    def spy(masks, cand, forced, lower, upper, sizes):
         if forced == 1:
-            routed.append(tuple(len(m) for m in value_masks))
-        return orbit_min_size(masks, cand, forced, lower, upper, value_masks)
+            routed.append(tuple(sizes))
+        return orbit_min_size(masks, cand, forced, lower, upper, sizes)
 
     monkeypatch.setattr(solver, "_orbit_min_size", spy)
     for sizes in SYMMETRIC_SIZES:
@@ -340,7 +340,7 @@ def test_value_swaps_are_the_automorphisms_the_certificate_loop_needs():
         d = tensor_clique_distances(f).values
         coords = [tuple(c) for c in f.coordinates().tolist()]
         ids = {c: x for x, c in enumerate(coords)}
-        symmetry = solver._value_swaps(solver._value_masks(f))
+        symmetry = _bb_py._value_swaps(_bb_py._value_masks(sizes))
         preserves = {}
         for u, v in itertools.combinations(range(n), 2):
             cu, cv = coords[u], coords[v]
@@ -387,7 +387,7 @@ def test_value_swaps_carry_completions_from_v_to_u():
         d = tensor_clique_distances(f).values.tolist()
         masks = [sum(1 << w for w in range(n) if d[x][w] != d[y][w])
                  for x, y in itertools.combinations(range(n), 2)]
-        symmetry = solver._value_swaps(solver._value_masks(f))
+        symmetry = _bb_py._value_swaps(_bb_py._value_masks(sizes))
         least = {}
 
         def least_completion(members, x):
@@ -436,25 +436,35 @@ def test_value_swaps_keep_the_certificates(monkeypatch):
 
 def test_value_swaps_answer_certificate_queries(compiled_kernel, monkeypatch):
     # The kernel queries the certificate loop asks, the same on both
-    # kernels.  Without the symmetry 3x3x4 asks 25 queries and 4x7 asks
-    # 15.  The loop consults the symmetry only where the tests above check
-    # it: u < v, both above every member of the current prefix.
-    real = solver._bb_py.lex_min_hitting_set
+    # kernels.  Without the value swaps 3x3x4 asks 25 queries and 4x7 asks
+    # 15.  The pure loop consults the swaps only where the tests above
+    # check them: u < v, both above every member of the current prefix.
+    # (The compiled loop computes its own; the cross-kernel query logs in
+    # tests/test_kernels.py gate them.)
     queries = []
     consulted = []
+    value_swaps = _bb_py._value_swaps
 
-    def counted(*args, min_size, symmetry, **kwargs):
-        def query(*q_args, **q_kwargs):
-            queries.append(1)
-            return min_size(*q_args, **q_kwargs)
+    def swaps(value_masks):
+        symmetry = value_swaps(value_masks)
 
         def rule(prefix, u, v):
             consulted.append((prefix, u, v))
             return symmetry(prefix, u, v)
 
-        return real(*args, min_size=query, symmetry=symmetry and rule, **kwargs)
+        return rule
 
-    for kernel in (solver._bb_py, compiled_kernel):
+    monkeypatch.setattr(_bb_py, "_value_swaps", swaps)
+    for kernel in (_bb_py, compiled_kernel):
+        real = kernel.lex_min_hitting_set
+
+        def counted(*args, min_size, real=real, **kwargs):
+            def query(*q_args, **q_kwargs):
+                queries.append(1)
+                return min_size(*q_args, **q_kwargs)
+
+            return real(*args, min_size=query, **kwargs)
+
         monkeypatch.setattr(kernel, "lex_min_hitting_set", counted)
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         for sizes, asked in [((3, 3, 4), 10), ((3, 3, 3), 6), ((4, 7), 2), ((4, 10), 2),
@@ -464,7 +474,11 @@ def test_value_swaps_answer_certificate_queries(compiled_kernel, monkeypatch):
             consulted.clear()
             exact_metric_dimension(f)
             assert len(queries) == asked, (kernel.__name__, sizes)
-            assert consulted and all(prefix >> u == 0 and u < v for prefix, u, v in consulted)
+            if kernel is _bb_py:
+                assert consulted and all(prefix >> u == 0 and u < v
+                                         for prefix, u, v in consulted)
+            else:
+                assert not consulted
 
 
 def test_stabilizer_orbits_partition_the_candidates():
@@ -472,7 +486,7 @@ def test_stabilizer_orbits_partition_the_candidates():
     # coordinate comparison, largest first and then by least id.
     f = CliqueFactors((3, 4, 5))
     coords = [f.coords_of(v) for v in range(f.vertex_count)]
-    value_masks = solver._value_masks(f)
+    value_masks = _bb_py._value_masks(f.sizes)
     for i, m in enumerate(f.sizes):
         for a in range(m):
             assert value_masks[i][a] == sum(1 << u for u in range(f.vertex_count)
@@ -551,7 +565,7 @@ def test_products_search_between_their_proven_bounds(monkeypatch):
     # The spy skips the search: nothing beats the seed, which is checked.
     roots = []
 
-    def spy(masks, cand, forced, lower, upper, value_masks):
+    def spy(masks, cand, forced, lower, upper, sizes):
         roots.append((lower, upper))
         return upper, None
 
@@ -667,7 +681,7 @@ def test_greedy_seed_on_distinct_masks_is_the_seed_on_every_pair():
         f = CliqueFactors(sizes)
         everything = (1 << f.vertex_count) - 1
         every_pair = build_pair_table(tensor_clique_distances(f)).tolist()
-        distinct = _bb_py.product_pair_masks(solver._value_masks(f))
+        distinct = _bb_py.product_pair_masks(f.sizes)
         assert len(distinct) <= len(every_pair)
         assert (sorted(solver._greedy_completion(distinct, everything))
                 == sorted(solver._greedy_completion(every_pair, everything))), sizes
