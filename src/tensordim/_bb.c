@@ -12,21 +12,24 @@
  * lex_min_hitting_set(masks, cand_mask, budget, min_size=None,
  * completion=None, sizes=None) is the certificate loop: the same
  * one- and two-member settles, completion take, completion move, failure
- * carry and per-step completion check, the same queries on the same
- * restricted, de-duplicated instances, the same results and the same
- * OverflowError, TypeError and AssertionError.  A min_size of None or this
- * module's min_hitting_size is answered by the search below on a C array;
- * any other min_size is called as `_bb_py` calls it.  The value swaps of
- * a product's sizes are computed here, in C.
- * orbit_min_size(masks, cand_mask, forced, lower, upper, sizes,
- * min_candidates, min_budget, min_size=None) is the symmetric size search:
- * the same orbits from the value masks of the sizes, in the same order,
- * the same branching rule and stops, and at each leaf the same restricted,
- * de-duplicated instance, answered in place or handed to min_size as in
- * the certificate loop; the same (size, mask) or (upper, None).
+ * carry and per-step completion check, the same queries, the same results
+ * and the same OverflowError, TypeError, ValueError and AssertionError.
+ * The value swaps of a product's sizes are computed here, in C.
+ * orbit_min_size(masks, lower, upper, sizes, min_candidates, min_budget,
+ * min_size=None) is the symmetric size search: it drops the masks that
+ * vertex 0 hits, forces vertex 0, takes every other id of the product as
+ * a candidate, and branches on the same orbits from the value masks of
+ * the sizes, in the same order, with the same rule and stops; the same
+ * (size, mask) or (upper, None).
+ * Both searches ask their size queries through one function, `query`, as
+ * `_bb_py._ask` asks them: the masks restricted to the query's candidates
+ * and de-duplicated, answered in place when min_size is None or this
+ * module's min_hitting_size and by calling min_size otherwise, and one
+ * rule for every answer: a size below upper must come with a witness,
+ * else AssertionError.
  * product_pair_masks(sizes) builds a product of cliques' pair masks from
  * the same value masks: near and far words per vertex, one mask per pair
- * x < y, and the repeats dropped as the instances above drop them, first
+ * x < y, and the repeats dropped as the queries drop them, first
  * occurrence kept; the same list, and the same ValueError for a second
  * axis of size 2.  The three read their sizes with one `read_sizes`, with
  * `_bb_py._value_masks`'s checks and errors.  See `_bb_py` for the
@@ -379,46 +382,110 @@ static Py_ssize_t distinct_masks(Dedup *d, const uint64_t *in, Py_ssize_t n, uin
     return count;
 }
 
-/* Whether min_size is None or this module's min_hitting_size, which the
- * entry points below answer with the search above, in place. */
-static int own_search(PyObject *min_size)
+/* obj as a witness or completion mask: TypeError for a non-integer,
+ * AssertionError outside 64 bits (no such mask lies inside the
+ * candidates). */
+static int read_completion(PyObject *obj, uint64_t *out)
 {
-    return min_size == Py_None
-           || (PyCFunction_Check(min_size)
-               && PyCFunction_GET_FUNCTION(min_size)
-                      == (PyCFunction)(void (*)(void))min_hitting_size);
+    if (as_u64(obj, out) == 0)
+        return 0;
+    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_AssertionError, "a completion does not fit in 64 bits");
+    }
+    return -1;
 }
 
-/* min_size(masks, cand, lower=lower, upper=upper, witness=witness) on the
- * first n masks of rows, as `_bb_py` calls it; lower and upper go by
- * keyword, since tdbench/tracing.py reads them by name.  Returns the
- * result and the new witness list in *witness, or NULL on error. */
-static PyObject *call_min_size(PyObject *min_size, const uint64_t *rows, Py_ssize_t n,
-                               uint64_t cand, long long lower, long long upper,
-                               PyObject **witness)
+/* How the searches below ask their size queries: min_size NULL for the
+ * search above, on ws, else a Python callable; seen de-duplicates each
+ * query's masks into ws's first row. */
+typedef struct {
+    PyObject *min_size;
+    Workspace ws;
+    Dedup seen;
+} Queries;
+
+static void queries_free(Queries *Q)
 {
-    PyObject *masks = PyList_New(n), *call = NULL, *kw = NULL, *size = NULL;
-    *witness = NULL;
-    if (masks == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *m = PyLong_FromUnsignedLongLong(rows[i]);
-        if (m == NULL)
-            goto out;
-        PyList_SET_ITEM(masks, i, m);
+    ws_free(&Q->ws);
+    dedup_free(&Q->seen);
+}
+
+/* Q, zeroed by the caller, for queries on up to cap masks with upper at
+ * most upper.  A min_size of None or this module's min_hitting_size is
+ * answered by the search above, in place.  -1 with an exception set on
+ * failure; queries_free frees Q either way. */
+static int queries_alloc(Queries *Q, PyObject *min_size, Py_ssize_t cap, int upper)
+{
+    int own = min_size == Py_None
+              || (PyCFunction_Check(min_size)
+                  && PyCFunction_GET_FUNCTION(min_size)
+                         == (PyCFunction)(void (*)(void))min_hitting_size);
+    Q->min_size = own ? NULL : min_size;
+    if (ws_alloc(&Q->ws, cap, own ? depth_cap(upper) : 0) < 0)
+        return -1;
+    return dedup_alloc(&Q->seen, cap);
+}
+
+/* `_bb_py._ask`, the one size query of the certificate loop and the orbit
+ * search's leaves: the least size below upper of a set of candidates in
+ * cand hitting every one of the n masks that misses skip, asked on those
+ * masks restricted to cand and de-duplicated.  min_size gets lower and
+ * upper by keyword, as `_bb_py` passes them (tdbench/tracing.py reads
+ * them by name), and an answer below upper with no witness, or with one
+ * outside 64 bits, raises AssertionError.  1 with the size in *size and the set in *found when it
+ * is below upper, else 0 with both left as they were; -1 on error. */
+static int query(Queries *Q, const uint64_t *masks, Py_ssize_t n, uint64_t skip, uint64_t cand,
+                 long long lower, long long upper, long long *size, uint64_t *found)
+{
+    n = distinct_masks(&Q->seen, masks, n, skip, cand, Q->ws.rows);
+    long long got = upper;
+    uint64_t set = 0;
+    if (Q->min_size == NULL) {
+        if (upper < INT_MIN) {
+            PyErr_Format(PyExc_OverflowError, "%lld does not fit in a C int", upper);
+            return -1;
+        }
+        if (lower < upper)
+            got = size_search(&Q->ws, n, cand, (int)lower, (int)upper, &set);
     }
-    if ((*witness = PyList_New(0)) != NULL
-        && (call = Py_BuildValue("(OK)", masks, (unsigned long long)cand)) != NULL
-        && (kw = Py_BuildValue("{s:L,s:L,s:O}", "lower", lower, "upper", upper, "witness",
-                               *witness)) != NULL)
-        size = PyObject_Call(min_size, call, kw);
-out:
-    Py_DECREF(masks);
-    Py_XDECREF(call);
-    Py_XDECREF(kw);
-    if (size == NULL)
-        Py_CLEAR(*witness);
-    return size;
+    else {
+        PyObject *list = PyList_New(n), *witness = NULL, *call = NULL, *kw = NULL, *answer = NULL;
+        for (Py_ssize_t i = 0; list != NULL && i < n; i++) {
+            PyObject *m = PyLong_FromUnsignedLongLong(Q->ws.rows[i]);
+            if (m == NULL)
+                Py_CLEAR(list);
+            else
+                PyList_SET_ITEM(list, i, m);
+        }
+        if (list != NULL && (witness = PyList_New(0)) != NULL
+            && (call = Py_BuildValue("(OK)", list, (unsigned long long)cand)) != NULL
+            && (kw = Py_BuildValue("{s:L,s:L,s:O}", "lower", lower, "upper", upper, "witness",
+                                   witness)) != NULL
+            && (answer = PyObject_Call(Q->min_size, call, kw)) != NULL)
+            got = PyLong_AsLongLong(answer);
+        int error = answer == NULL || (got == -1 && PyErr_Occurred());
+        if (!error && got < upper) {
+            if (PyList_GET_SIZE(witness) == 0) {
+                PyErr_SetString(PyExc_AssertionError, "a size query succeeded without a witness");
+                error = 1;
+            }
+            else
+                error = read_completion(PyList_GET_ITEM(witness, 0), &set) < 0;
+        }
+        Py_XDECREF(list);
+        Py_XDECREF(witness);
+        Py_XDECREF(call);
+        Py_XDECREF(kw);
+        Py_XDECREF(answer);
+        if (error)
+            return -1;
+    }
+    if (got >= upper)
+        return 0;
+    *size = got;
+    *found = set;
+    return 1;
 }
 
 /* The value masks of a product of cliques, axis after axis: axis i's
@@ -434,8 +501,9 @@ typedef struct {
 /* sizes as A's value masks, in the mixed-radix codec: value a on axis i
  * is the run of stride ids at a * stride in every period of m_i * stride
  * ids.  The sizes are checked in order: TypeError for a non-integer,
- * ValueError for one below 2, for a product above 64 and for a cand with
- * an id outside the product.  -1 on error. */
+ * ValueError for one below 2, for a product above 64 and for a nonempty
+ * cand that is not every id of the product from its least one up (the
+ * certificate loop's contract).  -1 on error. */
 static int read_sizes(Axes *A, PyObject *sizes, uint64_t cand)
 {
     PyObject *fast = PySequence_Fast(sizes, "sizes must be a sequence of ints");
@@ -464,8 +532,8 @@ static int read_sizes(Axes *A, PyObject *sizes, uint64_t cand)
     Py_DECREF(fast);
     if (PyErr_Occurred())
         return -1;
-    if (bad == NULL && A->n < MAX_BITS && cand >> A->n)
-        bad = "cand_mask holds an id outside the product";
+    if (bad == NULL && cand && cand + (cand & -cand) != (A->n < MAX_BITS ? 1ull << A->n : 0))
+        bad = "cand_mask holds an id outside the product or misses one above its least";
     if (bad != NULL) {
         PyErr_SetString(PyExc_ValueError, bad);
         return -1;
@@ -524,84 +592,19 @@ static int value_swaps(const Axes *A, uint64_t taken, int u, int v, Swap *swaps)
     return apply_swaps(swaps, count, taken) == taken ? count : -1;
 }
 
-/* The certificate loop's state: its pending masks, how it asks a query,
- * the product's value masks, and the hash set that de-duplicates each
- * query's masks. */
-typedef struct {
-    uint64_t *pending;
-    Py_ssize_t np;
-    PyObject *min_size;  /* NULL: the search above, on ws */
-    const Axes *axes;    /* NULL: no product, no value swaps */
-    Workspace ws;        /* the query's masks go to its first row */
-    Dedup seen;
-} Loop;
-
-static void loop_free(Loop *L)
-{
-    PyMem_Free(L->pending);
-    ws_free(&L->ws);
-    dedup_free(&L->seen);
-}
-
-/* obj as a completion mask: TypeError for a non-integer, AssertionError
- * outside 64 bits (no such mask lies inside the candidates). */
-static int read_completion(PyObject *obj, uint64_t *out)
-{
-    if (as_u64(obj, out) == 0)
-        return 0;
-    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
-        PyErr_Clear();
-        PyErr_SetString(PyExc_AssertionError, "a completion does not fit in 64 bits");
-    }
-    return -1;
-}
-
 /* 0 when comp lies inside cand, has at most size members and hits every
- * pending mask; else -1 with AssertionError set. */
-static int check_completion(const Loop *L, uint64_t comp, uint64_t cand, long long size)
+ * one of the np pending masks; else -1 with AssertionError set. */
+static int check_completion(const uint64_t *pending, Py_ssize_t np, uint64_t comp, uint64_t cand,
+                            long long size)
 {
     int ok = (comp & ~cand) == 0 && popcount(comp) <= size;
-    for (Py_ssize_t i = 0; ok && i < L->np; i++)
-        ok = (L->pending[i] & comp) != 0;
+    for (Py_ssize_t i = 0; ok && i < np; i++)
+        ok = (pending[i] & comp) != 0;
     if (ok)
         return 0;
     PyErr_Format(PyExc_AssertionError, "%llu is not a completion within %lld candidates",
                  (unsigned long long)comp, size);
     return -1;
-}
-
-/* The query at vb: can need candidates in later hit every pending mask
- * that vb misses?  1 with a solution in *found, 0, or -1 on error.  The
- * compiled search answers it in place; any other min_size is called as
- * `_bb_py` calls it, on a list of the same masks. */
-static int ask(Loop *L, uint64_t vb, uint64_t later, int need, uint64_t *found)
-{
-    Py_ssize_t n = distinct_masks(&L->seen, L->pending, L->np, vb, later, L->ws.rows);
-    if (L->min_size == NULL) {
-        uint64_t witness;
-        if (size_search(&L->ws, n, later, need, need + 1, &witness) > need)
-            return 0;
-        *found = witness;
-        return 1;
-    }
-    PyObject *witness, *size = call_min_size(L->min_size, L->ws.rows, n, later, need,
-                                             need + 1, &witness);
-    if (size == NULL)
-        return -1;
-    PyObject *need_obj = PyLong_FromLong(need);
-    int answer = need_obj == NULL ? -1 : PyObject_RichCompareBool(size, need_obj, Py_LE);
-    Py_XDECREF(need_obj);
-    if (answer == 1) {
-        if (PyList_GET_SIZE(witness) == 0) {
-            PyErr_SetString(PyExc_AssertionError, "a size query succeeded without a witness");
-            answer = -1;
-        }
-        else if (read_completion(PyList_GET_ITEM(witness, 0), found) < 0)
-            answer = -1;
-    }
-    Py_DECREF(size);
-    Py_DECREF(witness);
-    return answer;
 }
 
 static char *lex_kwlist[] = {"masks", "cand_mask", "budget", "min_size", "completion",
@@ -616,36 +619,36 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
                                      &masks, &cand_obj, &budget, &min_size, &completion,
                                      &sizes))
         return NULL;
-    Axes axes;
-    if (as_u64(cand_obj, &cand) < 0 || (sizes != Py_None && read_sizes(&axes, sizes, cand) < 0))
+    Axes A;
+    const Axes *axes = sizes == Py_None ? NULL : &A; /* NULL: no value swaps */
+    if (as_u64(cand_obj, &cand) < 0 || (axes != NULL && read_sizes(&A, sizes, cand) < 0))
         return NULL;
-    Loop L = {0};
-    int own = own_search(min_size);
-    L.min_size = own ? NULL : min_size;
-    L.axes = sizes == Py_None ? NULL : &axes;
-    if ((L.pending = read_u64s(masks, &L.np)) == NULL)
+    Py_ssize_t np;
+    uint64_t *pending = read_u64s(masks, &np);
+    if (pending == NULL)
         return NULL;
+    Queries Q = {0};
+    PyObject *out = NULL;
     /* comp: inside cand, at most budget - members members, hitting every
      * pending mask; 0 while no such set is known. */
     uint64_t comp = 0;
     if (completion != Py_None
         && (read_completion(completion, &comp) < 0
-            || check_completion(&L, comp, cand, budget) < 0))
-        goto error;
-    if (ws_alloc(&L.ws, L.np, own ? depth_cap(budget) : 0) < 0
-        || dedup_alloc(&L.seen, L.np) < 0)
-        goto error;
+            || check_completion(pending, np, comp, cand, budget) < 0))
+        goto cleanup;
+    if (queries_alloc(&Q, min_size, np, budget) < 0)
+        goto cleanup;
     int prefix[MAX_BITS], members = 0, failed[MAX_BITS];
     uint64_t taken = 0; /* the prefix as a mask */
-    while (L.np > 0) {
+    while (np > 0) {
         long long need = (long long)budget - members - 1;
         if (need < 0)
             goto none;
         if (need == 0) {
             /* One member left: the least candidate in every pending mask. */
             uint64_t common = cand;
-            for (Py_ssize_t i = 0; i < L.np; i++)
-                common &= L.pending[i];
+            for (Py_ssize_t i = 0; i < np; i++)
+                common &= pending[i];
             if (common == 0)
                 goto none;
             prefix[members++] = __builtin_ctzll(common);
@@ -654,8 +657,8 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
         /* A v outside every pending mask hits nothing pending, and no
          * minimum solution holds it: the scan passes it by. */
         uint64_t scan = 0;
-        for (Py_ssize_t i = 0; i < L.np; i++)
-            scan |= L.pending[i];
+        for (Py_ssize_t i = 0; i < np; i++)
+            scan |= pending[i];
         scan &= cand;
         if (need == 1) {
             /* Two members left: the first v whose missed masks share a
@@ -664,10 +667,10 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
                 uint64_t vb = scan & -scan;
                 uint64_t common = cand & -(vb << 1);
                 int missed = 0;
-                for (Py_ssize_t i = 0; i < L.np; i++) {
-                    if ((L.pending[i] & vb) == 0) {
+                for (Py_ssize_t i = 0; i < np; i++) {
+                    if ((pending[i] & vb) == 0) {
                         missed = 1;
-                        common &= L.pending[i];
+                        common &= pending[i];
                         if (common == 0)
                             break;
                     }
@@ -692,12 +695,10 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
                 found = 1;
                 break;
             }
-            uint64_t later = cand & -(vb << 1);
-            if (L.axes != NULL) {
+            if (axes != NULL) {
                 Swap swaps[MAX_AXES];
                 /* the completion move, checked below */
-                int count = comp ? value_swaps(L.axes, taken, v, __builtin_ctzll(comp), swaps)
-                                 : -1;
+                int count = comp ? value_swaps(axes, taken, v, __builtin_ctzll(comp), swaps) : -1;
                 if (count >= 0) {
                     comp = apply_swaps(swaps, count, comp) ^ vb;
                     found = 1;
@@ -705,76 +706,63 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
                 }
                 int carried = 0;
                 for (int k = 0; k < nfailed && !carried; k++)
-                    carried = value_swaps(L.axes, taken, failed[k], v, swaps) >= 0;
+                    carried = value_swaps(axes, taken, failed[k], v, swaps) >= 0;
                 if (carried) {
                     failed[nfailed++] = v; /* the failure carry */
                     continue;
                 }
             }
-            found = ask(&L, vb, later, (int)need, &comp);
+            long long size;
+            found = query(&Q, pending, np, vb, cand & -(vb << 1), need, need + 1, &size, &comp);
             if (found != 0)
                 break;
             failed[nfailed++] = v;
         }
         if (found < 0)
-            goto error;
+            goto cleanup;
         if (found == 0)
             goto none;
         prefix[members++] = __builtin_ctzll(vb);
         taken |= vb;
         cand &= -(vb << 1);
-        L.np = drop_hit(L.pending, L.np, vb, L.pending);
-        if (check_completion(&L, comp, cand, need) < 0)
-            goto error;
+        np = drop_hit(pending, np, vb, pending);
+        if (check_completion(pending, np, comp, cand, need) < 0)
+            goto cleanup;
     }
 done:
-    loop_free(&L);
-    PyObject *out = PyList_New(members);
-    if (out == NULL)
-        return NULL;
-    for (int i = 0; i < members; i++) {
+    out = PyList_New(members);
+    for (int i = 0; out != NULL && i < members; i++) {
         PyObject *v = PyLong_FromLong(prefix[i]);
-        if (v == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, v);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, v);
     }
-    return out;
+    goto cleanup;
 none:
-    loop_free(&L);
-    Py_RETURN_NONE;
-error:
-    loop_free(&L);
-    return NULL;
+    out = Py_NewRef(Py_None);
+cleanup:
+    PyMem_Free(pending);
+    queries_free(&Q);
+    return out;
 }
 
-/* The orbit search's state: the value masks, the branching rule, how a
- * leaf is answered, and one row of masks per branching level. */
+/* The orbit search's state: the value masks, the branching rule, its
+ * queries, and one row of masks per branching level. */
 typedef struct {
     Axes axes;
     int lower, min_candidates, min_budget;
-    PyObject *min_size;    /* NULL: the search above, on ws */
-    uint64_t *rows;        /* each level's masks, cap per row */
+    uint64_t *rows; /* each level's masks, cap per row */
     Py_ssize_t cap;
-    Workspace ws;          /* a leaf's masks go to its first row */
-    Dedup seen;
+    Queries queries;
 } Orbits;
-
-static void orbits_free(Orbits *O)
-{
-    PyMem_Free(O->rows);
-    ws_free(&O->ws);
-    dedup_free(&O->seen);
-}
 
 /* The orbits of the pointwise stabilizer of forced on cand, as
  * `_bb_py._stabilizer_orbits` lists them, into out; returns their count.
  * They are disjoint, so at most 64: each axis splits every orbit so far
  * by its classes, in order, dropping the empty parts. */
-static int stabilizer_orbits(const Orbits *O, uint64_t forced, uint64_t cand, uint64_t *out)
+static int stabilizer_orbits(const Axes *A, uint64_t forced, uint64_t cand, uint64_t *out)
 {
-    const Axes *A = &O->axes;
     uint64_t parts[2][MAX_BITS];
     int count = cand != 0, cur = 0;
     parts[0][0] = cand;
@@ -812,130 +800,86 @@ static int stabilizer_orbits(const Orbits *O, uint64_t forced, uint64_t cand, ui
     return count;
 }
 
-/* A leaf of the orbit search: the least size below upper of forced (k
- * members) plus candidates in cand hitting the np masks, asked of the
- * search above or of min_size as `_bb_py` asks it.  Sets *size, and
- * *found with *has = 1 when that size is below upper; -1 on error. */
-static int orbit_leaf(Orbits *O, const uint64_t *masks, Py_ssize_t np, uint64_t cand,
-                      uint64_t forced, int k, long long upper, long long *size,
-                      uint64_t *found, int *has)
-{
-    Py_ssize_t n = distinct_masks(&O->seen, masks, np, 0, cand, O->ws.rows);
-    long long lower = O->lower - k > 0 ? O->lower - k : 0, rest_upper = upper - k, rest;
-    uint64_t witness = 0;
-    if (O->min_size == NULL) {
-        if (rest_upper < INT_MIN) {
-            PyErr_Format(PyExc_OverflowError, "%lld does not fit in a C int", rest_upper);
-            return -1;
-        }
-        rest = lower < rest_upper
-               ? size_search(&O->ws, n, cand, (int)lower, (int)rest_upper, &witness)
-               : rest_upper;
-        *has = rest < rest_upper;
-    }
-    else {
-        PyObject *list, *got = call_min_size(O->min_size, O->ws.rows, n, cand, lower,
-                                             rest_upper, &list);
-        if (got == NULL)
-            return -1;
-        rest = PyLong_AsLongLong(got);
-        int err = rest == -1 && PyErr_Occurred();
-        *has = !err && PyList_GET_SIZE(list) > 0;
-        if (*has && as_u64(PyList_GET_ITEM(list, 0), &witness) < 0)
-            err = 1;
-        Py_DECREF(got);
-        Py_DECREF(list);
-        if (err)
-            return -1;
-    }
-    *size = *has ? k + rest : upper;
-    *found = forced | witness;
-    return 0;
-}
-
 /* One node of `_bb_py.orbit_min_size`'s search, at the given depth: the np
- * masks are those forced leaves unhit.  Sets *size, and *found with *has
- * = 1 when a set below upper exists; -1 on error.  Each level takes a bit
- * out of cand, so the search stays within 64 levels. */
+ * masks are those forced (depth + 1 vertices, vertex 0 and one per level)
+ * leaves unhit.  1 with the size in *size and the set in *found when one
+ * below upper exists, else 0; -1 on error.  Each level takes a bit out of
+ * cand, so the search stays within 64 levels. */
 static int orbit_node(Orbits *O, const uint64_t *masks, Py_ssize_t np, uint64_t cand,
                       uint64_t forced, long long upper, int depth, long long *size,
-                      uint64_t *found, int *has)
+                      uint64_t *found)
 {
-    int k = popcount(forced), root = k == 1, count = 0;
+    int k = depth + 1, root = depth == 0, count = 0;
     uint64_t orbits[MAX_BITS];
     if (np > 0 && (root || upper - k >= O->min_budget))
-        count = stabilizer_orbits(O, forced, cand, orbits);
-    if (count == 0 || (!root && popcount(orbits[0]) < O->min_candidates))
-        return orbit_leaf(O, masks, np, cand, forced, k, upper, size, found, has);
+        count = stabilizer_orbits(&O->axes, forced, cand, orbits);
+    if (count == 0 || (!root && popcount(orbits[0]) < O->min_candidates)) {
+        int hit = query(&O->queries, masks, np, 0, cand, O->lower > k ? O->lower - k : 0,
+                        upper - k, size, found);
+        if (hit == 1) {
+            *size += k;
+            *found |= forced;
+        }
+        return hit;
+    }
     long long best = upper;
-    uint64_t best_set = 0;
     int has_best = 0;
     uint64_t *child = O->rows + (Py_ssize_t)(depth + 1) * O->cap;
     for (int i = 0; i < count; i++) {
         /* Every branch forces k + 1 vertices. */
         if (best <= O->lower || k + 1 >= best)
             break;
-        uint64_t rep = orbits[i] & -orbits[i], set;
-        long long got;
-        int hit;
+        uint64_t rep = orbits[i] & -orbits[i];
         Py_ssize_t keep = drop_hit(masks, np, rep, child);
-        if (orbit_node(O, child, keep, cand & ~rep, forced | rep, best, depth + 1, &got, &set,
-                       &hit) < 0)
+        int hit = orbit_node(O, child, keep, cand & ~rep, forced | rep, best, depth + 1, size,
+                             found);
+        if (hit < 0)
             return -1;
         if (hit) {
-            best = got;
-            best_set = set;
+            best = *size;
             has_best = 1;
         }
         cand &= ~orbits[i];
     }
-    *size = best;
-    *found = best_set;
-    *has = has_best;
-    return 0;
+    return has_best;
 }
 
-static char *orbit_kwlist[] = {"masks", "cand_mask", "forced", "lower", "upper", "sizes",
-                               "min_candidates", "min_budget", "min_size", NULL};
+static char *orbit_kwlist[] = {"masks", "lower", "upper", "sizes", "min_candidates",
+                               "min_budget", "min_size", NULL};
 
 static PyObject *orbit_min_size(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    PyObject *masks, *cand_obj, *forced_obj, *sizes, *min_size = Py_None;
+    PyObject *masks, *sizes, *min_size = Py_None;
     int lower, upper, min_candidates, min_budget;
-    uint64_t cand, forced;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOiiOii|O:orbit_min_size", orbit_kwlist,
-                                     &masks, &cand_obj, &forced_obj, &lower, &upper, &sizes,
-                                     &min_candidates, &min_budget, &min_size))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OiiOii|O:orbit_min_size", orbit_kwlist,
+                                     &masks, &lower, &upper, &sizes, &min_candidates,
+                                     &min_budget, &min_size))
         return NULL;
     Orbits O = {.lower = lower, .min_candidates = min_candidates, .min_budget = min_budget};
-    if (as_u64(cand_obj, &cand) < 0 || as_u64(forced_obj, &forced) < 0
-        || read_sizes(&O.axes, sizes, cand) < 0)
-        return NULL;
-    int own = own_search(min_size);
-    O.min_size = own ? NULL : min_size;
     Py_ssize_t np;
-    uint64_t *words = read_u64s(masks, &np);
-    if (words == NULL)
+    uint64_t *words;
+    if (read_sizes(&O.axes, sizes, 0) < 0 || (words = read_u64s(masks, &np)) == NULL)
         return NULL;
-    /* The root's masks, then one row per level below it. */
+    /* Vertex 0 is forced and every other id is a candidate.  The root's
+     * masks are those vertex 0 misses, and each of the n - 1 levels below
+     * it has a row of its own. */
+    int n = O.axes.n;
+    uint64_t cand = (n < MAX_BITS ? (1ull << n) - 1 : ~0ull) & ~1ull;
+    np = drop_hit(words, np, 1, words);
     O.cap = np > 0 ? np : 1;
-    O.rows = PyMem_Malloc(sizeof(uint64_t) * O.cap * (popcount(cand) + 1));
-    if (O.rows == NULL) {
+    if ((O.rows = PyMem_Realloc(words, sizeof(uint64_t) * O.cap * n)) == NULL) {
         PyMem_Free(words);
         return PyErr_NoMemory();
     }
-    memcpy(O.rows, words, sizeof(uint64_t) * np);
-    PyMem_Free(words);
     long long size;
     uint64_t found;
-    int has;
-    if (ws_alloc(&O.ws, np, own ? depth_cap(upper) : 0) < 0
-        || dedup_alloc(&O.seen, np) < 0
-        || orbit_node(&O, O.rows, np, cand, forced, upper, 0, &size, &found, &has) < 0) {
-        orbits_free(&O);
+    int has = queries_alloc(&O.queries, min_size, np, upper) < 0
+                  ? -1
+                  : orbit_node(&O, O.rows, np, cand, 1, upper, 0, &size, &found);
+    PyMem_Free(O.rows);
+    queries_free(&O.queries);
+    if (has < 0)
         return NULL;
-    }
-    orbits_free(&O);
     if (!has)
         return Py_BuildValue("(iO)", upper, Py_None);
     return Py_BuildValue("(LK)", size, (unsigned long long)found);
@@ -1021,8 +965,8 @@ static PyMethodDef methods[] = {
      "this module's min_hitting_size is answered without a Python call."},
     {"orbit_min_size", (PyCFunction)(void (*)(void))orbit_min_size,
      METH_VARARGS | METH_KEYWORDS,
-     "Least size below upper of forced plus candidates hitting every mask, by orbital\n"
-     "branching.\n\n"
+     "Least size below upper of a hitting set holding vertex 0 on a product of cliques,\n"
+     "by orbital branching.\n\n"
      "Same contract and leaf queries as `_bb_py.orbit_min_size`; min_size None or\n"
      "this module's min_hitting_size is answered without a Python call."},
     {"product_pair_masks", (PyCFunction)(void (*)(void))product_pair_masks,

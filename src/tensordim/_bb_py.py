@@ -74,12 +74,10 @@ every mask v leaves unhit, so the query would succeed: v is taken without
 it.  A v below min(comp) is queried as before; the members of comp below
 the scan hit nothing pending, so dropping them leaves a completion.  Every
 step therefore takes the same v as the plain loop.  The completion move
-and the failure carry (below) are tried first, and a query's instance (the
-masks v misses, restricted to the candidates above v and de-duplicated)
-is built only when the query is asked.  Each step ends by checking the
-completion it hands on against the masks still pending, so a kernel that
-returns a wrong witness raises AssertionError instead of yielding a set
-that is not the least.
+and the failure carry (below) are tried first, and a query is asked only
+when they fail.  Each step ends by checking the completion it hands on
+against the masks still pending, so a kernel that returns a wrong witness
+raises AssertionError instead of yielding a set that is not the least.
 
 On a product of cliques K_{m_1} x ... x K_{m_t}, given by its `sizes`,
 the loop answers more queries without asking them, by the product's
@@ -104,7 +102,9 @@ step runs per vertex.
 sigma maps the pair masks onto themselves, so a set completes P exactly
 when its image does (sigma(P + C) = P + sigma(C)), given that `masks` are
 the product's pair masks and `cand_mask` holds every id from its least
-one up, as on the solver's product route.  Two implications follow:
+one up, as on the solver's product route.  The loop checks the second up
+front: with `sizes`, a nonempty `cand_mask` with cand + lowbit(cand) !=
+2**n raises ValueError.  Two implications follow:
 
 - Completion move.  The scan reaches v below c = min(comp).  If sigma
   sends c to v, sigma(comp) holds v, lies above v with that one exception,
@@ -119,17 +119,24 @@ one up, as on the solver's product route.  Two implications follow:
 Both keep the v of every step, so the result is unchanged.
 
 `orbit_min_size` is the size search of a product of cliques with orbital
-branching (the `solver` docstring gives the argument).  A node branches
-on the orbits of the pointwise stabilizer of its forced vertices, read off
-the value masks of its `sizes`: branch i forces the least id of orbit i and
-drops the masks it hits, and the later branches exclude the orbits
-before them.  The root (one forced vertex) branches whenever a mask is
-pending; a node below it branches while its largest orbit has
-`min_candidates` candidates and its incumbent exceeds the forced count
-by `min_budget`.  Any other node
-is a leaf: its masks are restricted to its candidates and de-duplicated,
-first occurrence kept, and handed to `min_size`, so both kernels ask
-their size search the same leaf queries.
+branching (the `solver` docstring gives the argument).  The root drops
+the masks that vertex 0 hits, forces vertex 0 and takes every other id of
+the product as a candidate, so no caller's exclusions can break the
+argument.  A node branches on the orbits of the pointwise stabilizer of
+its forced vertices, read off the value masks of its `sizes`: branch i
+forces the least id of orbit i and drops the masks it hits, and the later
+branches exclude the orbits before them.  The root branches whenever a
+mask is pending; a node below it branches while its largest orbit has
+`min_candidates` candidates and its incumbent exceeds the forced count by
+`min_budget`.  Any other node is a leaf, asked as a query.
+
+Both searches ask their size queries in one place, `_ask`: the certificate
+loop at v (the masks v misses, the candidates above v) and each orbit leaf
+(its masks, its candidates).  `_ask` restricts the masks to the
+candidates, de-duplicates them, first occurrence kept, and hands them to
+`min_size`, so both kernels ask their size search the same queries.  One
+rule reads every answer: a size below `upper` must come with a witness,
+else AssertionError.
 
 `product_pair_masks` builds the masks that `orbit_min_size` and the
 certificate loop search on a product of cliques: one per vertex pair,
@@ -314,7 +321,8 @@ def _value_masks(sizes, cand_mask: int = 0) -> list[list[int]]:
     mask is the run times a repeat.  The one check of the sizes, shared by
     the entry points, as `_bb`'s `read_sizes`: in order, each an integer
     (TypeError) of at least 2, their product n at most 64, and cand_mask
-    below 2**n (ValueError)."""
+    empty or every id of the product from its least one up, the loop's
+    contract (ValueError)."""
     checked = []
     n = 1
     for m in sizes:
@@ -325,8 +333,8 @@ def _value_masks(sizes, cand_mask: int = 0) -> list[list[int]]:
         if n > 64:
             raise ValueError("the product of the sizes exceeds 64 vertices")
         checked.append(m)
-    if cand_mask >> n:
-        raise ValueError("cand_mask holds an id outside the product")
+    if cand_mask and cand_mask + (cand_mask & -cand_mask) != 1 << n:
+        raise ValueError("cand_mask holds an id outside the product or misses one above its least")
     masks = []
     stride = n
     for m in checked:
@@ -370,6 +378,27 @@ def _value_swaps(value_masks: list[list[int]]):
     return symmetry
 
 
+def _ask(min_size, masks: list[int], skip: int, cand: int, lower: int,
+         upper: int) -> tuple[int, int | None]:
+    """The one size query of the certificate loop and the orbit search's
+    leaves: the least size below `upper` of a set of candidates in `cand`
+    hitting every mask that misses `skip`, and that set, else (upper, None).
+    `min_size` gets those masks restricted to `cand` and de-duplicated,
+    first occurrence kept, with `lower` and `upper` by keyword
+    (tdbench/tracing.py reads them by name).  An answer below `upper` with
+    no witness, or with one outside 64 bits, raises AssertionError."""
+    witness: list[int] = []
+    size = index(min_size(list(dict.fromkeys(m & cand for m in masks if not m & skip)), cand,
+                          lower=lower, upper=upper, witness=witness))
+    if size >= upper:
+        return upper, None
+    if not witness:
+        raise AssertionError("a size query succeeded without a witness")
+    if index(witness[0]) >> 64:  # nonzero for every negative value too
+        raise AssertionError("a completion does not fit in 64 bits")
+    return size, witness[0]
+
+
 def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=None,
                         completion=None, sizes=None) -> list[int] | None:
     """Lexicographically least hitting set of size <= budget, from size queries.
@@ -392,8 +421,9 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=None,
     docstring); its value swaps spare the queries they answer and never
     change the result either.
     Masks and `budget` are checked as there (`budget` as `upper`), and
-    `sizes` as by `_value_masks`; a completion or a query's witness that is
-    not a solution raises AssertionError.
+    `sizes` and `cand_mask` as by `_value_masks`; a completion or a query's
+    witness that is not a solution, or a query that succeeds without a
+    witness, raises AssertionError.
     """
     budget = _c_int(budget)
     cand_mask = _word(cand_mask)
@@ -456,13 +486,9 @@ def lex_min_hitting_set(masks, cand_mask: int, budget: int, min_size=None,
                 if any(symmetry(taken, u, v) is not None for u in failed):
                     failed.append(v)  # the failure carry
                     continue
-            rest = list(dict.fromkeys(m & later for m in pending if not m & vb))
-            # lower and upper go by keyword: tdbench/tracing.py reads them by name.
-            witness: list[int] = []
-            if min_size(rest, later, lower=need, upper=need + 1, witness=witness) <= need:
-                if not witness:
-                    raise AssertionError("a size query succeeded without a witness")
-                comp = witness[0]
+            found = _ask(min_size, pending, vb, later, need, need + 1)[1]
+            if found is not None:
+                comp = found
                 break
             failed.append(v)
         else:
@@ -501,41 +527,37 @@ def _stabilizer_orbits(value_masks: list[list[int]], forced: int, cand: int) -> 
     return orbits
 
 
-def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, sizes,
-                   min_candidates: int, min_budget: int,
+def orbit_min_size(masks, lower: int, upper: int, sizes, min_candidates: int, min_budget: int,
                    min_size=None) -> tuple[int, int | None]:
-    """Least size below `upper` of a hitting set made of the `forced` mask
-    and candidates in `cand_mask`, by orbital branching (module docstring).
+    """Least size below `upper` of a hitting set that holds vertex 0 on the
+    product of cliques of these `sizes`, by orbital branching (module
+    docstring).
 
-    `masks` are those `forced` leaves unhit on the product of cliques of
-    these `sizes`.  `lower` must be a valid lower bound; the search stops
-    once it is met.  Returns the size and such a set as a mask, or
-    (upper, None) when none is smaller.  `min_size` answers the leaves,
-    with `lower` and `upper` by keyword: this module's `min_hitting_size`
-    when None.  (The compiled search also answers its own in place.)
-    The four integers are read as C ints and the masks as 64-bit words,
-    as in `min_hitting_size`, and `sizes` as by `_value_masks`.
+    The search drops the masks that vertex 0 hits, forces it, and takes
+    every other id of the product as a candidate.  `lower` must be a valid
+    lower bound; the search stops once it is met.  Returns the size and
+    such a set as a mask, or (upper, None) when none is smaller.
+    `min_size` answers the leaves, with `lower` and `upper` by keyword:
+    this module's `min_hitting_size` when None.  (The compiled search also
+    answers its own in place.)  The four integers are read as C ints and
+    the masks as 64-bit words, as in `min_hitting_size`, and `sizes` as by
+    `_value_masks`.
     """
     lower, upper, min_candidates, min_budget = map(_c_int, (lower, upper, min_candidates,
                                                             min_budget))
-    cand_mask = _word(cand_mask)
-    forced = _word(forced)
-    value_masks = _value_masks(sizes, cand_mask)
-    masks = _words(masks)
+    value_masks = _value_masks(sizes)
+    masks = [m for m in _words(masks) if not m & 1]
     if min_size is None:
         min_size = min_hitting_size
 
     def search(masks: list[int], cand: int, forced: int, upper: int) -> tuple[int, int | None]:
         k = forced.bit_count()
-        root = k == 1
+        root = k == 1  # each level below the root forces one more vertex
         orbits = (_stabilizer_orbits(value_masks, forced, cand)
                   if masks and (root or upper - k >= min_budget) else [])
         if not orbits or not root and orbits[0].bit_count() < min_candidates:
-            witness: list[int] = []
-            # lower and upper by keyword, as in lex_min_hitting_set.
-            size = k + min_size(list(dict.fromkeys(m & cand for m in masks)), cand,
-                                lower=max(0, lower - k), upper=upper - k, witness=witness)
-            return (size, forced | witness[0]) if witness else (upper, None)
+            size, found = _ask(min_size, masks, 0, cand, max(0, lower - k), upper - k)
+            return (upper, None) if found is None else (k + size, forced | found)
         best, best_set = upper, None
         for orbit in orbits:
             # Every branch forces k + 1 vertices.
@@ -549,7 +571,7 @@ def orbit_min_size(masks, cand_mask: int, forced: int, lower: int, upper: int, s
             cand &= ~orbit
         return best, best_set
 
-    return search(masks, cand_mask, forced, upper)
+    return search(masks, (1 << prod(map(len, value_masks))) - 2, 1, upper)
 
 
 def product_pair_masks(sizes) -> list[int]:

@@ -55,7 +55,8 @@ up from `constructions.lower_bound_lines`, which is at least max(m_i) - 1
 on these products (its docstring has the one-line proof):
 
 - Some minimum resolving set contains vertex 0 (map any member to 0), so
-  the search starts from the forced set F = {0}.
+  the kernel forces vertex 0 itself: the search starts from the forced set
+  F = {0}, with every other id a candidate and nothing excluded.
 - The pointwise stabilizer of F fixes, on each axis, the values that F
   uses and permutes the others.  Its orbits on the candidates are keyed
   axis by axis: a vertex's own value where F uses it, "other" elsewhere.
@@ -264,12 +265,12 @@ def _mask(ids) -> int:
     return out
 
 
-def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper: int,
+def _orbit_min_size(masks: list[int], lower: int, upper: int,
                     sizes: tuple[int, ...]) -> tuple[int, int | None]:
-    """Least size below `upper` of a hitting set made of the `forced` mask
-    and candidates in `cand` on the product of cliques of these `sizes`;
-    `masks` are those `forced` leaves unhit.  The kernel's `orbit_min_size`
-    branches on the orbits of the pointwise stabilizer of `forced` at the
+    """Least size below `upper` of a set that holds vertex 0 and hits
+    every one of the pair `masks` of the product of cliques of these
+    `sizes`.  The kernel's `orbit_min_size` forces vertex 0, branches on
+    the orbits of the pointwise stabilizer of its forced vertices at the
     root and at nodes that pass the ORBIT_MIN_* rule, read here at each
     call, and hands every other node to the same kernel's
     `min_hitting_size` (see the module docstring).
@@ -277,8 +278,8 @@ def _orbit_min_size(masks: list[int], cand: int, forced: int, lower: int, upper:
     is smaller."""
     # min_size is looked up at each call, so a tracer wrapping it sees every
     # leaf; the compiled kernel answers its own function in place.
-    return _default_kernel.orbit_min_size(masks, cand, forced, lower, upper, sizes,
-                                          ORBIT_MIN_CANDIDATES, ORBIT_MIN_BUDGET,
+    return _default_kernel.orbit_min_size(masks, lower, upper, sizes, ORBIT_MIN_CANDIDATES,
+                                          ORBIT_MIN_BUDGET,
                                           min_size=_default_kernel.min_hitting_size)
 
 
@@ -352,9 +353,7 @@ def exact_metric_dimension(
     if not pending:
         return DimResult(len(forced), tuple(forced) if certificate else None)
     if clique_product:
-        # Nothing is forced on this route, so vertex 0 is a candidate.
-        k_rest, found = _orbit_min_size([m for m in pending if not m & 1], cand_mask & ~1, 1,
-                                        lower_bound_lines(space), seed.bit_count(),
+        k_rest, found = _orbit_min_size(pending, lower_bound_lines(space), seed.bit_count(),
                                         space.sizes)
     else:
         witness: list[int] = []

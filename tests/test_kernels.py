@@ -263,6 +263,9 @@ def test_a_wrong_witness_raises(compiled_kernel):
     # A size query whose witness does not hit the masks it was asked about,
     # and one that succeeds with no witness, on each kernel's loop.  Budget
     # 3: the first step still queries (two members to place after it).
+    # Both searches read an answer by one rule, so the orbit search's
+    # leaves refuse the silent query too (on 3x3, upper 9), and a witness
+    # outside 64 bits.
     def lying(masks, cand_mask, lower, upper, witness):
         witness.append(0)
         return lower
@@ -270,11 +273,19 @@ def test_a_wrong_witness_raises(compiled_kernel):
     def silent(masks, cand_mask, lower, upper, witness):
         return lower
 
+    def huge(masks, cand_mask, lower, upper, witness):
+        witness.append(1 << 64)
+        return lower
+
     for kernel in (_bb_py, compiled_kernel):
-        for query in (lying, silent):
+        for query in (lying, silent, huge):
             with pytest.raises(AssertionError):
                 kernel.lex_min_hitting_set([0b000011, 0b001100, 0b110000], 0b111111, 3,
                                            min_size=query)
+        for query, refusal in ((silent, "without a witness"), (huge, "64 bits")):
+            with pytest.raises(AssertionError, match=refusal):
+                kernel.orbit_min_size(kernel.product_pair_masks((3, 3)), 0, 9, (3, 3), 4, 5,
+                                      min_size=query)
 
 
 def test_a_completion_move_off_the_contract_raises(kernel):
@@ -494,13 +505,13 @@ ORBIT_PRODUCTS = sorted(set(SYMMETRIC_SIZES) | {tuple(p["sizes"]) for p in SMALL
 
 
 def orbit_roots(monkeypatch):
-    """The arguments of the symmetric size search's root call on each of
+    """The arguments of the symmetric size search's call on each of
     ORBIT_PRODUCTS, as the solver makes it; the search itself is skipped
     (nothing beats the seed, which is checked)."""
     roots = []
     with monkeypatch.context() as patched:
         patched.setattr(solver, "_orbit_min_size", lambda *args: roots.append(args) or (
-            args[4], None))
+            args[2], None))
         for sizes in ORBIT_PRODUCTS:
             factors = CliqueFactors(sizes)
             solver.exact_metric_dimension(factors, certificate=False)
@@ -512,11 +523,12 @@ def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
     # Under each rule for orbit branching, both kernels ask a logging
     # min_size the same leaf queries, in order, and return the same size
     # and set, which the compiled search also returns answering its leaves
-    # in place.  The set holds the forced vertices and hits every mask.
+    # in place.  The set holds vertex 0, lies inside the product and hits
+    # every mask.
     leaves = 0
-    for masks, cand, forced, lower, upper, sizes in orbit_roots(monkeypatch):
+    for masks, lower, upper, sizes in orbit_roots(monkeypatch):
         for rule in ORBIT_RULES:
-            args = (masks, cand, forced, lower, upper, sizes, *rule)
+            args = (masks, lower, upper, sizes, *rule)
             logs = ([], [])
             got = [kernel.orbit_min_size(*args, min_size=recording(
                 compiled_kernel.min_hitting_size, log))
@@ -525,22 +537,24 @@ def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
             assert compiled_kernel.orbit_min_size(*args) == got[0], (sizes, rule)
             size, found = got[0]
             if found is not None:
-                assert found & forced == forced and found & ~(cand | forced) == 0
+                assert found & 1 and found >> math.prod(sizes) == 0
                 assert found.bit_count() == size < upper and all(m & found for m in masks)
             leaves += len(logs[0])
     assert leaves >= len(ORBIT_PRODUCTS) * len(ORBIT_RULES)
 
 
 def test_orbit_search_checks_its_inputs(kernel):
+    # The search forces vertex 0 and drops the masks it hits (0b0101 here).
     sizes = (2, 2)  # K_2 x K_2
-    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3, sizes, 4, 5) == (2, 0b0011)
-    assert kernel.orbit_min_size([0b0110], 0b1110, 1, 2, 2, sizes, 4, 5) == (2, None)
+    assert kernel.orbit_min_size([0b0110, 0b0101], 0, 3, sizes, 4, 5) == (2, 0b0011)
+    assert kernel.orbit_min_size([0b0110], 2, 2, sizes, 4, 5) == (2, None)
+    assert kernel.orbit_min_size([0b0101], 0, 3, sizes, 4, 5) == (1, 0b0001)
     with pytest.raises(OverflowError):
-        kernel.orbit_min_size([1 << 64], 0b1110, 1, 0, 3, sizes, 4, 5)
+        kernel.orbit_min_size([1 << 64], 0, 3, sizes, 4, 5)
     with pytest.raises(OverflowError):
-        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 2 ** 31, sizes, 4, 5)
+        kernel.orbit_min_size([0b0110], 0, 2 ** 31, sizes, 4, 5)
     with pytest.raises(TypeError):
-        kernel.orbit_min_size([0b0110], 0b1110, 1, 0, 3.0, sizes, 4, 5)
+        kernel.orbit_min_size([0b0110], 0, 3.0, sizes, 4, 5)
 
 
 def test_product_pair_masks_checks_its_inputs(kernel):
@@ -557,7 +571,7 @@ def test_product_pair_masks_checks_its_inputs(kernel):
 SIZED_ENTRY_POINTS = {
     "product_pair_masks": lambda kernel, sizes, cand: kernel.product_pair_masks(sizes),
     "orbit_min_size": lambda kernel, sizes, cand: kernel.orbit_min_size(
-        [0b0110], cand, 1, 0, 3, sizes, 4, 5),
+        [0b0110], 0, 3, sizes, 4, 5),
     "lex_min_hitting_set": lambda kernel, sizes, cand: kernel.lex_min_hitting_set(
         [0b0110], cand, 2, sizes=sizes),
 }
@@ -585,7 +599,29 @@ def test_both_kernels_check_sizes_alike(compiled_kernel, entry, sizes, error):
             SIZED_ENTRY_POINTS[entry](kernel, sizes, 0b110)
 
 
-@pytest.mark.parametrize("entry", ["orbit_min_size", "lex_min_hitting_set"])
+# Only the certificate loop takes a cand_mask with the sizes.
+@pytest.mark.parametrize("entry", ["lex_min_hitting_set"])
 def test_a_candidate_outside_the_product_raises(kernel, entry):
     with pytest.raises(ValueError, match="outside the product"):
         SIZED_ENTRY_POINTS[entry](kernel, (2, 3), 1 << 6)
+
+
+@pytest.mark.parametrize("cand", [0b111101111, 0b111101110, 0b000001111, 0b110111111],
+                         ids=["no-4", "no-0-no-4", "low-ids", "no-6"])
+def test_the_loop_checks_its_candidates_are_an_up_set(kernel, cand):
+    # With sizes, the value swaps need every id of the product from the
+    # least candidate up, so the loop refuses any other candidates before
+    # it asks a query, with one message on both kernels.
+    masks = kernel.product_pair_masks((3, 3))
+    with pytest.raises(ValueError, match="outside the product or misses one above its least"):
+        kernel.lex_min_hitting_set(masks, cand, 9, sizes=(3, 3))
+
+
+def test_the_loop_takes_an_up_set_of_candidates(kernel):
+    # Every up-set of 3x3's ids passes the check: at budget 9, the least
+    # hitting set within the candidates, or None when there is none.
+    masks = kernel.product_pair_masks((3, 3))
+    for least in range(10):
+        cand = (1 << 9) - (1 << least)
+        want = kernel.lex_min_hitting_set(masks, cand, 9)
+        assert kernel.lex_min_hitting_set(masks, cand, 9, sizes=(3, 3)) == want

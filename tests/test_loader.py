@@ -7,14 +7,17 @@ importing the build's modules, an edited `_bb.c` gets a new file, and a
 missing compiler, an unwritable cache, TENSORDIM_PURE, a failed or a
 stuck build leave the pure kernel, quietly.  A failed build leaves a
 marker that spares later imports the build, until a strict load.  The
-cases need a C compiler; the `compiled_kernel` fixture skips them
-without one.
+loader captures the build's output, where a warning goes unseen, so one
+more case compiles `_bb.c` with warnings as errors.  The cases need a C
+compiler; the `compiled_kernel` fixture skips them without one.
 """
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -191,3 +194,16 @@ def test_failed_build_is_tried_again_only_when_asked(tmp_path, compiled_kernel):
                     CC=str(cc))
     assert (strict.returncode, strict.stdout, strict.stderr) == (0, "", "")
     assert starts.read_text(encoding="utf-8").splitlines() == ["start", "start"]
+
+
+def test_the_kernel_source_compiles_without_warnings(compiled_kernel):
+    # The interpreter's C compiler, with the warnings that catch a static
+    # function or variable left unused, each one an error.
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()
+    done = subprocess.run(
+        [*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-Wno-unused-parameter",
+         "-Wno-missing-field-initializers", "-I", include["include"], "-I",
+         include["platinclude"], "-c", str(ROOT / "src" / "tensordim" / "_bb.c"), "-o",
+         os.devnull], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

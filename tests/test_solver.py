@@ -253,14 +253,13 @@ def test_symmetric_search_matches_plain_search(solver_kernel, monkeypatch):
     # Every product of cliques with all factors >= 3, or with one factor
     # of size 2 in any position, and at most 30 vertices, under each rule
     # for orbit branching.  Each solve with factors takes the symmetric
-    # route, whose root call is the one with vertex 0 alone forced.
+    # route, which calls the kernel's orbit search once.
     routed = []
     orbit_min_size = solver._orbit_min_size
 
-    def spy(masks, cand, forced, lower, upper, sizes):
-        if forced == 1:
-            routed.append(tuple(sizes))
-        return orbit_min_size(masks, cand, forced, lower, upper, sizes)
+    def spy(masks, lower, upper, sizes):
+        routed.append(tuple(sizes))
+        return orbit_min_size(masks, lower, upper, sizes)
 
     monkeypatch.setattr(solver, "_orbit_min_size", spy)
     for sizes in SYMMETRIC_SIZES:
@@ -565,7 +564,7 @@ def test_products_search_between_their_proven_bounds(monkeypatch):
     # The spy skips the search: nothing beats the seed, which is checked.
     roots = []
 
-    def spy(masks, cand, forced, lower, upper, sizes):
+    def spy(masks, lower, upper, sizes):
         roots.append((lower, upper))
         return upper, None
 
