@@ -1,6 +1,6 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports the four entry points of `_bb_py` and mirrors each step for step.
+ * Exports the five entry points of `_bb_py` and mirrors each step for step.
  * min_hitting_size(masks, cand_mask, lower, upper, witness=None) is the
  * least number of cand_mask bits hitting every mask, or upper when nothing
  * below it exists, stopping early once lower is met.  When witness is a
@@ -9,6 +9,9 @@
  * for rule: same contract, same branching order, same forced picks, packing
  * bound, last-pick and two-pick rules, same results and witnesses, and the
  * same OverflowError for a mask outside 64 bits.
+ * greedy_completion(masks, cand_mask) is the solver's greedy upper seed:
+ * the same bit-sliced counters, the same picks in the same order, and the
+ * same ValueError for a mask with no candidate.
  * lex_min_hitting_set(masks, cand_mask, budget, min_size=None,
  * completion=None, sizes=None) is the certificate loop: the same
  * one- and two-member settles, completion take, completion move, failure
@@ -34,6 +37,8 @@
  * axis of size 2.  The three read their sizes with one `read_sizes`, with
  * `_bb_py._value_masks`'s checks and errors.  See `_bb_py` for the
  * algorithms and the argument for each rule.
+ * The size search's two bit-counting functions, size_dfs and
+ * packing_bound, carry a POPCNT clone picked at load time (POPCNT_CLONES).
  * Masks are plain 64-bit words, so every search stays within 64 candidate
  * bits; recursion depth is therefore at most 64 and each level owns one
  * row of pending masks in a preallocated workspace (the orbit search has
@@ -55,6 +60,20 @@ typedef struct {
 } Workspace;
 
 static inline int popcount(uint64_t x) { return __builtin_popcountll(x); }
+
+/* The two functions that count bits per pending mask per node get a POPCNT
+ * clone beside the default one, picked at load time by an ifunc, so a CPU
+ * without POPCNT still runs the default clone.  Only GCC and Clang on
+ * x86-64 glibc (ELF with ifunc) get them; elsewhere the functions stay
+ * plain, and no build needs -mpopcnt. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef POPCNT_CLONES
+#define POPCNT_CLONES
+#endif
 
 static int as_u64(PyObject *obj, uint64_t *out)
 {
@@ -118,6 +137,7 @@ static int ws_alloc(Workspace *ws, Py_ssize_t cap, int depth_cap)
 
 /* Greedy disjoint packing over masks restricted to avail, visited in
  * ascending popcount (stable within equal counts) via counting sort. */
+POPCNT_CLONES
 static int packing_bound(Workspace *ws, const uint64_t *pending, Py_ssize_t np,
                          uint64_t avail)
 {
@@ -154,6 +174,20 @@ static Py_ssize_t drop_hit(const uint64_t *pending, Py_ssize_t np, uint64_t bit,
     return keep;
 }
 
+/* A new list of the count ids in ids; NULL on error. */
+static PyObject *id_list(const int *ids, int count)
+{
+    PyObject *out = PyList_New(count);
+    for (int i = 0; out != NULL && i < count; i++) {
+        PyObject *v = PyLong_FromLong(ids[i]);
+        if (v == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
 typedef struct {
     Workspace *ws;
     int best;
@@ -161,6 +195,7 @@ typedef struct {
     int lower;
 } SizeSearch;
 
+POPCNT_CLONES
 static void size_dfs(SizeSearch *s, int count, uint64_t chosen, uint64_t avail,
                      uint64_t *pending, Py_ssize_t np, int depth)
 {
@@ -318,6 +353,58 @@ static PyObject *min_hitting_size(PyObject *self, PyObject *args, PyObject *kwar
         Py_DECREF(set);
     }
     return PyLong_FromLong(best);
+}
+
+static char *greedy_kwlist[] = {"masks", "cand_mask", NULL};
+
+static PyObject *greedy_completion(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *masks, *cand_obj;
+    uint64_t cand;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:greedy_completion", greedy_kwlist, &masks,
+                                     &cand_obj)
+        || as_u64(cand_obj, &cand) < 0)
+        return NULL;
+    Py_ssize_t np;
+    uint64_t *pending = read_u64s(masks, &np);
+    if (pending == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < np; i++) {
+        pending[i] &= cand;
+        if (pending[i] == 0) {
+            PyMem_Free(pending);
+            PyErr_SetString(PyExc_ValueError, "a mask has no candidate resolver");
+            return NULL;
+        }
+    }
+    int picks[MAX_BITS], count = 0;
+    while (np > 0) {
+        /* Bit-sliced counters: bit w of levels[i] is bit i of the number of
+         * pending masks holding w.  Adding a mask ripples its carries up. */
+        uint64_t levels[MAX_BITS];
+        int height = 0;
+        for (Py_ssize_t i = 0; i < np; i++) {
+            uint64_t m = pending[i];
+            int h = 0;
+            for (; h < height && m; h++) {
+                uint64_t level = levels[h];
+                levels[h] = level ^ m;
+                m &= level;
+            }
+            if (m)
+                levels[height++] = m;
+        }
+        /* The largest count, read from the top level down, and its least id. */
+        uint64_t best = cand;
+        for (int h = height - 1; h >= 0; h--)
+            if (best & levels[h])
+                best &= levels[h];
+        uint64_t wb = best & -best;
+        picks[count++] = __builtin_ctzll(wb);
+        np = drop_hit(pending, np, wb, pending);
+    }
+    PyMem_Free(pending);
+    return id_list(picks, count);
 }
 
 /* A hash set of masks that de-duplicates one list at a time, first
@@ -730,14 +817,7 @@ static PyObject *lex_min_hitting_set(PyObject *self, PyObject *args, PyObject *k
             goto cleanup;
     }
 done:
-    out = PyList_New(members);
-    for (int i = 0; out != NULL && i < members; i++) {
-        PyObject *v = PyLong_FromLong(prefix[i]);
-        if (v == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, i, v);
-    }
+    out = id_list(prefix, members);
     goto cleanup;
 none:
     out = Py_NewRef(Py_None);
@@ -958,6 +1038,10 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Smallest number of candidate bits hitting every mask, capped at upper.\n\n"
      "Same contract as `_bb_py.min_hitting_size`."},
+    {"greedy_completion", (PyCFunction)(void (*)(void))greedy_completion,
+     METH_VARARGS | METH_KEYWORDS,
+     "Greedy hitting set from the candidates, in pick order.\n\n"
+     "Same contract and picks as `_bb_py.greedy_completion`."},
     {"lex_min_hitting_set", (PyCFunction)(void (*)(void))lex_min_hitting_set,
      METH_VARARGS | METH_KEYWORDS,
      "Lexicographically least hitting set of size <= budget, from size queries.\n\n"

@@ -2,11 +2,11 @@
 
 Each pair of vertices that must be told apart contributes one mask of
 "resolver" bits; a solution is a set of vertex bits hitting every mask.
-All masks fit one machine word (at most 64 vertices).  The four entry
-points, `min_hitting_size`, `lex_min_hitting_set`, `orbit_min_size` and
-`product_pair_masks`, are the reference that the compiled module `_bb`
-mirrors step for step, with the same contracts, and stand in for it when
-the extension is unavailable.  `min_hitting_size`
+All masks fit one machine word (at most 64 vertices).  The five entry
+points, `min_hitting_size`, `greedy_completion`, `lex_min_hitting_set`,
+`orbit_min_size` and `product_pair_masks`, are the reference that the
+compiled module `_bb` mirrors step for step, with the same contracts, and
+stand in for it when the extension is unavailable.  `min_hitting_size`
 runs branch and bound: branch on the pending mask with the fewest
 resolvers (candidates in ascending id, with sibling exclusion so no
 subset is explored twice), propagate forced single-resolver picks, and
@@ -45,6 +45,16 @@ node records chosen (a node with nothing pending), chosen plus the least
 vertex of the last pick's AND, or chosen plus w and the least vertex of
 w's AND (the two-pick pass): the vertices branching would take first.  So
 a caller's `witness` list receives a solution of the returned size.
+
+`greedy_completion` is the solver's upper seed: it takes the candidate
+in the most masks still unhit, repeats counted, lowest id on ties, until
+every mask is hit, and returns the picks in order.  Each pick counts
+with bit-sliced counters: level i holds bit i of every candidate's count
+as one word, a mask is added by rippling its carries up the levels, and
+the largest count is read from the top level down, keeping the
+candidates set at each level where any is, so its least id is the
+lowest on ties.  A pick costs a few word operations per pending mask,
+not one per mask bit.
 
 `lex_min_hitting_set`, the certificate loop, builds a solution within a
 budget from size queries to a kernel's `min_hitting_size`: it
@@ -304,6 +314,41 @@ def min_hitting_size(masks, cand_mask: int, lower: int, upper: int, witness=None
     if witness is not None and best < upper:
         witness.append(best_set)
     return best
+
+
+def greedy_completion(masks, cand_mask: int) -> list[int]:
+    """A greedy hitting set from the candidates, in pick order: each pick is
+    the candidate in the most masks still unhit, repeats counted, lowest id
+    on ties (module docstring).  A mask with no candidate raises ValueError;
+    a mask or `cand_mask` outside [0, 2**64) raises OverflowError and a
+    non-integer one TypeError, as in `min_hitting_size`.
+    """
+    cand_mask = _word(cand_mask)
+    pending = [m & cand_mask for m in _words(masks)]
+    if not all(pending):
+        raise ValueError("a mask has no candidate resolver")
+    picks = []
+    while pending:
+        # Bit-sliced counters: bit w of levels[i] is bit i of the number of
+        # pending masks holding w.  Adding a mask ripples its carries up.
+        levels: list[int] = []
+        for m in pending:
+            for i, level in enumerate(levels):
+                levels[i] = level ^ m
+                m &= level
+                if not m:
+                    break
+            else:
+                levels.append(m)
+        # The largest count, read from the top level down, and its least id.
+        best = cand_mask
+        for level in reversed(levels):
+            if best & level:
+                best &= level
+        wb = best & -best
+        picks.append(wb.bit_length() - 1)
+        pending = [m for m in pending if not m & wb]
+    return picks
 
 
 def _checked_completion(comp: int, pending: list[int], cand_mask: int, size: int) -> int:

@@ -21,7 +21,7 @@ its error, beside where the extension would go, and a later `load()` for
 the same `_bb.c` falls back at once instead of building again.
 `load(strict=True)` ignores that marker and builds, and raises
 RuntimeError, with the compiler's output, for any failure but a missing
-compiler.  The compiled module carries the four kernel entry points of
+compiler.  The compiled module carries the five kernel entry points of
 `_bb_py`.
 """
 

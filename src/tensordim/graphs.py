@@ -14,12 +14,17 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported where a distance table is built or read, so a product
+# of cliques handled in coordinate space never loads it.
 
 # Unreachable sentinel in distance tables.  It is the maximal value of the
-# storage dtype and is never used in arithmetic, only in comparisons.
-INF = int(np.iinfo(np.uint16).max)
+# uint16 storage dtype and is never used in arithmetic, only in comparisons.
+INF = 65535
 # all_pairs_distances folds its held BFS layers into the table before they
 # would unpack past this many bytes.
 BFS_FOLD_BYTES = 1 << 22
@@ -158,6 +163,8 @@ class CliqueFactors:
 
     def coordinates(self) -> np.ndarray:
         """(vertex_count, t) array whose row v is coords_of(v)."""
+        import numpy as np
+
         grid = np.unravel_index(np.arange(self.vertex_count), self.sizes)
         return np.stack(grid, axis=1).astype(np.int32)
 
@@ -168,6 +175,8 @@ class DistanceMatrix:
     __slots__ = ("values", "connected")
 
     def __init__(self, values: np.ndarray):
+        import numpy as np
+
         values = np.ascontiguousarray(values, dtype=np.uint16)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("distance table must be square")
@@ -247,6 +256,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     take 20-45x less time.  A path is the worst case of a level-synchronous
     BFS: one on 1000 vertices takes about 2.5x as long (0.6 s).
     """
+    import numpy as np
+
     n = g.n
     nbrs = [tuple(g.neighbors(v)) for v in range(n)]
     width = (n + 7) // 8
@@ -287,6 +298,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 def _count_bits(layers: list[bytes], n: int, width: int) -> np.ndarray:
     """(n, n) uint8 count of the (at most 255) layers that set each bit; a
     layer holds n rows of `width` bytes, least significant bit first."""
+    import numpy as np
+
     packed = np.frombuffer(b"".join(layers), dtype=np.uint8).reshape(len(layers), n, width)
     bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
     return bits.sum(axis=0, dtype=np.uint8)
@@ -303,6 +316,8 @@ def clique_distance_columns(factors: CliqueFactors, cols: Sequence[int]) -> np.n
     rule with BFS on the materialized graph.  Disconnected products (two or
     more factors of size 2) are sliced from their BFS table.
     """
+    import numpy as np
+
     cols = np.asarray(cols, dtype=np.intp)
     if not factors.connected:
         return all_pairs_distances(tensor_of_cliques(factors)).values[:, cols]
@@ -327,6 +342,46 @@ def clique_distance_columns(factors: CliqueFactors, cols: Sequence[int]) -> np.n
         table += (share & differ).reshape(n, k)
     table[cols, np.arange(k)] = 0
     return table
+
+
+def clique_resolving_keys(factors: CliqueFactors, w: Sequence[int]) -> list[int]:
+    """One int per vertex of a connected product of cliques, equal for two
+    vertices exactly when their distance vectors to the members `w` agree.
+
+    By the rule of clique_distance_columns, a non-member v is at distance 1
+    from the members it differs from on every axis, and at distance 2 from
+    the others, or 3 from those it differs from on the size-2 axis.  So
+    its vector is fixed by S(v), the bitset of the members that share a
+    coordinate with it (the OR of one member bitset per value of v), and,
+    when S(v) is not empty, by its value on the size-2 axis.  The vector
+    gives both back: bit j of S(v) is set when the distance to w[j] is not
+    1, and then that distance is 3 exactly when v's size-2 value differs
+    from w[j]'s.  So a non-member's key is S(v), plus a tag bit above the
+    member bits for value 1 on the size-2 axis when S(v) is not empty.  A
+    member is the one vertex at distance 0 from itself, so member j gets
+    the key -1 - j, which no other vertex has.
+    """
+    if not factors.connected:
+        raise ValueError("the distance rule needs a connected product")
+    k = len(w)
+    coords = [factors.coords_of(v) for v in w]
+    keys = [0]
+    for axis, m in enumerate(factors.sizes):
+        bits = [0] * m
+        for j, c in enumerate(coords):
+            bits[c[axis]] |= 1 << j
+        if m == 2:
+            bits[1] |= 1 << k
+        # Row-major: the new axis varies fastest.
+        keys = [key | b for key in keys for b in bits]
+    if 2 in factors.sizes:
+        # A vertex that shares no coordinate with a member is at distance 1
+        # from all of them, whatever its size-2 value.
+        low = (1 << k) - 1
+        keys = [key if key & low else 0 for key in keys]
+    for j, v in enumerate(w):
+        keys[v] = -1 - j
+    return keys
 
 
 def tensor_clique_distances(factors: CliqueFactors) -> DistanceMatrix:

@@ -3,13 +3,17 @@ coordinate projections, and the `DimResult` of the solvers and the closed form."
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index
 
-import numpy as np
-
-from .graphs import CliqueFactors, DistanceMatrix, clique_distance_columns
+from .graphs import (
+    CliqueFactors,
+    DistanceMatrix,
+    clique_distance_columns,
+    clique_resolving_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,13 @@ def is_resolving(
 ) -> bool | UnresolvedPair:
     """True when all representations are distinct, else the least bad pair.
 
-    `dist` is a distance table, or the factors of a product of cliques, whose
-    n x |W| representation then comes from coordinates with no n x n table.
-    The certificate is the lexicographically least unresolved pair (x, y):
-    x is the smallest vertex involved in any collision and y the smallest
-    vertex sharing x's representation.
+    `dist` is a distance table, or the factors of a product of cliques.  A
+    connected product is checked on one int key per vertex
+    (`graphs.clique_resolving_keys`), with no distance read at all; a
+    disconnected one on its representation columns, sliced from its BFS
+    table.  The certificate is the lexicographically least unresolved pair
+    (x, y): x is the smallest vertex involved in any collision and y the
+    smallest vertex sharing x's representation.
     """
     n = dist.n
     w = check_vertex_set(n, wset)
@@ -89,9 +95,18 @@ def is_resolving(
     if not w:
         return UnresolvedPair(0, 1)
     if isinstance(dist, CliqueFactors):
+        if dist.connected:
+            keys = clique_resolving_keys(dist, w)
+            if len(set(keys)) == n:
+                return True
+            count = Counter(keys)
+            x = next(v for v, key in enumerate(keys) if count[key] > 1)
+            return UnresolvedPair(x, keys.index(keys[x], x + 1))
         reps = clique_distance_columns(dist, w)
     else:
         reps = dist.values[:, w]
+    import numpy as np
+
     # One fixed-width byte string per row.  A stable sort puts equal rows
     # next to each other in ascending vertex order, so the least colliding
     # vertex x heads its run and the next vertex in the run is y.

@@ -17,14 +17,18 @@ starts from a solution of size k that the solver already holds: the size
 search's witness when it beat the upper seed, else that seed.  The upper
 seed is the paper's construction on a product of two cliques, which is
 optimal and is checked only at the end (below), and otherwise the forced
-vertices (below) plus a greedy completion.  A query that such a solution
-answers is skipped (the `_bb_py` docstring gives the argument), so the
-certificate is unchanged.  Every instance the kernel searches (the
-root, each symmetric branch that stops, each certificate query) has its
-masks restricted to that instance's candidates and de-duplicated, first
-occurrence kept: by the solver for the plain root, and by the kernel
-itself for the others and for a product's pair masks, in the same order
-on both kernels, so both search the same input and branch the same way.
+vertices (below) plus a greedy completion, which the same kernel's
+`greedy_completion` builds: the candidate in the most pending masks,
+repeats counted, lowest id on ties, until every mask is hit.  (tdbench
+traces it through `_greedy_completion`, kept as a one-line call.)  A
+query that such a solution answers is skipped (the `_bb_py` docstring
+gives the argument), so the certificate is unchanged.  Every instance
+the kernel searches (the root, each symmetric branch that stops, each
+certificate query) has its masks restricted to that instance's
+candidates and de-duplicated, first occurrence kept: by the solver for
+the plain root, and by the kernel itself for the others and for a
+product's pair masks, in the same order on both kernels, so both search
+the same input and branch the same way.
 Plain subset enumeration, `exhaustive_metric_dimension`, stays as the
 reference: it visits k-subsets in lexicographic order and therefore
 returns the same certificate.
@@ -110,13 +114,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _bb_py, _loader
 from .constructions import _two_factor_hint, lower_bound_lines
 from .graphs import CliqueFactors, DistanceMatrix, tensor_clique_distances
 from .metric import DimResult, is_resolving
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _default_kernel = _loader.solver_kernel()
 
@@ -136,6 +142,8 @@ def kernel_name() -> str:
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """`np.triu_indices(n, k=1)`, the pairs x < y in the order of
     `itertools.combinations(range(n), 2)`, built once per n and read-only."""
+    import numpy as np
+
     xs, ys = np.triu_indices(n, k=1)
     xs.flags.writeable = ys.flags.writeable = False
     return xs, ys
@@ -148,6 +156,8 @@ def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
     n = dist.n
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"pair table supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
+    import numpy as np
+
     d = dist.values
     xs, ys = _pair_index(n)
     # Bit w of a pair's mask is column w of its row of differences: pack the
@@ -168,6 +178,8 @@ def _twin_classes(n: int, pair_masks: np.ndarray) -> list[list[int]]:
     twins of its least vertex: the least x in a twin pair with y names
     y's class.
     """
+    import numpy as np
+
     one = np.uint64(1)
     # Clearing the two lowest bits, x and y, leaves nothing on a twin pair.
     rest = pair_masks & (pair_masks - one)
@@ -197,6 +209,8 @@ def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
     n = dist.n
     if n == 0:
         return []
+    import numpy as np
+
     span = int(dist.values.max()) + 1
     # Keys class * span + distance stay below n * span.
     key_type = np.min_scalar_type(n * span)
@@ -244,18 +258,9 @@ def exhaustive_metric_dimension(dist: DistanceMatrix) -> DimResult:
 
 def _greedy_completion(pending: list[int], cand_mask: int) -> list[int]:
     """A greedy hitting set for the reduced instance (upper seed), in pick
-    order: take the candidate in the most pending masks, lowest id on ties."""
-    words = np.array(pending, dtype="<u8") & np.uint64(cand_mask)
-    # bits[k, w]: candidate w hits pending mask k.
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    if not bits.any(axis=1).all():
-        raise ValueError("a pending mask has no candidate resolver")
-    picks = []
-    while len(bits):
-        w = int(bits.sum(axis=0).argmax())
-        bits = bits[bits[:, w] == 0]
-        picks.append(w)
-    return picks
+    order: the kernel's `greedy_completion` takes the candidate in the most
+    pending masks, repeats counted, lowest id on ties."""
+    return _default_kernel.greedy_completion(pending, cand_mask)
 
 
 def _mask(ids) -> int:

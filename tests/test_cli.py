@@ -1,6 +1,9 @@
 """End-to-end behavior of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +12,8 @@ import pytest
 from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
 from tensordim import cli, constructions, graphs, metric, solver
 from tensordim.cli import main
+
+from conftest import ROOT
 
 
 def run(capsys, *argv):
@@ -479,3 +484,52 @@ def test_reused_parser_matches_fresh_parsers(capsys):
     assert cli._build_parser.cache_info().misses == 1
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [2, 0, 1]
+
+
+# Run in a fresh interpreter: imports tensordim.cli, runs each command and
+# names the first step after which numpy is loaded, else prints "none".
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return "numpy" in sys.modules
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
+
+import tensordim.cli as cli
+steps = [("import tensordim.cli", loaded())]
+for sizes in ("3,4", "3,3,4", "2,3,4"):
+    rc, _ = run("dim", "--tensor", sizes, "--exact")
+    steps.append(("dim --exact " + sizes, rc != 0 or loaded()))
+rc, out = run("construct", "--tensor", "40,40")
+ids = json.loads(out)["resolving_set_ids"]
+steps.append(("construct 40,40", rc != 0 or loaded()))
+rc, _ = run("verify", "--tensor", "40,40", "--set", json.dumps(ids))
+steps.append(("verify the set", rc != 0 or loaded()))
+rc, _ = run("verify", "--tensor", "40,40", "--set", json.dumps(ids[1:]))
+steps.append(("verify the set minus one member", rc != 1 or loaded()))
+rc, _ = run("bounds", "--tensor", "3,3,4", "--exact-up-to", "64")
+steps.append(("bounds 3,3,4", rc != 0 or loaded()))
+rc, _ = run("table", "--max-m", "4", "--max-n", "6", "--exact-up-to", "12")
+steps.append(("table", rc != 0 or loaded()))
+print(next((name for name, bad in steps if bad), "none"))
+"""
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["compiled", "pure"])
+def test_product_commands_load_no_numpy(pure):
+    # A product of cliques is solved and checked in coordinate space, so
+    # none of these commands needs numpy, which is loaded only where a
+    # distance table is built or read.
+    env = {k: v for k, v in os.environ.items() if k != "TENSORDIM_PURE"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if pure:
+        env["TENSORDIM_PURE"] = "1"
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "none"

@@ -8,6 +8,7 @@ size search, and the compiled loop and orbit search must ask the
 reference's queries and leaves, in order.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -25,8 +26,8 @@ from tensordim.graphs import CliqueFactors, tensor_clique_distances
 from tensordim.metric import DimResult
 from tensordim.solver import build_pair_table
 
-from conftest import ROOT, oracle_min_hitting
-from test_solver import ORBIT_RULES, SYMMETRIC_SIZES
+from conftest import ROOT, oracle_greedy_completion, oracle_min_hitting
+from test_solver import ORBIT_RULES, SYMMETRIC_SIZES, connected_products
 
 
 @pytest.fixture(params=["_bb_py", "_bb"])
@@ -160,6 +161,50 @@ def test_full_64_bit_words_are_accepted(kernel):
     top = (1 << 64) - 1
     assert kernel.min_hitting_size([top, 1 << 63], top, 0, 3) == 1
     assert lex(kernel, [top, 1 << 63], top, 1) == [63]
+
+
+@functools.cache
+def greedy_cases():
+    """(masks, cand_mask, the oracle's picks): random mask lists with
+    repeats, on every candidate and on a restricted cand_mask (each mask
+    keeps a candidate, so no error), and the distinct pair masks of every
+    connected product up to 64 vertices, whose symmetry makes ties common."""
+    rng = random.Random(30)
+    cases = []
+    for _ in range(300):
+        nbits = rng.randrange(1, 65)
+        masks = random_instance(rng, nbits, rng.randrange(0, 40))
+        masks += rng.choices(masks, k=rng.randrange(len(masks) + 1)) if masks else []
+        cand = (1 << nbits) - 1
+        if rng.random() < 0.5:
+            cand &= rng.getrandbits(nbits)
+            masks = [m for m in masks if m & cand]
+        rng.shuffle(masks)
+        cases.append((masks, cand))
+    products = connected_products()
+    assert len(products) == 103
+    cases += [(_bb_py.product_pair_masks(sizes), (1 << math.prod(sizes)) - 1)
+              for sizes in products]
+    return [(masks, cand, oracle_greedy_completion(masks, cand)) for masks, cand in cases]
+
+
+def test_greedy_completion_matches_the_oracle(kernel, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for masks, cand, want in greedy_cases():
+        assert kernel.greedy_completion(masks, cand) == want
+
+
+def test_greedy_completion_checks_its_inputs(kernel):
+    with pytest.raises(ValueError, match="no candidate"):
+        kernel.greedy_completion([0b011, 0b100], 0b011)
+    assert kernel.greedy_completion([], 0) == []
+    top = (1 << 64) - 1
+    assert kernel.greedy_completion([top, 1 << 63], top) == [63]
+    for masks, cand in [([1 << 64], 1), ([1], -1), ([-1], 1), ([1], 1 << 64)]:
+        with pytest.raises(OverflowError):
+            kernel.greedy_completion(masks, cand)
+    with pytest.raises(TypeError):
+        kernel.greedy_completion([1.0], 1)
 
 
 def test_lex_solution_matches_exhaustive_oracle(kernel):
@@ -465,6 +510,7 @@ def test_both_loops_ask_the_same_queries_on_the_small_products(compiled_kernel, 
         kernel = SimpleNamespace(
             lex_min_hitting_set=loop, orbit_min_size=compiled_kernel.orbit_min_size,
             product_pair_masks=compiled_kernel.product_pair_masks,
+            greedy_completion=compiled_kernel.greedy_completion,
             min_hitting_size=recording(compiled_kernel.min_hitting_size, logs[-1]))
         monkeypatch.setattr(solver, "_default_kernel", kernel)
         solve_small_products()

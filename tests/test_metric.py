@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensordim import (
@@ -145,13 +145,21 @@ def test_reported_pair_is_lex_least_genuine_collision():
     assert representation(dist, 1, [0, 4]) == representation(dist, 3, [0, 4])
 
 
+# Resolving sets in which member 1 (3x3: (0, 1)) or member 0 (2x3: (0, 0))
+# shares a coordinate with the same members as non-member 2 ((0, 2)), with
+# the same value on the size-2 axis: only the members' own keys tell them
+# apart.
+MEMBER_LIKE_A_NON_MEMBER = [((3, 3), [0, 1, 3]), ((2, 3), [0, 1])]
+
+
 def test_coordinate_check_matches_table_check(rng):
-    for sizes in [(2, 5), (3, 4), (5, 7), (3, 3, 3), (2, 3, 4)]:
+    for sizes in [(2, 3), (2, 5), (3, 4), (5, 7), (3, 3, 3), (2, 3, 4), (2, 40), (7,), (2,)]:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         n = f.vertex_count
-        sets = [[]] + [rng.sample(range(n), rng.randrange(1, min(n, 14) + 1))
-                       for _ in range(60)]
+        sets = [[], list(range(n))] + [rng.sample(range(n), rng.randrange(1, min(n, 14) + 1))
+                                       for _ in range(60)]
+        sets += [w for s, w in MEMBER_LIKE_A_NON_MEMBER if s == sizes]
         for w in sets:
             by_coords, by_table = is_resolving(f, w), is_resolving(dist, w)
             assert bool(by_coords) == bool(by_table)
@@ -255,6 +263,16 @@ def test_swap_witness_rejects_bad_sets():
         swap_witness([0, 9], f)
 
 
+def product_case(sizes, w):
+    """(factors, oracle distance table, w) for a product of cliques."""
+    n = math.prod(sizes)
+    coords = list(itertools.product(*map(range, sizes)))
+    # Adjacent exactly when they differ in every coordinate.
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if all(a != b for a, b in zip(coords[u], coords[v]))]
+    return CliqueFactors(tuple(sizes)), oracle_bfs(n, edges), w
+
+
 @st.composite
 def probe_cases(draw):
     """(space, table, w): a graph of at most 12 vertices (several components
@@ -265,22 +283,27 @@ def probe_cases(draw):
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
             lambda e: e[0] != e[1])
         edges = draw(st.lists(pair, max_size=3 * n)) if n > 1 else []
-        space = all_pairs_distances(Graph(n, edges))
-    else:
-        sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4).filter(
-            lambda s: math.prod(s) <= 40))
-        space = CliqueFactors(tuple(sizes))
-        n = space.vertex_count
-        coords = list(itertools.product(*map(range, sizes)))
-        # Adjacent exactly when they differ in every coordinate.
-        edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
-                 if all(a != b for a, b in zip(coords[u], coords[v]))]
-    w = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    return space, oracle_bfs(n, edges), w
+        w = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        return all_pairs_distances(Graph(n, edges)), oracle_bfs(n, edges), w
+    sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4).filter(
+        lambda s: math.prod(s) <= 40))
+    n = math.prod(sizes)
+    return product_case(sizes, draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(probe_cases())
+# (0, 1) and (1, 0) share a coordinate with both members of {(0, 0), (1, 1)}
+# and differ on the size-2 axis: (2, 3) against (3, 2).
+@example(product_case((2, 3), [0, 4]))
+@example(product_case((2, 3, 4), [0, 5, 11, 14, 22]))
+@example(product_case((2, 40), [0, 3, 41, 77, 78]))
+@example(product_case((2, 40), list(range(1, 40))))
+@example(product_case((6,), [2, 4]))
+@example(product_case((3, 4), []))
+@example(product_case((2, 3, 4), list(range(24))))
+@example(product_case(*MEMBER_LIKE_A_NON_MEMBER[0]))
+@example(product_case(*MEMBER_LIKE_A_NON_MEMBER[1]))
 def test_is_resolving_matches_the_oracle(case):
     # Both input types: the verdict, and on failure the least unresolved
     # pair, are those of the plain per-vertex representation scan.

@@ -70,6 +70,17 @@ def test_pair_table_masks_encode_resolvers(rng):
             assert x in resolvers and y in resolvers
 
 
+def connected_products():
+    """`benchmarks/check_products.py`'s list of every connected product of
+    two or more cliques up to 64 vertices; callers keep the script's
+    bytecode unwritten (`sys.dont_write_bytecode`)."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_check_products", ROOT / "benchmarks" / "check_products.py")
+    check_products = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_products)
+    return check_products.connected_products()
+
+
 def test_product_pair_masks_are_the_pair_table(compiled_kernel, monkeypatch):
     # Every connected product of two or more cliques with at most 64
     # vertices, those with a size-2 axis included: the masks each kernel
@@ -77,11 +88,7 @@ def test_product_pair_masks_are_the_pair_table(compiled_kernel, monkeypatch):
     # distance table, which tests/test_graphs.py ties to BFS, in the same
     # order, first occurrence kept.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "benchmarks_check_products", ROOT / "benchmarks" / "check_products.py")
-    check_products = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_products)
-    products = check_products.connected_products()
+    products = connected_products()
     assert len(products) == 103 and any(2 in sizes for sizes in products)
     for sizes in products:
         f = CliqueFactors(sizes)
