@@ -65,10 +65,14 @@ static inline int popcount(uint64_t x) { return __builtin_popcountll(x); }
  * clone beside the default one, picked at load time by an ifunc, so a CPU
  * without POPCNT still runs the default clone.  Only GCC and Clang on
  * x86-64 glibc (ELF with ifunc) get them; elsewhere the functions stay
- * plain, and no build needs -mpopcnt. */
+ * plain, and no build needs -mpopcnt.  A build with POPCNT_CLONES defined
+ * (-DPOPCNT_CLONES= gives the plain functions) keeps that definition, so a
+ * POPCNT host can build and test the default clone's code alone. */
+#ifndef POPCNT_CLONES
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#endif
 #endif
 #endif
 #ifndef POPCNT_CLONES

@@ -28,17 +28,23 @@ INF = 65535
 # all_pairs_distances folds its held BFS layers into the table before they
 # would unpack past this many bytes.
 BFS_FOLD_BYTES = 1 << 22
+# The neighbours of every vertex that has none.
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 
 class Graph:
-    """Immutable undirected simple graph on vertices 0..n-1."""
+    """Immutable undirected simple graph on vertices 0..n-1.
+
+    Only the vertices that have neighbours hold a neighbour set, so a large
+    vertex count with few edges costs memory by its edges, not by n.
+    """
 
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
@@ -47,43 +53,48 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = {v: frozenset(s) for v, s in adj.items()}
 
     @classmethod
-    def _from_sets(cls, n: int, neighbours: Iterable[Iterable[int]]) -> Graph:
-        """The graph whose vertex v has the v-th of `neighbours` as its
-        neighbours, taken as checked: n of them, symmetric, in range and
-        loop-free."""
+    def _from_sets(cls, n: int, neighbours: dict[int, Iterable[int]]) -> Graph:
+        """The graph whose vertex v has `neighbours[v]` as its neighbours,
+        taken as checked: symmetric, in range, loop-free and not empty."""
         g = cls.__new__(cls)
         g.n = n
-        g._adj = tuple(map(frozenset, neighbours))
+        g._adj = {v: frozenset(s) for v, s in neighbours.items()}
         return g
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for {self.n} vertices")
+        return self._adj.get(v, _NO_NEIGHBOURS)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as a sorted pair, in ascending order."""
-        for u in range(self.n):
+        for u in sorted(self._adj):
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def connected(self) -> bool:
         """Whether one search from vertex 0 reaches every vertex; no
-        distance table is built.  The empty graph counts as connected."""
-        if self.n == 0:
+        distance table is built.  The empty graph counts as connected, and
+        a graph with two or more vertices and an isolated one is not, at
+        once."""
+        if self.n <= 1:
             return True
+        if len(self._adj) < self.n:
+            return False
         seen = {0}
         stack = [0]
         while stack:
@@ -99,7 +110,7 @@ class Graph:
         return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, frozenset(self._adj.items())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -471,10 +482,9 @@ def parse_edge_list(lines: str | Iterable[str]) -> Graph:
         raise EdgeListError(lineno + 1, "missing header line")
     if count != m:
         raise EdgeListError(lineno + 1, f"expected {m} edges, got {count}")
-    # Vertices no edge names share one empty set, so a large declared count
-    # costs one pointer per vertex.
-    empty: frozenset[int] = frozenset()
-    return Graph._from_sets(n, (adj.pop(v, empty) for v in range(n)))
+    # Only the vertices an edge names get a neighbour set, so a large
+    # declared count costs nothing.
+    return Graph._from_sets(n, adj)
 
 
 def read_edge_list(path: str | Path) -> Graph:

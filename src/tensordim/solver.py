@@ -33,6 +33,17 @@ Plain subset enumeration, `exhaustive_metric_dimension`, stays as the
 reference: it visits k-subsets in lexicographic order and therefore
 returns the same certificate.
 
+The greedy heuristic, `greedy_resolving_set`, is the set-cover greedy on
+the vertex pairs (Khuller, Raghavachari and Rosenfeld, Discrete Appl.
+Math. 1996): each pick takes the vertex that leaves the fewest pairs tied,
+lowest id on ties.  A pair stays tied after adding v exactly when its
+resolver mask misses the chosen set and v, so that vertex is the one in
+the most unhit masks, repeats counted: the rule of `greedy_completion`,
+which stops, as the heuristic does, when no mask is left.  Up to 64
+vertices the heuristic is `_greedy_completion` on every pair's mask,
+repeats kept; a larger table, beyond 64-bit masks, counts its tied pairs
+with a numpy key sort.
+
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
 smallest ids are forced into the solution before the search starts.  The
@@ -198,19 +209,44 @@ def _twin_classes(n: int, pair_masks: np.ndarray) -> list[list[int]]:
 
 
 def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
-    """Greedy heuristic: repeatedly take the vertex splitting the most
-    still-identical representation classes, lowest id on ties.
+    """Greedy heuristic: repeatedly take the vertex that leaves the fewest
+    pairs of vertices tied (equal distances to every vertex taken so far),
+    lowest id on ties, until no pair is tied.  Returns the picks sorted.
 
-    One pick scores every candidate: row v of the row-sorted key matrix
-    holds each vertex's (class, distance to v) key.
+    This is the set-cover greedy on the pairs (Khuller, Raghavachari and
+    Rosenfeld, 1996), and the kernel's `greedy_completion` runs the same
+    rule.  A pair stays tied after adding v exactly when its resolver mask
+    misses the chosen set and v.  So the fewest tied pairs after v means v
+    lies in the most masks not yet hit, repeats counted, with the same
+    lowest-id tie rule, and both stop when no mask is left.  Up to
+    MAX_EXACT_VERTICES vertices the picks therefore come from
+    `_greedy_completion` on every pair's mask of `build_pair_table`,
+    repeats kept.  Larger tables, which 64-bit masks cannot hold, count
+    the tied pairs directly (`_greedy_by_key_sort`).
     """
     if not dist.connected:
         raise ValueError("graph is disconnected")
     n = dist.n
     if n == 0:
         return []
+    if n <= MAX_EXACT_VERTICES:
+        chosen = _greedy_completion(build_pair_table(dist).tolist(), (1 << n) - 1)
+    else:
+        chosen = _greedy_by_key_sort(dist)
+    chosen.sort()
+    if not is_resolving(dist, chosen):
+        raise AssertionError("greedy result failed the resolving check")
+    return chosen
+
+
+def _greedy_by_key_sort(dist: DistanceMatrix) -> list[int]:
+    """`greedy_resolving_set`'s picks, in pick order, on a connected table
+    of any size: row v of the row-sorted key matrix holds each vertex's
+    (class, distance to v) key, and the runs of equal keys count the pairs
+    that stay tied after adding v."""
     import numpy as np
 
+    n = dist.n
     span = int(dist.values.max()) + 1
     # Keys class * span + distance stay below n * span.
     key_type = np.min_scalar_type(n * span)
@@ -234,9 +270,6 @@ def greedy_resolving_set(dist: DistanceMatrix) -> list[int]:
         present[split] = 1
         labels = np.cumsum(present, dtype=key_type)[split] - 1
         current = int(tied[best_v])
-    chosen.sort()
-    if not is_resolving(dist, chosen):
-        raise AssertionError("greedy result failed the resolving check")
     return chosen
 
 

@@ -224,9 +224,9 @@ def test_dim_exact_refuses_large_files_before_building_a_table(tmp_path, monkeyp
 
 
 def test_a_large_declared_vertex_count_parses_small_and_fast(tmp_path, capsys):
-    # "200000 0" declares 200,000 vertices and no edge.  They share one
-    # empty neighbour set, so the header costs a pointer per vertex, and
-    # dim reports the graph disconnected without building a table.
+    # "200000 0" declares 200,000 vertices and no edge.  None of them holds
+    # a neighbour set, so the header costs nothing per vertex, and dim
+    # reports the graph disconnected without building a table.
     text = "200000 0\n"
     t0 = time.perf_counter()
     g = graphs.parse_edge_list(text)
@@ -245,6 +245,30 @@ def test_a_large_declared_vertex_count_parses_small_and_fast(tmp_path, capsys):
     path.write_text(text)
     report = run_json(capsys, "dim", str(path), "--greedy")
     assert (report["n"], report["dim"], report["disconnected"]) == (200000, None, True)
+
+
+# `dim FILE --exact` under a 1 GiB address-space limit, so a graph that
+# allocates per declared vertex fails with MemoryError instead of taking
+# the machine's memory.
+BOUNDED_DIM_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tensordim.cli import main
+sys.exit(main(["dim", sys.argv[1], "--exact"]))
+"""
+
+
+def test_a_two_billion_vertex_header_is_reported_in_bounded_memory(tmp_path):
+    # Only the vertices an edge names hold a neighbour set, so two billion
+    # declared vertices and no edge are reported disconnected at once.
+    path = tmp_path / "huge.txt"
+    path.write_text("2000000000 0")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", BOUNDED_DIM_SCRIPT, str(path)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"n": 2_000_000_000, "method": "exact", "dim": None,
+                                       "disconnected": True}
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):

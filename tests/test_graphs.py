@@ -51,6 +51,23 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(1, 1)])
 
 
+def test_isolated_vertices_keep_every_graph_answer():
+    # Vertices 0 and 4 have no neighbour set stored; every query answers
+    # for them as for any vertex, and a graph built or parsed is the same.
+    g = Graph(5, [(2, 1), (3, 1)])
+    assert [g.neighbors(v) for v in range(5)] == [frozenset(), {2, 3}, {1}, {1}, frozenset()]
+    assert [g.degree(v) for v in range(5)] == [0, 2, 1, 1, 0]
+    assert not g.has_edge(0, 4) and g.has_edge(2, 1)
+    assert list(g.edges()) == [(1, 2), (1, 3)] and g.edge_count() == 2
+    assert not g.connected and Graph(1).connected and Graph(0).connected
+    parsed = parse_edge_list("5 2\n1 3\n2 1\n")
+    assert parsed == g and hash(parsed) == hash(g)
+    assert g != Graph(6, [(2, 1), (3, 1)]) and g != Graph(5, [(2, 1), (4, 1)])
+    for v in (5, -1):
+        with pytest.raises(IndexError):
+            g.neighbors(v)
+
+
 def test_builders_reject_too_few_vertices():
     with pytest.raises(ValueError):
         build_clique(0)

@@ -9,10 +9,13 @@ reference's queries and leaves, in order.
 """
 
 import functools
+import importlib.util
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -587,6 +590,58 @@ def test_both_orbit_searches_ask_the_same_leaves(compiled_kernel, monkeypatch):
                 assert found.bit_count() == size < upper and all(m & found for m in masks)
             leaves += len(logs[0])
     assert leaves >= len(ORBIT_PRODUCTS) * len(ORBIT_RULES)
+
+
+@pytest.fixture(scope="module")
+def plain_kernel(compiled_kernel, tmp_path_factory):
+    """`_bb.c` built once more, by `setup.py`, with POPCNT_CLONES defined
+    empty: the size search's bit counts in the default clone's code alone,
+    which the loader's build never runs on a CPU with POPCNT (its ifunc
+    picks the POPCNT clone)."""
+    out = tmp_path_factory.mktemp("plain")
+    done = subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+                           "--build-temp", str(out / "t")], cwd=ROOT,
+                          env=dict(os.environ, CFLAGS="-DPOPCNT_CLONES="),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    (path,) = (out / "tensordim").iterdir()
+    assert b"size_dfs.popcnt" not in path.read_bytes()
+    # The last part of the name picks the init function, PyInit__bb.
+    spec = importlib.util.spec_from_file_location("plain_build._bb", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_default_clone_matches_the_loaders_build(compiled_kernel, plain_kernel,
+                                                     monkeypatch):
+    # Size searches, certificates and greedy picks on random instances, and
+    # the orbit search and certificate of every product of at most 40
+    # vertices: the same answers from both builds.
+    kernels = (compiled_kernel, plain_kernel)
+    rng = random.Random(31)
+    for _ in range(200):
+        nbits = rng.randrange(3, 25)
+        masks = random_instance(rng, nbits, rng.randrange(1, 30))
+        cand = (1 << nbits) - 1
+        if rng.random() < 0.2:
+            cand &= ~(1 << rng.randrange(nbits))
+        got = []
+        for kernel in kernels:
+            witness = []
+            size = kernel.min_hitting_size(masks, cand, 0, nbits + 1, witness=witness)
+            got.append((size, witness, kernel.lex_min_hitting_set(masks, cand, size)))
+        assert got[0] == got[1]
+    for masks, lower, upper, sizes in orbit_roots(monkeypatch):
+        got = [kernel.orbit_min_size(masks, lower, upper, sizes, solver.ORBIT_MIN_CANDIDATES,
+                                     solver.ORBIT_MIN_BUDGET) for kernel in kernels]
+        assert got[0] == got[1], sizes
+        dim = got[0][0]
+        cand = (1 << math.prod(sizes)) - 1
+        assert (compiled_kernel.lex_min_hitting_set(masks, cand, dim, sizes=sizes)
+                == plain_kernel.lex_min_hitting_set(masks, cand, dim, sizes=sizes)), sizes
+    for masks, cand, want in greedy_cases():
+        assert plain_kernel.greedy_completion(masks, cand) == want
 
 
 def test_orbit_search_checks_its_inputs(kernel):

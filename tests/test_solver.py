@@ -635,7 +635,10 @@ def star_graph(n):
 
 def greedy_cases(rng):
     """(name, distance table, factors) for random connected graphs with
-    n = 2..40, paths, stars, cycles and a few products of cliques."""
+    n = 2..40, paths, stars, cycles, a few products of cliques, and both
+    sides of the greedy's routing boundary (the kernel's greedy up to 64
+    vertices, the key sort beyond): one vertex, sparse random graphs on
+    63, 64 and 65 vertices, 8x8 and 2x32."""
     cases = []
     for n in range(2, 41):
         p = rng.choice([0.05, 0.1, 0.2, 0.4])
@@ -648,13 +651,19 @@ def greedy_cases(rng):
             cases.append((f"cycle{n}", all_pairs_distances(cycle_graph(n)), None))
     # Keys class * span + distance reach 2^16 and take a wider dtype.
     cases.append(("cycle600", all_pairs_distances(cycle_graph(600)), None))
-    for sizes in [(2, 5), (3, 4), (3, 3, 3), (12, 20)]:
+    for sizes in [(2, 5), (3, 4), (3, 3, 3), (8, 8), (2, 32), (12, 20)]:
         f = CliqueFactors(sizes)
         cases.append(("x".join(map(str, sizes)), tensor_clique_distances(f), f))
+    cases.append(("single", all_pairs_distances(Graph(1)), None))
+    # Sparse, as in the random-graphs workload, so that their exact solves
+    # stay short on the pure kernel.
+    for n in (63, 64, 65):
+        cases.append((f"sparse{n}", all_pairs_distances(
+            Graph(n, random_connected_edges(rng, n, 0.05))), None))
     return cases
 
 
-def test_greedy_matches_oracle(rng):
+def test_greedy_matches_oracle(rng, solver_kernel):
     for name, dist, _ in greedy_cases(rng):
         assert greedy_resolving_set(dist) == oracle_greedy(dist.values), name
 

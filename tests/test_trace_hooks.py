@@ -4,7 +4,9 @@ installs its tracer on the package the way `tdbench/run.py` does, on the
 pure kernel that a plain checkout benchmarks and on the compiled one, and
 runs exact searches under it that reach every kernel call site: the
 symmetric size search and the certificate loop (a product of cliques) and
-the plain size search (a graph file).  The tracer reads the kernel's
+the plain size search (a graph file); and the greedy heuristic on a graph
+file, whose pair table and kernel greedy run inside it.  The tracer reads
+the kernel's
 `lower` and `upper` by name, so a call site passing them by position
 fails here.  On the compiled kernel the loop's queries and the orbit
 search's leaves reach the traced search only through the `min_size`
@@ -31,14 +33,18 @@ def load_tracing(monkeypatch):
     return module
 
 
-def traced_passes(monkeypatch, tmp_path, kernel, *products):
-    """The tracer's passes over `dim --tensor 3,4 --exact`, a graph file
-    and then each of `products`, solved on `kernel`; checks that every
-    target is restored afterwards."""
-    tracing = load_tracing(monkeypatch)
-    monkeypatch.setattr(solver, "_default_kernel", kernel)
+def graph_file(tmp_path):
     path = tmp_path / "g.txt"
     write_edge_list(Graph(14, random_connected_edges(random.Random(5), 14, 0.2)), path)
+    return str(path)
+
+
+def traced_runs(monkeypatch, kernel, *argvs):
+    """The tracer's passes over `cli.main` on each of `argvs`, one pass
+    each, solved on `kernel`; checks that every target is restored
+    afterwards."""
+    tracing = load_tracing(monkeypatch)
+    monkeypatch.setattr(solver, "_default_kernel", kernel)
     modules = {"cli": cli, "constructions": constructions, "solver": solver,
                "graphs": graphs, "metric": metric, "package": tensordim}
     originals = {(key, name): getattr(modules.get(key, kernel), name)
@@ -46,8 +52,7 @@ def traced_passes(monkeypatch, tmp_path, kernel, *products):
     tracer = tracing.Tracer()
     tracer.install(modules)
     try:
-        for argv in (["dim", "--tensor", "3,4", "--exact"], ["dim", str(path), "--exact"],
-                     *(["dim", "--tensor", sizes, "--exact"] for sizes in products)):
+        for argv in argvs:
             tracer.begin_pass()
             assert cli.main(argv) == 0
     finally:
@@ -55,6 +60,14 @@ def traced_passes(monkeypatch, tmp_path, kernel, *products):
     for (key, name), original in originals.items():
         assert getattr(modules.get(key, kernel), name) is original
     return tracer.passes
+
+
+def traced_passes(monkeypatch, tmp_path, kernel, *products):
+    """The tracer's passes over `dim --tensor 3,4 --exact`, a graph file
+    and then each of `products`, solved on `kernel`."""
+    return traced_runs(monkeypatch, kernel, ["dim", "--tensor", "3,4", "--exact"],
+                       ["dim", graph_file(tmp_path), "--exact"],
+                       *(["dim", "--tensor", sizes, "--exact"] for sizes in products))
 
 
 def test_tracer_installs_on_the_pure_kernel(monkeypatch, capsys, tmp_path):
@@ -85,3 +98,15 @@ def test_tracer_counts_the_compiled_loops_queries(monkeypatch, capsys, tmp_path,
                for layer, _, _, parent, _ in product_spans)
     assert [counts["kernel.calls"] for _, counts in compiled] == [
         counts["kernel.calls"] for _, counts in pure]
+
+
+def test_the_greedy_heuristic_traces_its_pair_table_and_kernel_greedy(monkeypatch, capsys,
+                                                                       tmp_path, solver_kernel):
+    # On a graph of at most 64 vertices the heuristic is the kernel's greedy
+    # on the pair table, each traced once, inside the heuristic's own span.
+    ((spans, _),) = traced_runs(monkeypatch, solver_kernel,
+                                ["dim", graph_file(tmp_path), "--greedy"])
+    capsys.readouterr()
+    for layer in ("solver.pair_table", "solver.greedy_seed"):
+        assert [spans[parent][0] for name, _, _, parent, _ in spans if name == layer] == [
+            "solver.greedy"], layer
