@@ -22,7 +22,9 @@ the same `_bb.c` falls back at once instead of building again.
 `load(strict=True)` ignores that marker and builds, and raises
 RuntimeError, with the compiler's output, for any failure but a missing
 compiler.  The compiled module carries the five kernel entry points of
-`_bb_py`.
+`_bb_py`.  `solver_kernel` imports `_bb_py` only when it returns it, under
+TENSORDIM_PURE or when `load` finds no build, so a process on the compiled
+kernel never loads the pure one.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import os
 import sys
 import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
-
-from . import _bb_py
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_bb.c")
@@ -53,14 +53,18 @@ class _NoCompiler(Exception):
 
 
 def solver_kernel():
-    """The kernel module the solver starts with: `_bb_py` when
-    TENSORDIM_PURE is set, without looking for a build, else the compiled
-    kernel when `load` finds one."""
+    """The kernel module the solver starts with: the compiled kernel when
+    `load` finds one, else `_bb_py`, which TENSORDIM_PURE picks without
+    looking for a build.  `_bb_py` is imported here, only when it is the
+    one returned."""
     global why_pure
     if os.environ.get("TENSORDIM_PURE"):
         why_pure = "TENSORDIM_PURE is set"
-        return _bb_py
-    return load() or _bb_py
+    elif (compiled := load()) is not None:
+        return compiled
+    from . import _bb_py
+
+    return _bb_py
 
 
 def load(strict: bool = False):

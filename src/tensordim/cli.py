@@ -2,7 +2,7 @@
 
 Subcommands: gen, dim, verify, construct, bounds, table.  Exit codes:
 0 on success (including "disconnected" reports), 1 when a verification
-answers false, 2 on usage or parse errors.
+answers false, 2 on usage or parse errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -195,9 +195,10 @@ def _parse_set(text: str, factors: CliqueFactors | None, n: int) -> list[int]:
 
 def _cmd_verify(args) -> int:
     space, factors = _read_input(args)
+    # The set is checked against n before an edge list's table is built.
+    wset = _parse_set(args.set, factors, space.n)
     if factors is None:
         space = all_pairs_distances(space)
-    wset = _parse_set(args.set, factors, space.n)
     verdict = is_resolving(space, wset)
     if verdict:
         print("resolving")
@@ -399,6 +400,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # An input too large for its tables, under an address-space limit; with
+    # none, the operating system may end the process first.
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -54,9 +54,8 @@ block order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import CliqueFactors
+from .graphs import CliqueFactors, _Frozen
 from .metric import DimResult, is_resolving
 
 
@@ -73,12 +72,16 @@ class ConstructionFailed(Exception):
         )
 
 
-@dataclass(frozen=True)
-class FormulaCase:
+class FormulaCase(_Frozen):
     """Which closed-form case (m, n) falls in; k is the balanced block length."""
 
+    __slots__ = ("kind", "k")
     kind: str  # "disconnected" | "m2" | "large_n" | "balanced"
-    k: int | None = None
+    k: int | None
+
+    def __init__(self, kind: str, k: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
 
 
 def formula_case(m: int, n: int) -> FormulaCase:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -116,17 +115,56 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class CliqueFactors:
+class _Frozen:
+    """Base of the package's immutable value classes.  Their fields are their
+    `__slots__`, each set once by `__init__` through `object.__setattr__`.
+
+    An instance equals only an instance of its own class with equal fields,
+    never a plain tuple, and hashes by its fields.  It shows as
+    `Name(field=value, ...)`, pickles and copies through its constructor,
+    and refuses assignment with AttributeError.  A frozen dataclass does the
+    same, but `dataclasses` imports `inspect` and its chain, about a quarter
+    of `import tensordim.cli`.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class CliqueFactors(_Frozen):
     """Ordered clique sizes (m_1, ..., m_t) defining a product of cliques.
 
     Every size must be at least 2 and at least one factor is required.
     """
 
+    __slots__ = ("sizes",)
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(int(s) for s in sizes)
         if len(sizes) == 0:
             raise ValueError("at least one clique factor is required")
         if any(s < 2 for s in sizes):

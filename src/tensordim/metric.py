@@ -5,40 +5,48 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import index
 
 from .graphs import (
     CliqueFactors,
     DistanceMatrix,
+    _Frozen,
     clique_distance_columns,
     clique_resolving_keys,
 )
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(_Frozen):
     """Metric dimension plus certificate; dim None means disconnected.  The
     certificate is also None when only the dimension was asked for."""
 
+    __slots__ = ("dim", "certificate")
     dim: int | None
     certificate: tuple[int, ...] | None
+
+    def __init__(self, dim: int | None, certificate: tuple[int, ...] | None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def disconnected(self) -> bool:
         return self.dim is None
 
 
-@dataclass(frozen=True)
-class UnresolvedPair:
+class UnresolvedPair(_Frozen):
     """Two distinct vertices with identical distance vectors to the probe set.
 
     Falsy on purpose, so `if is_resolving(dist, w): ...` reads naturally
     while the failure case still carries its certificate.
     """
 
+    __slots__ = ("x", "y")
     x: int
     y: int
+
+    def __init__(self, x: int, y: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __bool__(self) -> bool:
         return False

@@ -5,7 +5,9 @@ resolves the graph exactly when, for every pair of distinct vertices, it
 contains a vertex whose distances to the two differ.  A branch-and-bound
 kernel finds the optimum size k: the compiled `_bb` when `_loader` finds
 one (in a source checkout it builds one at import), else the pure-Python
-`_bb_py`, which TENSORDIM_PURE forces.  The certificate is then built by
+`_bb_py`, which TENSORDIM_PURE forces.  `_bb_py` is imported only in that
+case, so a process on the compiled kernel never loads it; `kernel_name`
+tells the two apart by module identity.  The certificate is then built by
 the kernel's own `lex_min_hitting_set` (the compiled loop mirrors
 `_bb_py`'s step for step) from size queries to the same kernel's
 `min_hitting_size`, passed by keyword so that a tracer wrapping it sees
@@ -125,9 +127,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from typing import TYPE_CHECKING
 
-from . import _bb_py, _loader
+from . import _loader
 from .constructions import _two_factor_hint, lower_bound_lines
 from .graphs import CliqueFactors, DistanceMatrix, tensor_clique_distances
 from .metric import DimResult, is_resolving
@@ -145,8 +148,10 @@ ORBIT_MIN_BUDGET = 5
 
 
 def kernel_name() -> str:
-    """Which hitting-set kernel the exact solver will use."""
-    return "python" if _default_kernel is _bb_py else "compiled"
+    """Which hitting-set kernel the exact solver will use: "python" when it
+    is the pure `_bb_py`, which only a process that picked or installed it
+    has imported, else "compiled"."""
+    return "python" if _default_kernel is sys.modules.get(f"{__package__}._bb_py") else "compiled"
 
 
 @functools.cache
@@ -303,6 +308,16 @@ def _mask(ids) -> int:
     return out
 
 
+def _ids(mask: int) -> list[int]:
+    """The ids of a mask's set bits, ascending: the inverse of `_mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _orbit_min_size(masks: list[int], lower: int, upper: int,
                     sizes: tuple[int, ...]) -> tuple[int, int | None]:
     """Least size below `upper` of a set that holds vertex 0 and hits
@@ -413,7 +428,7 @@ def exact_metric_dimension(
             raise AssertionError("certificate search disagrees with the size search")
         # The certificate is a solution of size k_rest too, and the one returned.
         found = _mask(rest)
-    proof = tuple(sorted(forced + _bb_py._bits_ascending(found)))
+    proof = tuple(sorted(forced + _ids(found)))
     if len(proof) != dim or not is_resolving(space, proof):
         raise AssertionError("the set behind the exact dimension failed the resolving check")
     return DimResult(dim, proof if certificate else None)

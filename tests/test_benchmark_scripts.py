@@ -1,7 +1,8 @@
 """The scripts under `benchmarks/` call package internals by name, so a
 renamed or removed one breaks them long before anyone runs them by hand.
-This loads `check_products.py` and `bench_layers.py` from source, never
-writing bytecode there, and runs a small part of each.
+This loads `check_products.py`, `bench_layers.py` and `audit_products.py`
+from source, never writing bytecode there, and runs a small part of each.
+The audit needs scipy and is skipped without it.
 """
 
 import hashlib
@@ -9,6 +10,8 @@ import importlib.util
 import json
 import subprocess
 import sys
+
+import pytest
 
 from tensordim import DimResult, Graph, _bb_py, _loader, all_pairs_distances, solver
 from tensordim.graphs import CliqueFactors, read_edge_list, tensor_of_cliques
@@ -134,3 +137,27 @@ def test_bench_layers_records_the_greedy_seeds(monkeypatch):
     # The star's four leaves are twins: the three forced resolve every pair.
     assert [sorted(completion(*args)) for args in inputs] == [[0], []]
     assert inputs[1] == ([], 0b10001)
+
+
+def test_audit_products_proves_the_small_products(monkeypatch, tmp_path, capsys):
+    # HiGHS proves each of these in well under a second, on masks built
+    # from BFS distances, and agrees with the data file.
+    pytest.importorskip("scipy")
+    audit = load_script(monkeypatch, "audit_products")
+    names = ["2x3x3", "2x3x4", "2x3x5", "3x3x3"]
+    assert audit.main(["--only", *names, "--time-limit", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dims = {"x".join(map(str, p["sizes"])): p["dim"] for p in PRODUCTS}
+    assert [line.split()[:4] for line in lines[1:5]] == [
+        [name, str(dims[name]), "optimal", str(dims[name])] for name in names]
+    assert lines[5].startswith("4 of 4 products proven equal")
+    # The same program against a file whose value is off by one.
+    data = json.loads((ROOT / "data" / "clique_products.json").read_text(encoding="utf-8"))
+    for p in data["products"]:
+        if p["sizes"] == [3, 3, 3]:
+            p["dim"] += 1
+    wrong = tmp_path / "clique_products.json"
+    wrong.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(audit, "DATA", wrong)
+    assert audit.main(["--only", "3x3x3"]) == 1
+    assert "clique_products.json says 7, the program 6" in capsys.readouterr().err

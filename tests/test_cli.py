@@ -247,15 +247,21 @@ def test_a_large_declared_vertex_count_parses_small_and_fast(tmp_path, capsys):
     assert (report["n"], report["dim"], report["disconnected"]) == (200000, None, True)
 
 
-# `dim FILE --exact` under a 1 GiB address-space limit, so a graph that
+# The command line under a 1 GiB address-space limit, so a graph that
 # allocates per declared vertex fails with MemoryError instead of taking
 # the machine's memory.
-BOUNDED_DIM_SCRIPT = """
+BOUNDED_SCRIPT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from tensordim.cli import main
-sys.exit(main(["dim", sys.argv[1], "--exact"]))
+sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_bounded(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", BOUNDED_SCRIPT, *argv], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=60)
 
 
 def test_a_two_billion_vertex_header_is_reported_in_bounded_memory(tmp_path):
@@ -263,12 +269,24 @@ def test_a_two_billion_vertex_header_is_reported_in_bounded_memory(tmp_path):
     # declared vertices and no edge are reported disconnected at once.
     path = tmp_path / "huge.txt"
     path.write_text("2000000000 0")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", BOUNDED_DIM_SCRIPT, str(path)], env=env,
-                          cwd=ROOT, capture_output=True, text=True, timeout=60)
+    done = run_bounded("dim", str(path), "--exact")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"n": 2_000_000_000, "method": "exact", "dim": None,
                                        "disconnected": True}
+
+
+def test_verify_on_a_table_too_large_fails_clearly(tmp_path):
+    # A set out of range is refused before any table is built; a valid one
+    # on two million vertices needs a table past the limit, and the
+    # MemoryError is reported as an error, not a traceback.
+    path = tmp_path / "large.txt"
+    path.write_text("2000000 0")
+    done = run_bounded("verify", str(path), "--set", "[2000000]")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: vertex id 2000000 out of range for 2000000 vertices\n")
+    done = run_bounded("verify", str(path), "--set", "[0]")
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr, done.stderr
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):

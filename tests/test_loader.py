@@ -6,9 +6,11 @@ Each case runs a fresh interpreter over a temporary copy of `src/` and
 importing the build's modules, an edited `_bb.c` gets a new file, and a
 missing compiler, an unwritable cache, TENSORDIM_PURE, a failed or a
 stuck build leave the pure kernel, quietly.  A failed build leaves a
-marker that spares later imports the build, until a strict load.  The
-loader captures the build's output, where a warning goes unseen, so one
-more case compiles `_bb.c` with warnings as errors.  The cases need a C
+marker that spares later imports the build, until a strict load.  No
+import loads `dataclasses` or `inspect`, and only one that falls back
+loads the pure kernel.  The loader captures the build's output, where a
+warning goes unseen, so one more case compiles `_bb.c` with warnings as
+errors.  The cases need a C
 compiler; the `compiled_kernel` fixture skips them without one.
 """
 
@@ -25,12 +27,22 @@ import pytest
 
 from conftest import ROOT
 
-# Prints the kernel and which of the build's modules the import pulled in.
+# Prints the kernel and which of these modules the import pulled in: the
+# build's, `dataclasses` and `inspect` (which no value class needs), and the
+# pure kernel (which only a process that runs it needs).
 REPORT = """
 import sys
 import tensordim.cli
 print(tensordim.solver.kernel_name(),
-      [m for m in ("subprocess", "hashlib", "sysconfig", "setuptools") if m in sys.modules])
+      *[m for m in ("subprocess", "hashlib", "sysconfig", "setuptools", "dataclasses",
+                    "inspect", "tensordim._bb_py") if m in sys.modules])
+"""
+
+# Asserts that the solver holds the pure kernel, and solves on it.
+PURE_SOLVE = """
+from tensordim import CliqueFactors, _bb_py, dim_formula, exact_metric_dimension, solver
+assert solver._default_kernel is _bb_py and solver.kernel_name() == "python"
+assert exact_metric_dimension(CliqueFactors((3, 4))).dim == dim_formula(3, 4).dim
 """
 
 
@@ -63,6 +75,7 @@ def test_first_import_builds_one_kernel_file(built):
     tree, first = built
     assert (first.returncode, first.stderr) == (0, "")
     assert first.stdout.split()[0] == "compiled"
+    assert not {"dataclasses", "inspect", "tensordim._bb_py"} & set(first.stdout.split())
     [path] = cached(tree)
     assert path.name.startswith("_bb-")
 
@@ -72,7 +85,7 @@ def test_second_import_loads_the_build_without_building(built):
     [path] = cached(tree)
     mtime = path.stat().st_mtime_ns
     again = python(tree, REPORT)
-    assert (again.returncode, again.stdout, again.stderr) == (0, "compiled []\n", "")
+    assert (again.returncode, again.stdout, again.stderr) == (0, "compiled\n", "")
     assert cached(tree) == [path]
     assert path.stat().st_mtime_ns == mtime
 
@@ -91,10 +104,11 @@ def test_edited_source_gets_a_new_build(built, tmp_path):
 
 def test_missing_compiler_falls_back_quietly(tmp_path, compiled_kernel):
     tree = checkout(tmp_path)
-    done = python(tree, REPORT + "from tensordim import _loader\n"
+    done = python(tree, REPORT + PURE_SOLVE + "from tensordim import _loader\n"
                   "assert _loader.why_pure == 'no C compiler', _loader.why_pure\n",
                   CC=str(tmp_path / "no-such-cc"))
     assert (done.returncode, done.stdout.split()[0], done.stderr) == (0, "python", "")
+    assert "tensordim._bb_py" in done.stdout.split()
     assert not (tree / "build").exists()
 
 
@@ -103,15 +117,16 @@ def test_unwritable_cache_falls_back_quietly(tmp_path, compiled_kernel):
     # there, as in a read-only checkout (root writes past file modes).
     tree = checkout(tmp_path)
     (tree / "build").write_text("", encoding="utf-8")
-    done = python(tree, REPORT + "from tensordim import _loader\n"
+    done = python(tree, REPORT + PURE_SOLVE + "from tensordim import _loader\n"
                   "assert _loader.why_pure == 'the kernel build failed', _loader.why_pure\n")
     assert (done.returncode, done.stdout.split()[0], done.stderr) == (0, "python", "")
+    assert "tensordim._bb_py" in done.stdout.split()
 
 
 def test_pure_switch_skips_the_loader(tmp_path, compiled_kernel):
     tree = checkout(tmp_path)
     done = python(tree, REPORT, TENSORDIM_PURE="1")
-    assert (done.returncode, done.stdout, done.stderr) == (0, "python []\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "python tensordim._bb_py\n", "")
     assert not (tree / "build").exists()
 
 
@@ -126,9 +141,8 @@ def test_failed_build_raises_only_when_asked(tmp_path, compiled_kernel):
     # the compiler's output.
     tree = checkout(tmp_path / "tree")
     cc = fake_cc(tmp_path / "broken-cc", "echo 'broken-cc: cannot compile' >&2; exit 1")
-    done = python(tree, "import tensordim.cli\n"
-                  "from tensordim import _loader, solver\n"
-                  "assert solver.kernel_name() == 'python'\n"
+    done = python(tree, "import tensordim.cli\n" + PURE_SOLVE +
+                  "from tensordim import _loader\n"
                   "assert _loader.why_pure == 'the kernel build failed', _loader.why_pure\n"
                   "try:\n"
                   "    _loader.load(strict=True)\n"
@@ -173,9 +187,8 @@ def test_failed_build_is_tried_again_only_when_asked(tmp_path, compiled_kernel):
     starts = tmp_path / "starts"
     cc = fake_cc(tmp_path / "logging-cc",
                  f"echo start >> '{starts}'; echo 'logging-cc: cannot compile' >&2; exit 1")
-    fallback = ("import tensordim.cli\n"
-                "from tensordim import _loader, solver\n"
-                "assert solver.kernel_name() == 'python'\n"
+    fallback = ("import tensordim.cli\n" + PURE_SOLVE +
+                "from tensordim import _loader\n"
                 "assert _loader.why_pure == 'the kernel build failed', _loader.why_pure\n")
     for _ in range(2):
         done = python(tree, fallback, CC=str(cc))

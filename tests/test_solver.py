@@ -430,13 +430,13 @@ def test_value_swaps_keep_the_certificates(monkeypatch):
     # most 40 vertices: the solver's certificate equals that of the plain
     # certificate loop, with neither a seed nor the symmetry.  Products up
     # to 30 vertices are also compared with the plain route above.
-    monkeypatch.setattr(solver, "_default_kernel", solver._bb_py)
+    monkeypatch.setattr(solver, "_default_kernel", _bb_py)
     for sizes in PRODUCTS_TO_FORTY:
         f = CliqueFactors(sizes)
         dist = tensor_clique_distances(f)
         got = exact_metric_dimension(f)
-        plain = solver._bb_py.lex_min_hitting_set(build_pair_table(dist).tolist(),
-                                                  (1 << f.vertex_count) - 1, got.dim)
+        plain = _bb_py.lex_min_hitting_set(build_pair_table(dist).tolist(),
+                                           (1 << f.vertex_count) - 1, got.dim)
         assert got.certificate == tuple(plain), sizes
 
 
