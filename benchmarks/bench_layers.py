@@ -1,13 +1,19 @@
-"""Time the edge-list parser, the distance table, the greedy heuristic and
-the greedy upper seed.
+"""Time the edge-list parser, the distance table, the greedy heuristic, the
+greedy upper seed, and the two ways to the exact search's pair masks and
+final check.
 
 Runs `read_edge_list`, `all_pairs_distances`, `greedy_resolving_set` and
 `solver._greedy_completion` on the random-graphs graph set of `tdbench`
 (seed 1; the upper-seed inputs are those met while solving each graph
 exactly) and on large inputs that workload never reaches: the edge list
 of K_20 x K_20, a path on 1000 vertices, K_2 x K_2 x K_100, K_200 and the
-greedy set of K_40 x K_40.  The edge lists are written to a temporary
-directory.  Prints the best of N wall times per row.  Usage:
+greedy set of K_40 x K_40.  On the same graph set it times every pair's
+mask from the adjacency, by `graph_pair_masks` on each kernel, against
+`build_pair_table(all_pairs_distances(g))`, and the resolving check of
+each graph's exact certificate by one BFS per member, `is_resolving(g, w)`,
+against `all_pairs_distances` plus the table check.  The edge lists are
+written to a temporary directory.  Prints the best of N wall times per
+row.  Usage:
 
     PYTHONPATH=src python benchmarks/bench_layers.py [--repeats N]
 """
@@ -20,10 +26,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from tensordim import solver
+from tensordim import _bb_py, _loader, solver
 from tensordim.graphs import (CliqueFactors, Graph, all_pairs_distances, build_clique,
                               read_edge_list, tensor_clique_distances, tensor_of_cliques,
                               write_edge_list)
+from tensordim.metric import is_resolving
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tdbench"))
 from workloads import random_graphs  # noqa: E402
@@ -56,6 +63,21 @@ def seed_inputs(tables):
     finally:
         solver._greedy_completion = completion
     return inputs
+
+
+def adjacency(g: Graph) -> list[int]:
+    """The neighbour words `graph_pair_masks` takes, as the solver builds them."""
+    return [solver._mask(g.neighbors(v)) for v in range(g.n)]
+
+
+def table_masks(g: Graph) -> list[int]:
+    """Every pair's mask by way of the distance table."""
+    return solver.build_pair_table(all_pairs_distances(g)).tolist()
+
+
+def table_check(g: Graph, w) -> object:
+    """The resolving check by way of the distance table."""
+    return is_resolving(all_pairs_distances(g), w)
 
 
 def best_time(fn, args_list, repeats):
@@ -93,7 +115,17 @@ def main() -> int:
              [(tensor_clique_distances(CliqueFactors((40, 40))),)]),
             ("_greedy_completion", "random-graphs", solver._greedy_completion,
              seed_inputs(tables)),
+            ("table pair masks", "random-graphs", table_masks, [(g,) for g in graphs]),
+            ("graph_pair_masks py", "random-graphs", _bb_py.graph_pair_masks,
+             [(adjacency(g),) for g in graphs]),
         ]
+        compiled = _loader.load()
+        if compiled is not None:
+            rows.append(("graph_pair_masks C", "random-graphs", compiled.graph_pair_masks,
+                         [(adjacency(g),) for g in graphs]))
+        checks = [(g, solver.exact_metric_dimension(g).certificate) for g in graphs]
+        rows += [("table check", "random-graphs", table_check, checks),
+                 ("member-BFS check", "random-graphs", is_resolving, checks)]
         print(f"{'function':<22}  {'input':<14}  {'calls':>5}  {'best':>9}")
         for name, label, fn, args_list in rows:
             t = best_time(fn, args_list, opts.repeats)

@@ -1,6 +1,6 @@
 /* Hitting-set search kernel, compiled edition.
  *
- * Exports the five entry points of `_bb_py` and mirrors each step for step.
+ * Exports the six entry points of `_bb_py` and mirrors each step for step.
  * min_hitting_size(masks, cand_mask, lower, upper, witness=None) is the
  * least number of cand_mask bits hitting every mask, or upper when nothing
  * below it exists, stopping early once lower is met.  When witness is a
@@ -34,7 +34,11 @@
  * the same value masks: near and far words per vertex, one mask per pair
  * x < y, and the repeats dropped as the queries drop them, first
  * occurrence kept; the same list, and the same ValueError for a second
- * axis of size 2.  The three read their sizes with one `read_sizes`, with
+ * axis of size 2.
+ * graph_pair_masks(adjacency) builds a graph's pair masks from its
+ * neighbour words, one word per BFS ball: the same masks in the same order,
+ * repeats kept, and the same ValueError, OverflowError and TypeError.
+ * The three entry points that take sizes read them with one `read_sizes`, with
  * `_bb_py._value_masks`'s checks and errors.  See `_bb_py` for the
  * algorithms and the argument for each rule.
  * The size search's two bit-counting functions, size_dfs and
@@ -1037,6 +1041,89 @@ static PyObject *product_pair_masks(PyObject *self, PyObject *args, PyObject *kw
     return out;
 }
 
+static char *graph_kwlist[] = {"adjacency", NULL};
+
+static PyObject *graph_pair_masks(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    PyObject *adjacency;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:graph_pair_masks", graph_kwlist,
+                                     &adjacency))
+        return NULL;
+    PyObject *fast = PySequence_Fast(adjacency, "expected a sequence of ints");
+    if (fast == NULL)
+        return NULL;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(fast);
+    if (size > MAX_BITS) {
+        Py_DECREF(fast);
+        return PyErr_Format(PyExc_ValueError,
+                            "graph_pair_masks supports at most 64 vertices, got %zd", size);
+    }
+    int n = (int)size;
+    uint64_t adj[MAX_BITS], ball[MAX_BITS], grown[MAX_BITS];
+    for (int v = 0; v < n; v++)
+        if (as_u64(PySequence_Fast_GET_ITEM(fast, v), &adj[v]) < 0) {
+            Py_DECREF(fast);
+            return NULL;
+        }
+    Py_DECREF(fast);
+    uint64_t full = n < MAX_BITS ? (1ull << n) - 1 : ~0ull;
+    for (int v = 0; v < n; v++) {
+        if (adj[v] & ~full)
+            return PyErr_Format(PyExc_ValueError, "vertex %d has a neighbour bit at %d or above",
+                                v, n);
+        if (adj[v] >> v & 1)
+            return PyErr_Format(PyExc_ValueError, "loop at vertex %d", v);
+        for (uint64_t r = adj[v]; r; r &= r - 1) {
+            int u = __builtin_ctzll(r);
+            if (!(adj[u] >> v & 1))
+                return PyErr_Format(PyExc_ValueError, "edge (%d, %d) has no reverse", v, u);
+        }
+    }
+    Py_ssize_t pairs = (Py_ssize_t)n * (n - 1) / 2, k = 0;
+    uint64_t *masks = PyMem_Malloc(sizeof(uint64_t) * (pairs > 0 ? pairs : 1));
+    if (masks == NULL)
+        return PyErr_NoMemory();
+    /* ball[v] is B_r(v) after r rounds; the masks start from B_0. */
+    for (int v = 0; v < n; v++)
+        ball[v] = 1ull << v;
+    for (int x = 0; x < n; x++)
+        for (int y = x + 1; y < n; y++)
+            masks[k++] = ball[x] ^ ball[y];
+    for (;;) {
+        int grew = 0;
+        for (int v = 0; v < n; v++) {
+            uint64_t b = ball[v];
+            for (uint64_t r = adj[v]; r; r &= r - 1)
+                b |= ball[__builtin_ctzll(r)];
+            grown[v] = b;
+            grew |= b != ball[v];
+        }
+        if (!grew)
+            break;
+        memcpy(ball, grown, sizeof(uint64_t) * n);
+        k = 0;
+        for (int x = 0; x < n; x++)
+            for (int y = x + 1; y < n; y++)
+                masks[k++] |= ball[x] ^ ball[y];
+    }
+    for (int v = 0; v < n; v++)
+        if (ball[v] != full) {
+            PyMem_Free(masks);
+            PyErr_SetString(PyExc_ValueError, "the graph is disconnected");
+            return NULL;
+        }
+    PyObject *out = PyList_New(pairs);
+    for (Py_ssize_t i = 0; out != NULL && i < pairs; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(masks[i]);
+        if (m == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, m);
+    }
+    PyMem_Free(masks);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"min_hitting_size", (PyCFunction)(void (*)(void))min_hitting_size,
      METH_VARARGS | METH_KEYWORDS,
@@ -1061,6 +1148,10 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "Distinct pair masks of a connected product of cliques, in pair order.\n\n"
      "Same contract and masks as `_bb_py.product_pair_masks`."},
+    {"graph_pair_masks", (PyCFunction)(void (*)(void))graph_pair_masks,
+     METH_VARARGS | METH_KEYWORDS,
+     "Every pair mask of a connected graph from its neighbour words, in pair order.\n\n"
+     "Same contract and masks as `_bb_py.graph_pair_masks`."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,11 +2,12 @@
 
 Each pair of vertices that must be told apart contributes one mask of
 "resolver" bits; a solution is a set of vertex bits hitting every mask.
-All masks fit one machine word (at most 64 vertices).  The five entry
+All masks fit one machine word (at most 64 vertices).  The six entry
 points, `min_hitting_size`, `greedy_completion`, `lex_min_hitting_set`,
-`orbit_min_size` and `product_pair_masks`, are the reference that the
-compiled module `_bb` mirrors step for step, with the same contracts, and
-stand in for it when the extension is unavailable.  `min_hitting_size`
+`orbit_min_size`, `product_pair_masks` and `graph_pair_masks`, are the
+reference that the compiled module `_bb` mirrors step for step, with the
+same contracts, and stand in for it when the extension is unavailable.
+`min_hitting_size`
 runs branch and bound: branch on the pending mask with the fewest
 resolvers (candidates in ascending id, with sibling exclusion so no
 subset is explored twice), propagate forced single-resolver picks, and
@@ -152,6 +153,16 @@ else AssertionError.
 certificate loop search on a product of cliques: one per vertex pair,
 read off the value masks (the `solver` docstring gives the argument),
 with repeats dropped, first occurrence kept.
+
+`graph_pair_masks` builds the masks of the plain search from a graph's
+adjacency words, with no distance table: one mask per vertex pair, in
+the order of `solver.build_pair_table`, repeats kept.  w tells x and y
+apart exactly when d(x, w) != d(y, w), that is, when some BFS ball
+B_r(w) holds one of x and y but not the other: r = the smaller of the
+two distances.  Balls are symmetric (w lies in B_r(x) exactly when x
+lies in B_r(w)), so the mask of x and y is the OR over r of
+B_r(x) ^ B_r(y), from r = 0, which gives x and y themselves, up to the
+first radius at which no ball grows.
 """
 
 from __future__ import annotations
@@ -652,3 +663,44 @@ def product_pair_masks(sizes) -> list[int]:
             m |= near[x] & near[y]
         masks.setdefault(m)
     return list(masks)
+
+
+def graph_pair_masks(adjacency) -> list[int]:
+    """Every pair's resolver mask of the connected graph whose vertex v has
+    the neighbour bitset `adjacency[v]`, in the order of
+    `solver.build_pair_table` (pairs x < y), repeats kept.
+
+    ball[v] starts as B_0(v) = {v}, and each round ORs into it the balls of
+    v's neighbours, so after r rounds it is B_r(v); each pair's mask ORs in
+    B_r(x) ^ B_r(y) for every r up to the first round that changes no ball
+    (module docstring).  More than 64 vertices, a neighbour bit at n or
+    above, a loop, an edge without its reverse and a disconnected graph
+    raise ValueError; a word outside [0, 2**64) raises OverflowError and a
+    non-integer one TypeError, as in `min_hitting_size`.
+    """
+    adjacency = list(adjacency)
+    n = len(adjacency)
+    if n > 64:
+        raise ValueError(f"graph_pair_masks supports at most 64 vertices, got {n}")
+    adj = _words(adjacency)
+    for v, a in enumerate(adj):
+        if a >> n:
+            raise ValueError(f"vertex {v} has a neighbour bit at {n} or above")
+        if a >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        for u in _bits_ascending(a):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"edge ({v}, {u}) has no reverse")
+    nbrs = [_bits_ascending(a) for a in adj]
+    pairs = list(itertools.combinations(range(n), 2))
+    ball = [1 << v for v in range(n)]
+    masks = [ball[x] ^ ball[y] for x, y in pairs]
+    while True:
+        grown = [reduce(or_, [ball[u] for u in nbrs[v]], ball[v]) for v in range(n)]
+        if grown == ball:
+            break
+        ball = grown
+        masks = [m | ball[x] ^ ball[y] for m, (x, y) in zip(masks, pairs)]
+    if ball.count((1 << n) - 1) != n:
+        raise ValueError("the graph is disconnected")
+    return masks

@@ -21,7 +21,7 @@ its error, beside where the extension would go, and a later `load()` for
 the same `_bb.c` falls back at once instead of building again.
 `load(strict=True)` ignores that marker and builds, and raises
 RuntimeError, with the compiler's output, for any failure but a missing
-compiler.  The compiled module carries the five kernel entry points of
+compiler.  The compiled module carries the six kernel entry points of
 `_bb_py`.  `solver_kernel` imports `_bb_py` only when it returns it, under
 TENSORDIM_PURE or when `load` finds no build, so a process on the compiled
 kernel never loads the pure one.

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .constructions import (
     _two_factor_set,
@@ -65,9 +64,9 @@ def _read_input(args) -> tuple[Graph | CliqueFactors, CliqueFactors | None]:
 
 def _check_exact_size(space: Graph | CliqueFactors) -> None:
     """Refuse a connected input too large for the exact search with a usage
-    error, before anything is computed for it (an edge list's distance
-    table, or the rows of `table`); a disconnected one is still reported
-    as such."""
+    error, before anything is computed for it (an edge list's pair masks,
+    or the rows of `table`); a disconnected one is still reported as
+    such."""
     n = space.n
     if n > MAX_EXACT_VERTICES and space.connected:
         raise UsageError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
@@ -81,12 +80,17 @@ def _set_report(ids, factors: CliqueFactors | None) -> dict:
     return report
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """text to the file `out`, LF line ends, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: dict, out: str | None) -> None:
+    _write(json.dumps(report, indent=2) + "\n", out)
 
 
 def _cmd_gen(args) -> int:
@@ -140,13 +144,10 @@ def _cmd_dim(args) -> int:
         report.update({"dim": None, "disconnected": True})
         _emit(report, args.out)
         return 0
-    # The exact search takes a product by its factors, with no n x n table.
-    if factors is None:
-        space = all_pairs_distances(space)
-    elif mode == "greedy":
-        space = tensor_clique_distances(factors)
-
+    # The exact search takes a graph as parsed and a product by its factors,
+    # with no n x n table; the greedy reads a distance table.
     if mode == "greedy":
+        space = all_pairs_distances(space) if factors is None else tensor_clique_distances(factors)
         wset = greedy_resolving_set(space)
         report["dim"] = len(wset)
         report.update(_set_report(wset, factors))
@@ -195,11 +196,8 @@ def _parse_set(text: str, factors: CliqueFactors | None, n: int) -> list[int]:
 
 def _cmd_verify(args) -> int:
     space, factors = _read_input(args)
-    # The set is checked against n before an edge list's table is built.
-    wset = _parse_set(args.set, factors, space.n)
-    if factors is None:
-        space = all_pairs_distances(space)
-    verdict = is_resolving(space, wset)
+    # A graph is checked by one BFS per member, with no n x n table.
+    verdict = is_resolving(space, _parse_set(args.set, factors, space.n))
     if verdict:
         print("resolving")
         return 0
@@ -322,11 +320,7 @@ def _cmd_table(args) -> int:
             exact = str(row["exact"])
         agree = str(row["agree"]).lower()
         lines.append(f"{row['m']},{row['n']},{formula},{size},{verified},{exact},{agree}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -10,11 +10,13 @@ fastest.  Every module and the command line speak this codec.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from pathlib import Path
-from typing import TYPE_CHECKING
 
+# False at run time, and neither `typing` nor numpy is imported for it; a
+# type checker reads the block below as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -344,6 +346,28 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(np.where(count == 0, INF, rounds - count))
 
 
+def bfs_column(g: Graph, source: int) -> list[int]:
+    """Distances from `source` to every vertex by one BFS, -1 where
+    unreachable: one column of the distance table, in O(n + m) and with no
+    n x n table.  Plain ints, so no distance, however large, meets the
+    sentinel."""
+    adj = g._adj
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for u in frontier:
+            for w in adj.get(u, _NO_NEIGHBOURS):
+                if dist[w] < 0:
+                    dist[w] = level
+                    reached.append(w)
+        frontier = reached
+    return dist
+
+
 def _count_bits(layers: list[bytes], n: int, width: int) -> np.ndarray:
     """(n, n) uint8 count of the (at most 255) layers that set each bit; a
     layer holds n rows of `width` bytes, least significant bit first."""
@@ -525,12 +549,12 @@ def parse_edge_list(lines: str | Iterable[str]) -> Graph:
     return Graph._from_sets(n, adj)
 
 
-def read_edge_list(path: str | Path) -> Graph:
+def read_edge_list(path: str | os.PathLike) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh)
 
 
-def write_edge_list(g: Graph, path: str | Path) -> None:
+def write_edge_list(g: Graph, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{g.n} {g.edge_count()}\n")
         for u, v in g.edges():

@@ -10,7 +10,9 @@ from operator import index
 from .graphs import (
     CliqueFactors,
     DistanceMatrix,
+    Graph,
     _Frozen,
+    bfs_column,
     clique_distance_columns,
     clique_resolving_keys,
 )
@@ -84,12 +86,14 @@ def representation(dist: DistanceMatrix, v: int, wset: Sequence[int]) -> tuple[i
 
 
 def is_resolving(
-    dist: DistanceMatrix | CliqueFactors, wset: Sequence[int]
+    dist: DistanceMatrix | CliqueFactors | Graph, wset: Sequence[int]
 ) -> bool | UnresolvedPair:
     """True when all representations are distinct, else the least bad pair.
 
-    `dist` is a distance table, or the factors of a product of cliques.  A
-    connected product is checked on one int key per vertex
+    `dist` is a distance table, the factors of a product of cliques, or a
+    `Graph`.  A graph is checked on its representation tuples, one BFS
+    from each member (`graphs.bfs_column`), with no n x n table, connected
+    or not.  A connected product is checked on one int key per vertex
     (`graphs.clique_resolving_keys`), with no distance read at all; a
     disconnected one on its representation columns, sliced from its BFS
     table.  The certificate is the lexicographically least unresolved pair
@@ -102,14 +106,11 @@ def is_resolving(
         return True
     if not w:
         return UnresolvedPair(0, 1)
+    if isinstance(dist, Graph):
+        return _least_pair(list(zip(*[bfs_column(dist, v) for v in w])))
     if isinstance(dist, CliqueFactors):
         if dist.connected:
-            keys = clique_resolving_keys(dist, w)
-            if len(set(keys)) == n:
-                return True
-            count = Counter(keys)
-            x = next(v for v, key in enumerate(keys) if count[key] > 1)
-            return UnresolvedPair(x, keys.index(keys[x], x + 1))
+            return _least_pair(clique_resolving_keys(dist, w))
         reps = clique_distance_columns(dist, w)
     else:
         reps = dist.values[:, w]
@@ -127,6 +128,17 @@ def is_resolving(
         return True
     i = repeats[np.argmin(order[repeats])]
     return UnresolvedPair(int(order[i]), int(order[i + 1]))
+
+
+def _least_pair(keys: list) -> bool | UnresolvedPair:
+    """True when the per-vertex keys are distinct, else the least pair
+    (x, y) of is_resolving: x the least vertex whose key repeats, y the
+    next vertex with x's key."""
+    if len(set(keys)) == len(keys):
+        return True
+    count = Counter(keys)
+    x = next(v for v, key in enumerate(keys) if count[key] > 1)
+    return UnresolvedPair(x, keys.index(keys[x], x + 1))
 
 
 def projection(wset: Sequence[int], axis: int, factors: CliqueFactors) -> set[int]:

@@ -49,19 +49,28 @@ with a numpy key sort.
 Vertices that are mutual twins (identical distance rows away from each
 other) are interchangeable, so from each twin class of size s the s-1
 smallest ids are forced into the solution before the search starts.  The
-classes are read off the pair table, built once for the search: two
+classes are read off every pair's mask, built once for the search: two
 vertices are twins when nothing but themselves resolves their pair.
 
-The input's type picks the route.  A distance table takes the plain
-search above.  Connected products of cliques K_{m_1} x ... x K_{m_t} with
-t >= 2 (at most one m_i is 2), given by their factors, take a different
-route with no n x n table: the kernel's `product_pair_masks` reads their
-pair masks off coordinates, in the order of `build_pair_table` with the
-repeats dropped (first occurrence kept), the greedy upper seed counts
-those distinct masks, and every check runs in coordinate space.  (A
-single factor is a clique, solved on its distance table.)  They have no
-twins.  Take u != v and an axis a where they differ, the
-size-2 axis if they differ there.  Every other axis has a value that is
+The input's type picks the route.  A `Graph` and a distance table take
+the plain search above, and differ in one step only, where the pair masks
+come from.  A graph's come from the kernel's `graph_pair_masks`, which
+ORs the differences of the two vertices' BFS balls over every radius,
+on one word per ball, so no n x n table and no numpy is needed; its
+final check runs one BFS from each member (`metric.is_resolving`).  A
+table's come from `build_pair_table`, which reads its rows.  Both give
+every pair's mask in the same order, repeats kept, so the twins, the
+seed, the searches and the certificate are the same on either.
+
+Connected products of cliques K_{m_1} x ... x K_{m_t} with t >= 2 (at
+most one m_i is 2), given by their factors, take a different route with
+no n x n table: the kernel's `product_pair_masks` reads their pair masks
+off coordinates, in the order of `build_pair_table` with the repeats
+dropped (first occurrence kept), the greedy upper seed counts those
+distinct masks, and every check runs in coordinate space.  (A single
+factor is a clique, solved as a `Graph`.)  They have no twins.  Take
+u != v and an axis a where they differ, the size-2 axis if they differ
+there.  Every other axis has a value that is
 neither u's nor v's (on the size-2 axis they agree), so a vertex z with
 z_a = u_a and those values elsewhere has d(v, z) = 1 and d(u, z) in
 {2, 3}.  Their automorphisms include S_{m_1} x ... x S_{m_t} acting on
@@ -128,13 +137,15 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from typing import TYPE_CHECKING
 
 from . import _loader
 from .constructions import _two_factor_hint, lower_bound_lines
-from .graphs import CliqueFactors, DistanceMatrix, tensor_clique_distances
+from .graphs import CliqueFactors, DistanceMatrix, Graph, build_clique
 from .metric import DimResult, is_resolving
 
+# False at run time, and neither `typing` nor numpy is imported for it; a
+# type checker reads the block below as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -184,29 +195,22 @@ def build_pair_table(dist: DistanceMatrix) -> np.ndarray:
     return words.view("<u8").ravel().astype(np.uint64)
 
 
-def _twin_classes(n: int, pair_masks: np.ndarray) -> list[list[int]]:
+def _twin_classes(n: int, pair_masks: list[int]) -> list[list[int]]:
     """Maximal classes of mutually twin vertices, ids ascending, read off
-    the pair table of `build_pair_table`.
+    every pair's mask (`build_pair_table`'s, or the kernel's
+    `graph_pair_masks`, repeats kept).
 
-    x < y each tell their own pair apart, so they are twins exactly when
-    the pair's mask holds no other bit.  Twins are an equivalence relation
-    (Hernando, Mora, Pelayo, Seara and Wood, 2010), so each class is the
-    twins of its least vertex: the least x in a twin pair with y names
-    y's class.
+    The mask of x < y holds x and y, each at distance 0 from itself only,
+    so they are twins exactly when it holds no other bit: a mask of two
+    bits is a twin pair, and its bits name the pair.  Twins are an
+    equivalence relation (Hernando, Mora, Pelayo, Seara and Wood, 2010),
+    so each class is the twins of its least vertex: the least x in a twin
+    pair with y names y's class.
     """
-    import numpy as np
-
-    one = np.uint64(1)
-    # Clearing the two lowest bits, x and y, leaves nothing on a twin pair.
-    rest = pair_masks & (pair_masks - one)
-    rest &= rest - one
-    twins = np.flatnonzero(rest == 0)
     least = list(range(n))
-    # Most inputs have no twins; the pair indices cost more than the scan.
-    if twins.size:
-        xs, ys = _pair_index(n)
-        for x, y in zip(xs[twins].tolist(), ys[twins].tolist()):
-            least[y] = min(least[y], x)
+    for m in [m for m in pair_masks if m.bit_count() == 2]:
+        x, y = (m & -m).bit_length() - 1, m.bit_length() - 1
+        least[y] = min(least[y], x)
     classes: dict[int, list[int]] = {}
     for v, x in enumerate(least):
         classes.setdefault(x, []).append(v)
@@ -337,22 +341,25 @@ def _orbit_min_size(masks: list[int], lower: int, upper: int,
 
 
 def exact_metric_dimension(
-    space: DistanceMatrix | CliqueFactors,
+    space: Graph | DistanceMatrix | CliqueFactors,
     *,
     certificate: bool = True,
 ) -> DimResult:
     """Exact metric dimension with the lexicographically least certificate.
 
-    The input's type picks the route, as in `is_resolving`.  A distance
-    table takes the plain search: twin-forced vertices, a greedy upper
-    seed, and a search up from 0.  A connected product of two or more
-    cliques, given by its factors, takes the symmetric route with no n x n
-    table: the kernel's `product_pair_masks` reads its distinct pair masks
-    off coordinates, the size search branches on orbits and runs up from
+    The input's type picks the route, as in `is_resolving`.  A graph and a
+    distance table take the plain search: twin-forced vertices, a greedy
+    upper seed, and a search up from 0.  The two differ only in where every
+    pair's mask comes from: the kernel's `graph_pair_masks` reads a graph's
+    off its adjacency with no table, and `build_pair_table` reads a
+    table's.  A connected product of two or more cliques, given by its
+    factors, takes the symmetric route with no n x n table: the kernel's
+    `product_pair_masks` reads its distinct pair masks off coordinates,
+    the size search branches on orbits and runs up from
     `lower_bound_lines`, the certificate loop uses its value swaps, and the
     upper seed is the paper's construction on two factors, unchecked, else
-    a greedy completion on the distinct masks.  A single factor is solved
-    on its distance table.  A disconnected input gives DimResult(None,
+    a greedy completion on the distinct masks.  A single factor is a
+    clique, solved as a graph.  A disconnected input gives DimResult(None,
     None); a connected one over 64 vertices raises ValueError before
     anything is built.
     `exhaustive_metric_dimension` is the subset scan kept as a reference.
@@ -360,8 +367,9 @@ def exact_metric_dimension(
     result's certificate is None: the certificate loop is skipped.  Either
     way every solve ends with one resolving check, on the set that proves
     the size (the certificate, else the forced vertices plus the size
-    search's solution or the seed that set the size).  The dimension does
-    not depend on the route or on `certificate`.
+    search's solution or the seed that set the size): on a graph one BFS
+    per member, independent of the kernel.  The dimension does not depend
+    on the route or on `certificate`.
     """
     if not space.connected:
         return DimResult(None, None)
@@ -369,7 +377,7 @@ def exact_metric_dimension(
     if n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact search supports at most {MAX_EXACT_VERTICES} vertices, got {n}")
     if isinstance(space, CliqueFactors) and space.t == 1:
-        space = tensor_clique_distances(space)
+        space = build_clique(n)
 
     clique_product = isinstance(space, CliqueFactors)
     forced: list[int] = []
@@ -389,7 +397,11 @@ def exact_metric_dimension(
         else:
             seed = _mask(_greedy_completion(pending, cand_mask))
     else:
-        pair_masks = build_pair_table(space)
+        if isinstance(space, Graph):
+            pair_masks = _default_kernel.graph_pair_masks(
+                [_mask(space.neighbors(v)) for v in range(n)])
+        else:
+            pair_masks = build_pair_table(space).tolist()
         for cls in _twin_classes(n, pair_masks):
             forced.extend(cls[:-1])
         forced.sort()
@@ -397,7 +409,7 @@ def exact_metric_dimension(
         cand_mask = ((1 << n) - 1) & ~forced_mask
         # Masks missing the forced vertices lie inside cand_mask already.
         # Graphs without twins force nothing.
-        unhit = pair_masks.tolist()
+        unhit = pair_masks
         if forced_mask:
             unhit = [m for m in unhit if m & forced_mask == 0]
         # The greedy counts every pair, repeats included.

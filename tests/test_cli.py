@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques
+from tensordim import CliqueFactors, Graph, read_edge_list, tensor_of_cliques, write_edge_list
 from tensordim import cli, constructions, graphs, metric, solver
 from tensordim.cli import main
 
@@ -276,17 +276,18 @@ def test_a_two_billion_vertex_header_is_reported_in_bounded_memory(tmp_path):
 
 
 def test_verify_on_a_table_too_large_fails_clearly(tmp_path):
-    # A set out of range is refused before any table is built; a valid one
-    # on two million vertices needs a table past the limit, and the
-    # MemoryError is reported as an error, not a traceback.
+    # A set out of range is refused before anything is computed; a valid
+    # one on two million vertices gets its verdict from one BFS column,
+    # within the limit: vertex 0 is the only one at distance 0, and every
+    # other vertex is unreachable from it.
     path = tmp_path / "large.txt"
     path.write_text("2000000 0")
     done = run_bounded("verify", str(path), "--set", "[2000000]")
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: vertex id 2000000 out of range for 2000000 vertices\n")
     done = run_bounded("verify", str(path), "--set", "[0]")
-    assert (done.returncode, done.stdout) == (2, ""), done.stderr
-    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr, done.stderr
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "unresolved pair: ids 1 2\n", ""), done.stderr
 
 
 def test_verify_unresolved_pair_with_coordinates(capsys):
@@ -558,20 +559,36 @@ rc, _ = run("bounds", "--tensor", "3,3,4", "--exact-up-to", "64")
 steps.append(("bounds 3,3,4", rc != 0 or loaded()))
 rc, _ = run("table", "--max-m", "4", "--max-n", "6", "--exact-up-to", "12")
 steps.append(("table", rc != 0 or loaded()))
+rc, _ = run("dim", "--tensor", "5", "--exact")
+steps.append(("dim --exact 5", rc != 0 or loaded()))
+path = sys.argv[1]
+rc, out = run("dim", path, "--exact")
+ids = json.loads(out)["resolving_set_ids"]
+steps.append(("dim FILE --exact", rc != 0 or loaded()))
+rc, _ = run("verify", path, "--set", json.dumps(ids))
+steps.append(("verify FILE", rc != 0 or loaded()))
+rc, _ = run("verify", path, "--set", json.dumps(ids[1:]))
+steps.append(("verify FILE, the set minus one member", rc != 1 or loaded()))
 print(next((name for name, bad in steps if bad), "none"))
 """
 
 
 @pytest.mark.parametrize("pure", [False, True], ids=["compiled", "pure"])
-def test_product_commands_load_no_numpy(pure):
-    # A product of cliques is solved and checked in coordinate space, so
-    # none of these commands needs numpy, which is loaded only where a
-    # distance table is built or read.
+def test_product_commands_load_no_numpy(pure, tmp_path):
+    # A product of cliques is solved and checked in coordinate space, and
+    # an edge list of at most 64 vertices by its adjacency and one BFS per
+    # member, so none of these commands needs numpy, which is loaded only
+    # where a distance table is built or read.  The file is a path with
+    # two pendant twins on each inner vertex.
+    path = tmp_path / "twins.txt"
+    write_edge_list(Graph(12, [(v, v + 1) for v in range(3)]
+                          + [(v, 4 + 2 * (v - 1) + j) for v in (1, 2) for j in range(2)]
+                          + [(0, 8), (8, 9), (9, 10), (10, 11)]), path)
     env = {k: v for k, v in os.environ.items() if k != "TENSORDIM_PURE"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if pure:
         env["TENSORDIM_PURE"] = "1"
-    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT, str(path)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "none"

@@ -26,7 +26,7 @@ from tensordim import (
     tensor_product,
     write_edge_list,
 )
-from tensordim.graphs import BFS_FOLD_BYTES
+from tensordim.graphs import BFS_FOLD_BYTES, bfs_column
 
 from conftest import oracle_bfs
 
@@ -186,12 +186,16 @@ def edge_sets(draw):
 @given(edge_sets())
 def test_bfs_distances_match_oracle(case):
     n, edges = case
-    dist = all_pairs_distances(Graph(n, edges))
-    ref = np.array(oracle_bfs(n, edges), dtype=np.int64).reshape(n, n)
+    g = Graph(n, edges)
+    dist = all_pairs_distances(g)
+    table = oracle_bfs(n, edges)
+    ref = np.array(table, dtype=np.int64).reshape(n, n)
     assert dist.values.shape == (n, n)
     assert np.array_equal(dist.values == INF, ref == -1)
     assert np.array_equal(dist.values[ref != -1], ref[ref != -1])
     assert dist.connected == bool((ref != -1).all())
+    # One BFS per source gives the oracle's row, -1 where unreachable too.
+    assert [bfs_column(g, v) for v in range(n)] == table
 
 
 def path_edges(first, last):

@@ -25,11 +25,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tensordim import _bb_py, solver
-from tensordim.graphs import CliqueFactors, tensor_clique_distances
+from tensordim.graphs import (CliqueFactors, Graph, all_pairs_distances, build_clique,
+                              tensor_clique_distances, tensor_of_cliques)
 from tensordim.metric import DimResult
 from tensordim.solver import build_pair_table
 
-from conftest import ROOT, oracle_greedy_completion, oracle_min_hitting
+from conftest import ROOT, oracle_greedy_completion, oracle_min_hitting, random_connected_edges
 from test_solver import ORBIT_RULES, SYMMETRIC_SIZES, connected_products
 
 
@@ -726,3 +727,64 @@ def test_the_loop_takes_an_up_set_of_candidates(kernel):
         cand = (1 << 9) - (1 << least)
         want = kernel.lex_min_hitting_set(masks, cand, 9)
         assert kernel.lex_min_hitting_set(masks, cand, 9, sizes=(3, 3)) == want
+
+
+def adjacency_words(g: Graph) -> list[int]:
+    """Vertex v's neighbours as the bits of word v."""
+    return [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+
+
+def graph_mask_cases():
+    """Connected graphs on 1..64 vertices: random ones at every n, sparse
+    and dense, paths, stars, cliques, complete bipartite graphs, and at 64
+    vertices a path, a star, K_64, K_{32,32}, 8x8 and 2x4x8."""
+    rng = random.Random(0x6A5)
+    graphs = [Graph(n, random_connected_edges(rng, n, p))
+              for n in range(1, 65) for p in (0.0, 0.08, 0.5)]
+    for n in (2, 3, 5, 17, 64):
+        graphs += [Graph(n, [(v, v + 1) for v in range(n - 1)]),
+                   Graph(n, [(0, v) for v in range(1, n)]), build_clique(n)]
+    for a, b in ((1, 1), (1, 5), (2, 3), (4, 4), (7, 9), (32, 32)):
+        graphs.append(Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)]))
+    graphs += [tensor_of_cliques(CliqueFactors(sizes)) for sizes in ((8, 8), (2, 4, 8))]
+    return graphs
+
+
+def test_graph_pair_masks_are_the_pair_table(compiled_kernel):
+    # Every pair's mask, repeats kept, in the order of the pair table of
+    # the BFS distance table, which tests/test_graphs.py ties to a plain
+    # BFS per source.
+    cases = graph_mask_cases()
+    assert {g.n for g in cases} == set(range(1, 65))
+    for g in cases:
+        want = build_pair_table(all_pairs_distances(g)).tolist()
+        for kernel in (_bb_py, compiled_kernel):
+            assert kernel.graph_pair_masks(adjacency_words(g)) == want, (kernel, g)
+
+
+@pytest.mark.parametrize("adjacency, error, message", [
+    ([0] * 65, ValueError, "at most 64 vertices, got 65"),
+    ([0b10, 0b000], ValueError, r"edge \(0, 1\) has no reverse"),
+    ([0b11, 0b01], ValueError, "loop at vertex 0"),
+    ([0b10, 0b101], ValueError, "vertex 1 has a neighbour bit at 2 or above"),
+    ([0b10, 0b01, 0b1000, 0b100], ValueError, "the graph is disconnected"),
+    ([0b10, 0b01, 0], ValueError, "the graph is disconnected"),
+    ([0b10, 1 << 64], OverflowError, None),
+    ([0b10, -1], OverflowError, None),
+    ([0b10, 1.0], TypeError, None),
+], ids=["65", "asymmetric", "loop", "bit-at-n", "two-edges", "isolated", "word-65-bits",
+        "negative", "float"])
+def test_graph_pair_masks_checks_its_inputs(compiled_kernel, adjacency, error, message):
+    # The same exception on both kernels, and the same message for every
+    # ValueError.
+    for kernel in (_bb_py, compiled_kernel):
+        with pytest.raises(error, match=message):
+            kernel.graph_pair_masks(adjacency)
+
+
+def test_graph_pair_masks_on_the_smallest_graphs(kernel):
+    assert kernel.graph_pair_masks([]) == []
+    assert kernel.graph_pair_masks([0]) == []
+    assert kernel.graph_pair_masks((0b10, 0b01)) == [0b11]
+    # The path 0-1-2: the middle vertex ties the two ends.
+    assert kernel.graph_pair_masks([0b010, 0b101, 0b010]) == [0b111, 0b101, 0b111]

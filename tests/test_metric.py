@@ -312,3 +312,52 @@ def test_is_resolving_matches_the_oracle(case):
     assert bool(verdict) == oracle_is_resolving(table, w)
     if not verdict:
         assert (verdict.x, verdict.y) == oracle_least_pair(table, w)
+
+
+@st.composite
+def graph_probes(draw):
+    """(graph, w): a graph of at most 14 vertices, connected or not, and a
+    probe set whose size is drawn first, from 0 to n."""
+    n = draw(st.integers(0, 14))
+    ids = st.integers(0, max(0, n - 1))
+    pair = st.tuples(ids, ids).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=3 * n)) if n > 1 else []
+    k = draw(st.integers(0, n))
+    return Graph(n, edges), draw(st.lists(ids, unique=True, min_size=k, max_size=k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_probes())
+@example((Graph(0), []))
+@example((Graph(2), []))
+@example((Graph(3), [1]))  # three isolated vertices: 0 and 2 both unreachable
+@example((path_graph(5), [2]))
+@example((Graph(6, [(0, 1), (2, 3), (4, 5)]), [0, 2, 4]))
+def test_the_graph_check_is_the_table_check(case):
+    # One BFS per member gives the verdict, and the least unresolved pair,
+    # of the check on the whole distance table.
+    g, w = case
+    assert is_resolving(g, w) == is_resolving(all_pairs_distances(g), w)
+
+
+def test_the_graph_check_reads_distances_past_a_byte():
+    # A path on 300 vertices plus an isolated vertex: from vertex 0 the
+    # distances run to 299, and the isolated vertex matches none of them.
+    # From 150, vertex 1 is 149 away, as vertex 299 is.
+    g = Graph(301, [(v, v + 1) for v in range(299)])
+    assert is_resolving(g, [0]) is True
+    assert is_resolving(g, [150]) == UnresolvedPair(1, 299)
+    assert is_resolving(g, [0, 300]) is True
+    dist = all_pairs_distances(g)
+    for w in ([0], [150], [299], [300], [1, 300]):
+        assert is_resolving(g, w) == is_resolving(dist, w), w
+
+
+def test_the_graph_check_validates_the_set():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="out of range"):
+        is_resolving(g, [4])
+    with pytest.raises(ValueError, match="duplicate"):
+        is_resolving(g, [1, 1])
+    with pytest.raises(TypeError):
+        is_resolving(g, [1.0])

@@ -214,7 +214,7 @@ def twin_classes_checked(dist):
     def twins(x, y):
         return all(table[x][z] == table[y][z] for z in range(n) if z not in (x, y))
 
-    classes = solver._twin_classes(n, solver.build_pair_table(dist))
+    classes = solver._twin_classes(n, solver.build_pair_table(dist).tolist())
     assert sorted(v for cls in classes for v in cls) == list(range(n))
     assert all(cls == sorted(cls) for cls in classes)
     assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
@@ -597,9 +597,65 @@ def test_nothing_pending_returns_the_forced_vertices():
     assert exact_metric_dimension(single).certificate == ()
 
 
+def twin_heavy_graphs(rng):
+    """Graphs with many twins: stars, cliques, complete bipartite and
+    multipartite graphs, pendant leaves on a path, and random graphs
+    with some vertices copied as twins (adjacent or not)."""
+    graphs = [Graph(9, [(0, v) for v in range(1, 9)]), build_clique(7),
+              Graph(7, [(u, v) for u in range(3) for v in range(3, 7)]),
+              Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u % 3 != v % 3]),
+              Graph(15, [(v, v + 1) for v in range(4)]
+                    + [(v, 5 + 2 * v + j) for v in range(5) for j in range(2)])]
+    for _ in range(12):
+        n = rng.randrange(5, 14)
+        copies = rng.randrange(1, 4)
+        edges = random_connected_edges(rng, n, 0.25)
+        for copy in range(n, n + copies):
+            v = rng.randrange(n)
+            edges += [(w, copy) for e in edges if v in e for w in e if w != v]
+            if rng.random() < 0.5:
+                edges.append((v, copy))
+        graphs.append(Graph(n + copies, edges))
+    return graphs
+
+
+def test_a_graph_takes_the_tables_search(solver_kernel, rng):
+    # The graph route builds its masks in the kernel and checks by BFS;
+    # the dimension and certificate are those of the table route, with or
+    # without the certificate loop, on graphs with and without twins.
+    graphs = twin_heavy_graphs(rng)
+    for _ in range(12):
+        n = rng.randrange(2, 30)
+        graphs.append(Graph(n, random_connected_edges(rng, n, rng.choice([0.0, 0.1, 0.4]))))
+    assert sum(len(solver._twin_classes(g.n, build_pair_table(all_pairs_distances(g)).tolist()))
+               < g.n for g in graphs) >= 15
+    for g in graphs:
+        dist = all_pairs_distances(g)
+        for certificate in (True, False):
+            assert (exact_metric_dimension(g, certificate=certificate)
+                    == exact_metric_dimension(dist, certificate=certificate)), g
+
+
+def test_a_single_factor_is_solved_as_a_clique(monkeypatch):
+    # K_n's n - 1 least ids, with no distance table built.
+    def no_table(*args):
+        raise AssertionError("a distance table was built")
+
+    monkeypatch.setattr(solver, "build_pair_table", no_table)
+    for n in (2, 5, 64):
+        want = tuple(range(n - 1))
+        assert exact_metric_dimension(CliqueFactors((n,))) == DimResult(n - 1, want)
+        assert exact_metric_dimension(build_clique(n)) == DimResult(n - 1, want)
+
+
+def test_a_disconnected_graph_is_reported_as_such():
+    for g in (Graph(2), Graph(4, [(0, 1), (2, 3)]), Graph(100, [(0, 1)])):
+        assert exact_metric_dimension(g) == DimResult(None, None)
+
+
 def test_exact_rejects_more_than_64_vertices():
     for space in (all_pairs_distances(build_clique(65)), CliqueFactors((5, 13)),
-                  CliqueFactors((65,))):
+                  CliqueFactors((65,)), build_clique(65)):
         with pytest.raises(ValueError, match="at most 64 vertices, got 65"):
             exact_metric_dimension(space)
     # A disconnected product is reported as such at any size.
